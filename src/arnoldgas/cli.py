@@ -190,7 +190,7 @@ def cmd_tree(args) -> int:
 # ------------------------------------------------------------------- gas
 
 
-def _mode_report(traj, mode, model, window) -> dict:
+def _mode_report(traj, mode, model, window) -> tuple[spectral.SpectrumSeries, dict]:
     series = spectral.delta_series(traj, mode)
     deltas = series.deltas_twin if series.deltas_twin is not None else series.deltas_linear
     report: dict = {"m1": mode.m1, "m2": mode.m2}
@@ -203,12 +203,14 @@ def _mode_report(traj, mode, model, window) -> dict:
     report.update(
         lambda_=est.lam, term1=est.term1, term2=est.term2, degenerate=est.degenerate
     )
-    return report
+    return series, report
 
 
 def cmd_gas(args) -> int:
     matrix = _parse_matrix(args.matrix)
     model = maps.spectral_decompose(matrix)
+    if args.modes > 0 and args.steps == 0:
+        raise ValueError("mode analysis needs --steps >= 1; use --modes 0 for a zero-step run")
     if args.particles % 2:
         print(f"warning: odd particle count {args.particles}; one particle "
               "idles each step", file=sys.stderr)
@@ -255,18 +257,17 @@ def cmd_gas(args) -> int:
         modes = spectral.enumerate_modes(args.modes)
         workers = args.threads or os.cpu_count() or 1
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(
+            results = list(pool.map(
                 lambda m: _mode_report(traj, m, model, window), modes))
-        summary["modes"] = reports
+        summary["modes"] = [report for _, report in results]
 
         spectrum_rows = []
-        for mode in modes:
-            series = spectral.delta_series(traj, mode)
+        for series, _ in results:
             for t in range(args.steps + 1):
                 twin_mag = (abs(series.deltas_twin[t])
                             if series.deltas_twin is not None else math.nan)
                 spectrum_rows.append((
-                    t, mode.m1, mode.m2,
+                    t, series.mode.m1, series.mode.m2,
                     series.values[t].real, series.values[t].imag,
                     twin_mag, abs(series.deltas_linear[t]),
                 ))
@@ -317,6 +318,9 @@ def cmd_spectrum(args) -> int:
     path = Path(args.infile)
     manifest, series = _read_spectrum_csv(path)
     use_twin = args.use == "twin"
+    if use_twin and any(np.isnan(arr[:, 0]).all() for arr in series.values()):
+        raise ValueError(f"{path} has no delta_twin values; it was written without "
+                         "`gas --twin on`, so only --use linear can be fitted")
     reports = []
     for (m1, m2), arr in sorted(series.items()):
         deltas = arr[:, 0] if use_twin else arr[:, 1]

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import CollisionModel, default_model, torus_diff_arrays, _wrap_unit
+from .maps import (CollisionModel, collide_arrays, collide_linear, default_model,
+                   torus_diff_arrays, _wrap_unit)
 
 RNG_NAME = "numpy.random.PCG64"
 
@@ -61,8 +62,6 @@ class GasState:
     points: np.ndarray  # (N, 2) in [0, 1)^2
     tangents: np.ndarray  # (N, 2), unbounded
     affected: np.ndarray  # (N,) bool, monotone in t
-    n1: np.ndarray  # (N,) direct-collision counts while affected
-    n2: np.ndarray  # (N,) switch-collision counts
     t: int
     twin_points: np.ndarray | None = None
 
@@ -79,7 +78,6 @@ class Trajectory:
     """Per-step diagnostics (and optional state history) of one run."""
 
     config: RunConfig
-    model_matrix: list[list[int]]
     affected_count: np.ndarray  # (steps+1,)
     norm: np.ndarray  # (steps+1,) sqrt(sum |dX_i|^2)
     max_disp: np.ndarray
@@ -90,7 +88,6 @@ class Trajectory:
     affected_history: np.ndarray | None = None
     twin_points_history: np.ndarray | None = None
     pairs_history: list[np.ndarray] = field(default_factory=list)
-    rng_name: str = RNG_NAME
 
     @property
     def n_particles(self) -> int:
@@ -138,8 +135,6 @@ def init_gas(config: RunConfig, model: CollisionModel | None = None,
         points=points,
         tangents=tangents,
         affected=affected,
-        n1=np.zeros(n, dtype=np.int64),
-        n2=np.zeros(n, dtype=np.int64),
         t=0,
         twin_points=twin_points,
     )
@@ -173,8 +168,7 @@ def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
     """Advance one mean collision time; returns (new state, pair indices).
 
     Every listed pair collides; positions wrap mod 1, tangents propagate
-    linearly, affected flags spread, and (n1, n2) path counters advance per
-    the direct/switch role of each particle.
+    linearly, and affected flags spread.
     """
     if pairing == "random":
         pairs = _random_matching(state.n_particles, rng)
@@ -186,42 +180,26 @@ def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
     i, j = pairs[:, 0], pairs[:, 1]
 
     points = state.points.copy()
-    a, b = points[i], points[j]
-    points[i] = _wrap_unit(a @ model.k_plus.T + b @ model.k_minus.T)
-    points[j] = _wrap_unit(a @ model.k_minus.T + b @ model.k_plus.T)
+    points[i], points[j] = collide_arrays(model, points[i], points[j])
 
     tangents = state.tangents.copy()
-    da, db = tangents[i], tangents[j]
-    tangents[i] = da @ model.k_plus.T + db @ model.k_minus.T
-    tangents[j] = da @ model.k_minus.T + db @ model.k_plus.T
+    tangents[i], tangents[j] = collide_linear(model, tangents[i], tangents[j])
 
     was = state.affected
     affected = was.copy()
     affected[i] |= was[j]
     affected[j] |= was[i]
 
-    n1 = state.n1.copy()
-    n2 = state.n2.copy()
-    # direct role: already affected before the collision; switch role: newly
-    # affected through the partner.
-    n1[i] += was[i]
-    n1[j] += was[j]
-    n2[i] += (~was[i]) & was[j]
-    n2[j] += (~was[j]) & was[i]
-
     twin_points = None
     if state.twin_points is not None:
         twin_points = state.twin_points.copy()
-        ta, tb = twin_points[i], twin_points[j]
-        twin_points[i] = _wrap_unit(ta @ model.k_plus.T + tb @ model.k_minus.T)
-        twin_points[j] = _wrap_unit(ta @ model.k_minus.T + tb @ model.k_plus.T)
+        twin_points[i], twin_points[j] = collide_arrays(
+            model, twin_points[i], twin_points[j])
 
     new_state = GasState(
         points=points,
         tangents=tangents,
         affected=affected,
-        n1=n1,
-        n2=n2,
         t=state.t + 1,
         twin_points=twin_points,
     )
@@ -282,7 +260,6 @@ def run_paired(config: RunConfig, model: CollisionModel | None = None) -> Trajec
 
     return Trajectory(
         config=config,
-        model_matrix=model.m.tolist(),
         affected_count=affected_count,
         norm=norm,
         max_disp=max_disp,

@@ -202,18 +202,28 @@ def cat_apply(model: CollisionModel, point: PhasePoint) -> PhasePoint:
 
 def collide(model: CollisionModel, x0: PhasePoint, x1: PhasePoint) -> tuple[PhasePoint, PhasePoint]:
     """Pair collision: x0' = K+ x0 + K- x1, x1' = K- x0 + K+ x1, mod 1."""
-    a, b = x0.as_array(), x1.as_array()
-    out0 = model.k_plus @ a + model.k_minus @ b
-    out1 = model.k_minus @ a + model.k_plus @ b
+    out0, out1 = collide_arrays(model, x0.as_array(), x1.as_array())
     return PhasePoint.from_array(out0), PhasePoint.from_array(out1)
+
+
+def collide_linear(
+    model: CollisionModel, x0: np.ndarray, x1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair update without mod-1 reduction, over (n, 2) arrays.
+
+    This is the whole collision for tangent vectors; phase points wrap its
+    result (see collide_arrays).
+    """
+    out0 = x0 @ model.k_plus.T + x1 @ model.k_minus.T
+    out1 = x0 @ model.k_minus.T + x1 @ model.k_plus.T
+    return out0, out1
 
 
 def collide_arrays(
     model: CollisionModel, x0: np.ndarray, x1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized collide over (n, 2) arrays of phase points."""
-    out0 = x0 @ model.k_plus.T + x1 @ model.k_minus.T
-    out1 = x0 @ model.k_minus.T + x1 @ model.k_plus.T
+    out0, out1 = collide_linear(model, x0, x1)
     return _wrap_unit(out0), _wrap_unit(out1)
 
 

@@ -56,7 +56,6 @@ class TreeRun:
     direction: np.ndarray
     n1: np.ndarray = field(repr=False)  # (2^n,) direct-collision counts
     displacements: np.ndarray = field(repr=False)  # (2^n, 2) tangent vectors
-    reservoir_size: int | None = None
 
     @property
     def n_leaves(self) -> int:
@@ -66,9 +65,6 @@ class TreeRun:
     def n2(self) -> np.ndarray:
         return self.stages - self.n1
 
-    def labels(self) -> list[PathLabel]:
-        return [PathLabel(int(k), self.stages - int(k)) for k in self.n1]
-
 
 def run_tree(
     model: CollisionModel,
@@ -76,7 +72,6 @@ def run_tree(
     epsilon: float,
     direction: np.ndarray | None = None,
     max_stages: int = DEFAULT_MAX_STAGES,
-    reservoir_size: int | None = None,
 ) -> TreeRun:
     """Expand the collision tree to `stages` stages with explicit leaves.
 
@@ -114,7 +109,6 @@ def run_tree(
         direction=direction,
         n1=n1,
         displacements=displacements,
-        reservoir_size=reservoir_size,
     )
 
 

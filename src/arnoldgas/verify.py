@@ -108,11 +108,11 @@ def run_checks(quick: bool = False, corrupt: str | None = None) -> list[CheckRes
                           detail="n_{-k} = conj(n_k)"))
 
     max_stage = 8 if quick else 12
+    runs = {n: tree.run_tree(model, n, 1e-9) for n in range(1, max_stage + 1)}
 
     # binomial path combinatorics by enumeration
     worst_count = 0.0
-    for n in range(1, max_stage + 1):
-        run = tree.run_tree(model, n, 1e-9)
+    for n, run in runs.items():
         counts = np.bincount(run.n1, minlength=n + 1)
         expected = np.array([math.comb(n, k) for k in range(n + 1)])
         worst_count = max(worst_count, float(np.max(np.abs(counts - expected))))
@@ -121,8 +121,7 @@ def run_checks(quick: bool = False, corrupt: str | None = None) -> list[CheckRes
 
     # geometric-mean dilation vs closed form
     worst_rel = 0.0
-    for n in range(1, max_stage + 1):
-        run = tree.run_tree(model, n, 1e-9)
+    for n, run in runs.items():
         geo, _ = tree.mean_dilations(run, model)
         closed, _ = tree.mean_dilations_closed(model, n)
         worst_rel = max(worst_rel, abs(geo - closed) / closed)
@@ -131,8 +130,7 @@ def run_checks(quick: bool = False, corrupt: str | None = None) -> list[CheckRes
     # whole-gas dilation: enumeration vs closed form, and the 2^(n/2) bound
     worst_rel = 0.0
     bound_ok = True
-    for n in range(1, max_stage + 1):
-        run = tree.run_tree(model, n, 1e-9)
+    for n, run in runs.items():
         brute = tree.gas_dilation(run)
         closed = tree.gas_dilation_closed(model, n)
         worst_rel = max(worst_rel, abs(brute - closed) / closed)

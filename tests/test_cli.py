@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from arnoldgas import cli
+from arnoldgas import cli, spectral
 
 
 def run(args):
@@ -121,6 +121,33 @@ class TestGas:
         assert rows[0] == "t,affected,norm,max_disp,median_disp,twin_dist"
         assert len(rows) == 1 + 4
 
+    def test_zero_steps_with_modes_refused_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        assert run(["gas", "--particles", "16", "--steps", "0", "--modes", "1",
+                    "--out", str(out)]) == 1
+        assert "--steps >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_steps_without_modes_runs(self, tmp_path):
+        out = tmp_path / "z.csv"
+        assert run(["gas", "--particles", "16", "--steps", "0", "--modes", "0",
+                    "--out", str(out)]) == 0
+        assert len(csv_body(out).splitlines()) == 1 + 1
+
+    def test_each_mode_series_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = spectral.delta_series
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "delta_series", counting)
+        assert run(["gas", "--particles", "64", "--steps", "6", "--modes", "2",
+                    "--threads", "2", "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(calls) == 24
+        assert sorted(calls) == sorted(spectral.enumerate_modes(2))
+
 
 class TestSpectrum:
     def test_refit_from_saved_csv(self, tmp_path, capsys):
@@ -139,6 +166,28 @@ class TestSpectrum:
         bad = tmp_path / "bad.csv"
         bad.write_text("t,m1,m2\n0,1,0\n")
         assert run(["spectrum", "--in", str(bad)]) == 1
+
+    def test_twin_refit_without_twin_data_refused(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        run(["gas", "--particles", "64", "--steps", "8", "--modes", "1",
+             "--twin", "off", "--out", str(out)])
+        capsys.readouterr()
+        assert run(["spectrum", "--in", str(tmp_path / "g.spectrum.csv"),
+                    "--use", "twin"]) == 1
+        captured = capsys.readouterr()
+        assert "--twin on" in captured.err
+        assert captured.out == ""
+
+    def test_twin_refit_with_twin_data(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        run(["gas", "--particles", "256", "--steps", "10", "--pairing", "tree",
+             "--modes", "1", "--twin", "on", "--out", str(out)])
+        capsys.readouterr()
+        assert run(["spectrum", "--in", str(tmp_path / "g.spectrum.csv"),
+                    "--use", "twin", "--window", "2", "8"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["use"] == "twin"
+        assert all("slope" in m for m in payload["modes"])
 
 
 class TestVerify:
