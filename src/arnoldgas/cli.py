@@ -83,20 +83,35 @@ def _manifest(command: str, params: dict, seed=None, matrix=None) -> dict:
     return manifest
 
 
+def _write_atomic(path: Path, *chunks: str) -> None:
+    """Write the chunks to a temporary sibling file, then rename it over `path`.
+
+    A failed write leaves no partial file at `path`.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, manifest: dict, columns: list[str], rows) -> str:
     """Write manifest header + CSV; return the sha256 of the CSV body."""
     body_lines = [",".join(columns)]
     body_lines += [",".join(_fmt(v) for v in row) for row in rows]
     body = "\n".join(body_lines) + "\n"
     header = "# " + json.dumps(manifest, sort_keys=True) + "\n"
-    path.write_text(header + body)
+    _write_atomic(path, header, body)
     return hashlib.sha256(body.encode()).hexdigest()
 
 
 def _write_summary(path: Path, manifest: dict, summary: dict,
                    digests: dict[str, str]) -> None:
     payload = {"manifest": manifest, "summary": summary, "output_digests": digests}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
@@ -190,8 +205,8 @@ def cmd_tree(args) -> int:
 # ------------------------------------------------------------------- gas
 
 
-def _mode_report(traj, mode, model, window) -> tuple[spectral.SpectrumSeries, dict]:
-    series = spectral.delta_series(traj, mode)
+def _mode_report(traj, series: spectral.SpectrumSeries, model, window) -> dict:
+    mode = series.mode
     deltas = series.deltas_twin if series.deltas_twin is not None else series.deltas_linear
     report: dict = {"m1": mode.m1, "m2": mode.m2}
     try:
@@ -203,7 +218,7 @@ def _mode_report(traj, mode, model, window) -> tuple[spectral.SpectrumSeries, di
     report.update(
         lambda_=est.lam, term1=est.term1, term2=est.term2, degenerate=est.degenerate
     )
-    return series, report
+    return report
 
 
 def cmd_gas(args) -> int:
@@ -234,6 +249,8 @@ def cmd_gas(args) -> int:
     manifest = _manifest("gas", params, seed=args.seed, matrix=matrix)
     out = _resolve_out(args.out)
 
+    # Every result is computed before the first file is written, so a
+    # failure leaves no partial output behind.
     traj = gas.run_paired(config, model)
 
     rows = [
@@ -241,8 +258,6 @@ def cmd_gas(args) -> int:
          traj.median_disp[t], traj.twin_dist[t])
         for t in range(args.steps + 1)
     ]
-    digests = {out.name: _write_csv(out, manifest, GAS_CSV_COLUMNS, rows)}
-    print(f"wrote {out}")
 
     t_s = gas.significance_time(traj)
     t_sat = traj.saturation_step
@@ -251,18 +266,19 @@ def cmd_gas(args) -> int:
         "saturation_step": None if math.isinf(t_sat) else t_sat,
     }
 
+    outputs = [(out, GAS_CSV_COLUMNS, rows)]
     if args.modes > 0:
         window = spectral.default_fit_window(traj)
         summary["fit_window"] = list(window)
         modes = spectral.enumerate_modes(args.modes)
         workers = args.threads or os.cpu_count() or 1
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda m: _mode_report(traj, m, model, window), modes))
-        summary["modes"] = [report for _, report in results]
+            all_series = spectral.mode_series(traj, modes, executor=pool)
+        summary["modes"] = [_mode_report(traj, series, model, window)
+                            for series in all_series]
 
         spectrum_rows = []
-        for series, _ in results:
+        for series in all_series:
             for t in range(args.steps + 1):
                 twin_mag = (abs(series.deltas_twin[t])
                             if series.deltas_twin is not None else math.nan)
@@ -271,10 +287,13 @@ def cmd_gas(args) -> int:
                     series.values[t].real, series.values[t].imag,
                     twin_mag, abs(series.deltas_linear[t]),
                 ))
-        spectrum_path = out.with_suffix(".spectrum.csv")
-        digests[spectrum_path.name] = _write_csv(
-            spectrum_path, manifest, SPECTRUM_CSV_COLUMNS, spectrum_rows)
-        print(f"wrote {spectrum_path}")
+        outputs.append((out.with_suffix(".spectrum.csv"), SPECTRUM_CSV_COLUMNS,
+                        spectrum_rows))
+
+    digests = {}
+    for path, columns, csv_rows in outputs:
+        digests[path.name] = _write_csv(path, manifest, columns, csv_rows)
+        print(f"wrote {path}")
 
     summary_path = _summary_path(out)
     _write_summary(summary_path, manifest, summary, digests)
@@ -343,7 +362,7 @@ def cmd_spectrum(args) -> int:
     }
     if args.out:
         out = _resolve_out(args.out)
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_atomic(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out}")
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -11,6 +11,21 @@ simulation against the reference, and the tangent-linear estimate
 
     Delta ntilde_k(t) ~= (-i/N) sum_i exp(-i k . X_i(t)) (k . dX_i(t)).
 
+`mode_series` computes every requested mode in one pass over the recorded
+history, one time row at a time.  Because k = 2*pi*(m1, m2) with integer m,
+each wave factorises as exp(-i k . X) = z_x**m1 * z_p**m2 with
+z = exp(-2*pi*i*coord): two `exp` calls per row serve every mode, positive
+powers come from repeated multiplication and negative ones are conjugates.
+The rounding error of z**m grows about linearly in |m|.
+
+Off the affected set of a row the tangents are exactly zero and the embedded
+twin's points are bitwise equal to the reference points, so the tangent-linear
+sum and the twin difference run over affected particles only.  The twin delta
+is sum_{i affected} (w_twin,i - w_ref,i) / N rather than the difference of two
+full N-particle sums, which avoids cancelling two O(1) sums to get an O(eps)
+result.  A separately run perturbed trajectory carries no such guarantee, so
+its difference is summed over all N particles.
+
 The per-collision growth exponent of |Delta ntilde_k| is estimated either by
 a least-squares fit of ln|Delta ntilde_k(t)| or by the two-term closed-form
 estimator whose state-independent part equals ln sqrt|kp*km| ~= 0.190424 for
@@ -20,8 +35,9 @@ the default collision matrix (often quoted rounded as ln 1.2 ~= 0.18).
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,20 +93,48 @@ class SpectrumSeries:
     deltas_twin: np.ndarray | None = None  # exact twin difference when available
 
 
-def delta_series(reference: Trajectory, mode: ModeIndex,
-                 perturbed: Trajectory | None = None) -> SpectrumSeries:
-    """Per-step mode perturbation, tangent-linear and (when possible) exact.
+def _powers(z: np.ndarray, exponents) -> dict[int, np.ndarray]:
+    """z**m for each nonzero m in `exponents`; |z| = 1, so z**-m = conj(z**m)."""
+    top = max(abs(m) for m in exponents)
+    positive = [None, z]
+    for _ in range(2, top + 1):
+        positive.append(positive[-1] * z)
+    return {m: positive[m] if m > 0 else np.conj(positive[-m])
+            for m in exponents if m != 0}
+
+
+def _waves(points: np.ndarray, modes: Sequence[ModeIndex]) -> Iterator[np.ndarray]:
+    """exp(-2*pi*i (m1 x + m2 p)) of every point, one array per mode, in order."""
+    m1s = {mode.m1 for mode in modes} - {0}
+    m2s = {mode.m2 for mode in modes} - {0}
+    zx = _powers(np.exp(-1j * (TWO_PI * points[:, 0])), m1s) if m1s else {}
+    zp = _powers(np.exp(-1j * (TWO_PI * points[:, 1])), m2s) if m2s else {}
+    for mode in modes:
+        if mode.m1 == 0:
+            yield zp[mode.m2]
+        elif mode.m2 == 0:
+            yield zx[mode.m1]
+        else:
+            yield zx[mode.m1] * zp[mode.m2]
+
+
+def mode_series(reference: Trajectory, modes: Sequence[ModeIndex],
+                perturbed: Trajectory | None = None,
+                executor: Executor | None = None) -> list[SpectrumSeries]:
+    """Per-step perturbation of every mode, tangent-linear and (when possible) exact.
 
     The exact route uses `perturbed` if given, else the twin embedded in the
     reference run.  A separate perturbed trajectory must share particle
-    count, step count, and pairing schedule.
+    count, step count, and pairing schedule.  Time rows are independent; with
+    an `executor` they are mapped over its workers and reassembled in row
+    order, so the result does not depend on the worker count.
     """
-    if reference.points_history is None:
+    if reference.points_history is None or reference.affected_history is None:
         raise ValueError("trajectory was run without record_points")
-    if mode.is_zero:
+    if any(mode.is_zero for mode in modes):
         raise ValueError("the zero mode is the conserved normalization; pick a nonzero mode")
 
-    twin_pts = None
+    twin_history = None
     if perturbed is not None:
         if (perturbed.n_particles != reference.n_particles
                 or perturbed.steps != reference.steps):
@@ -101,25 +145,48 @@ def delta_series(reference: Trajectory, mode: ModeIndex,
                     raise ValueError("trajectories used different pairing schedules")
         if perturbed.points_history is None:
             raise ValueError("perturbed trajectory was run without record_points")
-        twin_pts = perturbed.points_history
+        twin_history = perturbed.points_history
     elif reference.twin_points_history is not None:
-        twin_pts = reference.twin_points_history
+        twin_history = reference.twin_points_history
 
-    kvec = TWO_PI * np.array([mode.m1, mode.m2], dtype=float)
     n = reference.n_particles
-    phases = reference.points_history @ kvec  # (steps+1, N)
-    waves = np.exp(-1j * phases)
-    values = waves.sum(axis=1) / n
-    k_dot_d = reference.tangents_history @ kvec
-    deltas_linear = (-1j / n) * (waves * k_dot_d).sum(axis=1)
+    kvecs = [TWO_PI * np.array([mode.m1, mode.m2], dtype=float) for mode in modes]
 
-    deltas_twin = None
-    if twin_pts is not None:
-        twin_values = np.exp(-1j * (twin_pts @ kvec)).sum(axis=1) / n
-        deltas_twin = twin_values - values
+    def row(t: int) -> np.ndarray:
+        """Unnormalised (values, linear, twin) sums of row t, one column per mode."""
+        affected = np.flatnonzero(reference.affected_history[t])
+        tangents = reference.tangents_history[t][affected]
+        twin_waves = [None] * len(modes)
+        if perturbed is not None:
+            twin_waves = _waves(twin_history[t], modes)
+        elif twin_history is not None:
+            twin_waves = _waves(twin_history[t][affected], modes)
+        sums = np.zeros((3, len(modes)), dtype=complex)
+        waves = _waves(reference.points_history[t], modes)
+        for j, (kvec, wave, twin_wave) in enumerate(zip(kvecs, waves, twin_waves)):
+            affected_wave = wave[affected]
+            sums[0, j] = wave.sum()
+            sums[1, j] = (affected_wave * (tangents @ kvec)).sum()
+            if twin_wave is not None:
+                sums[2, j] = (twin_wave - (wave if perturbed is not None
+                                           else affected_wave)).sum()
+        return sums
 
-    return SpectrumSeries(mode=mode, values=values,
-                          deltas_linear=deltas_linear, deltas_twin=deltas_twin)
+    rows = (executor.map if executor is not None else map)(
+        row, range(reference.steps + 1))
+    values, linear, twin = np.stack(list(rows), axis=2)  # each (modes, steps+1)
+    values = values / n
+    linear = (-1j / n) * linear
+    twin = None if twin_history is None else twin / n
+    return [SpectrumSeries(mode=mode, values=values[j], deltas_linear=linear[j],
+                           deltas_twin=None if twin is None else twin[j])
+            for j, mode in enumerate(modes)]
+
+
+def delta_series(reference: Trajectory, mode: ModeIndex,
+                 perturbed: Trajectory | None = None) -> SpectrumSeries:
+    """`mode_series` for a single mode."""
+    return mode_series(reference, [mode], perturbed)[0]
 
 
 @dataclass(frozen=True)

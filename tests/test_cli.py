@@ -135,18 +135,32 @@ class TestGas:
         assert len(csv_body(out).splitlines()) == 1 + 1
 
     def test_each_mode_series_computed_once(self, tmp_path, monkeypatch):
-        calls = []
-        original = spectral.delta_series
+        mode_calls, delta_calls = [], []
+        original = spectral.mode_series
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            mode_calls.append(list(args[1]))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(spectral, "delta_series", counting)
+        monkeypatch.setattr(spectral, "mode_series", counting)
+        monkeypatch.setattr(spectral, "delta_series",
+                            lambda *args, **kwargs: delta_calls.append(args[1]))
         assert run(["gas", "--particles", "64", "--steps", "6", "--modes", "2",
                     "--threads", "2", "--out", str(tmp_path / "s.csv")]) == 0
-        assert len(calls) == 24
-        assert sorted(calls) == sorted(spectral.enumerate_modes(2))
+        assert len(mode_calls) == 1
+        assert sorted(mode_calls[0]) == sorted(spectral.enumerate_modes(2))
+        assert len(mode_calls[0]) == 24
+        assert delta_calls == []
+
+    def test_failed_mode_analysis_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("mode analysis ran out of memory")
+
+        monkeypatch.setattr(spectral, "mode_series", out_of_memory)
+        assert run(["gas", "--particles", "64", "--steps", "6", "--modes", "2",
+                    "--out", str(tmp_path / "f.csv")]) == 2
+        assert "refused" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSpectrum:

@@ -131,6 +131,21 @@ class TestRunPaired:
         rel = np.linalg.norm(diff - tangents) / np.linalg.norm(tangents)
         assert rel < 1e-4
 
+    @pytest.mark.parametrize("pairing", ["random", "tree"])
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_unaffected_particles_carry_no_perturbation(self, model, pairing, n):
+        # spectral.mode_series sums tangents and twin differences over the
+        # affected set only, which is exact because of these two facts
+        config = RunConfig(n_particles=n, steps=7, seed=4, pairing=pairing, twin=True)
+        traj = gas.run_paired(config, model)
+        assert not traj.affected_history[-1].all()
+        for t in range(config.steps + 1):
+            off = ~traj.affected_history[t]
+            twin = traj.twin_points_history[t][off]
+            ref = traj.points_history[t][off]
+            assert np.array_equal(twin.view(np.uint64), ref.view(np.uint64))
+            assert not np.any(traj.tangents_history[t][off])
+
     def test_norm_growth_exponent_at_least_paper_rate(self, model):
         # ensemble-median per-step log growth of the gas norm, pre-saturation
         rates = []

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -94,6 +95,69 @@ class TestDeltaSeries:
         # perturbed=itself gives zero difference, embedded twin does not
         assert np.all(series_external.deltas_twin == 0)
         assert np.any(np.abs(series_embedded.deltas_twin) > 0)
+
+
+def _longdouble_wave(points, mode):
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    pts = points.astype(np.longdouble)
+    phase = two_pi * (mode.m1 * pts[:, 0] + mode.m2 * pts[:, 1])
+    return np.cos(phase), -np.sin(phase)
+
+
+class TestModeSeries:
+    def test_matches_per_mode_exp_oracle(self, model):
+        # The power recursion and the oracle's rounded phase 2*pi*(m . X) both
+        # err by a few ulp per unit of |m1| + |m2|, so the bound grows linearly in it.
+        eps = np.finfo(float).eps
+        traj = gas.run_paired(RunConfig(n_particles=200, steps=8, seed=3, twin=True), model)
+        n = traj.n_particles
+        modes = spectral.enumerate_modes(8)
+        for series in spectral.mode_series(traj, modes):
+            mode = series.mode
+            order = abs(mode.m1) + abs(mode.m2)
+            kvec = 2 * math.pi * np.array([mode.m1, mode.m2], dtype=float)
+            for t in range(traj.steps + 1):
+                pts, tangents = traj.points_history[t], traj.tangents_history[t]
+                value = spectral.fourier_component(pts, mode) / n
+                assert abs(series.values[t] - value) <= 8 * order * eps
+                k_dot_d = tangents @ kvec
+                linear = (-1j / n) * (np.exp(-1j * (pts @ kvec)) * k_dot_d).sum()
+                scale = np.abs(k_dot_d).mean()
+                assert abs(series.deltas_linear[t] - linear) <= 8 * order * eps * scale
+
+    def test_twin_delta_no_farther_from_extended_precision_than_full_sums(self, model):
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("np.longdouble has no extra precision on this platform")
+        config = RunConfig(n_particles=1024, steps=10, seed=0, pairing="tree", twin=True)
+        traj = gas.run_paired(config, model)
+        n = traj.n_particles
+        worst_new = worst_full = 0.0
+        for series in spectral.mode_series(traj, spectral.enumerate_modes(2)):
+            mode = series.mode
+            kvec = 2 * math.pi * np.array([mode.m1, mode.m2], dtype=float)
+            for t in range(traj.steps + 1):
+                ref, twin = traj.points_history[t], traj.twin_points_history[t]
+                ref_re, ref_im = _longdouble_wave(ref, mode)
+                twin_re, twin_im = _longdouble_wave(twin, mode)
+                exact = complex(float((twin_re - ref_re).sum() / n),
+                                float((twin_im - ref_im).sum() / n))
+                full = (np.exp(-1j * (twin @ kvec)).sum() / n
+                        - np.exp(-1j * (ref @ kvec)).sum() / n)
+                worst_new = max(worst_new, abs(series.deltas_twin[t] - exact) / abs(exact))
+                worst_full = max(worst_full, abs(full - exact) / abs(exact))
+        assert worst_new <= worst_full
+
+    def test_executor_gives_identical_result(self, model):
+        traj = gas.run_paired(RunConfig(n_particles=128, steps=6, seed=2, twin=True), model)
+        modes = spectral.enumerate_modes(2)
+        serial = spectral.mode_series(traj, modes)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            pooled = spectral.mode_series(traj, modes, executor=pool)
+        for a, b in zip(serial, pooled):
+            assert a.mode == b.mode
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.deltas_linear, b.deltas_linear)
+            assert np.array_equal(a.deltas_twin, b.deltas_twin)
 
 
 class TestExponentEstimate:
@@ -192,8 +256,7 @@ def test_every_low_mode_grows_in_tree_mode(model):
         # window from first step with >= 4 affected particles to saturation
         t_lo = int(np.nonzero(traj.affected_count >= 4)[0][0])
         t_hi = int(traj.saturation_step)
-        for k, mode in enumerate(modes):
-            series = spectral.delta_series(traj, mode)
+        for k, series in enumerate(spectral.mode_series(traj, modes)):
             slopes[s, k] = spectral.fit_growth(series.deltas_linear, (t_lo, t_hi)).slope
     assert np.all(np.median(slopes, axis=0) > 0)
 

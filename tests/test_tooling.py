@@ -1,0 +1,47 @@
+"""The benchmark's output checks and the package metadata, run in Tier-1.
+
+Each workload in `perfbench/workloads.py` runs at its tiny size through
+`cli.main`, and its own check must find no problem with the outputs.  The
+module is read from `perfbench/`; nothing there is changed.
+"""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+import arnoldgas
+from arnoldgas import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads().WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_tiny_run_passes_its_check(name, tmp_path, monkeypatch):
+    workload = WORKLOADS[name]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    argv = workload.argv(workload.tiny, 0, min(2, os.cpu_count() or 1))
+    assert cli.main(argv) == 0
+    assert workload.check(tmp_path, workload.tiny) == []
+
+
+def test_pyproject_version_matches_package():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with (ROOT / "pyproject.toml").open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == arnoldgas.__version__
