@@ -9,9 +9,10 @@ Subcommands:
 
 Every output file starts with a one-line JSON manifest comment recording the
 command, parameters, seed, collision matrix, generator, and tool version.
-Floats are printed with 17 significant digits so re-runs with the same
-manifest reproduce byte-identical CSV bodies.  Exit codes: 0 success,
-1 usage error, 2 runtime refusal (memory budget), 3 verification failure.
+Integer columns print as integers and all others with 17 significant digits,
+so re-runs with the same manifest reproduce byte-identical CSV bodies.  Exit
+codes: 0 success, 1 usage error, 2 runtime refusal (memory budget),
+3 verification failure.
 
 The environment variable ARNOLDGAS_OUTDIR, when set, is the base directory
 for relative output paths.
@@ -42,6 +43,8 @@ EXIT_VERIFY_FAILED = 3
 TREE_CSV_COLUMNS = ["stage", "n1", "n2", "dx", "dp", "norm"]
 GAS_CSV_COLUMNS = ["t", "affected", "norm", "max_disp", "median_disp", "twin_dist"]
 SPECTRUM_CSV_COLUMNS = ["t", "m1", "m2", "re_ntilde", "im_ntilde", "delta_twin", "delta_linear"]
+# Columns of the schemas above that print as integers; all others are floats.
+INTEGER_COLUMNS = frozenset({"stage", "n1", "n2", "t", "affected", "m1", "m2"})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,14 +53,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
 
 
 def _resolve_out(path_str: str) -> Path:
@@ -99,10 +94,14 @@ def _write_atomic(path: Path, *chunks: str) -> None:
 
 
 def _write_csv(path: Path, manifest: dict, columns: list[str], rows) -> str:
-    """Write manifest header + CSV; return the sha256 of the CSV body."""
-    body_lines = [",".join(columns)]
-    body_lines += [",".join(_fmt(v) for v in row) for row in rows]
-    body = "\n".join(body_lines) + "\n"
+    """Write manifest header + CSV; return the sha256 of the CSV body.
+
+    Each row is a tuple with one value per column.  Integer columns print
+    with %d, the others with 17 significant digits (%.17g).
+    """
+    template = ",".join("%d" if name in INTEGER_COLUMNS else "%.17g"
+                        for name in columns) + "\n"
+    body = "".join([",".join(columns) + "\n"] + [template % row for row in rows])
     header = "# " + json.dumps(manifest, sort_keys=True) + "\n"
     _write_atomic(path, header, body)
     return hashlib.sha256(body.encode()).hexdigest()
@@ -161,6 +160,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    maps.check_epsilon(args.epsilon)  # recorded in the manifest even with --aggregate-only
     matrix = _parse_matrix(args.matrix)
     model = maps.spectral_decompose(matrix)
     out = _resolve_out(args.out)
@@ -224,6 +224,10 @@ def _mode_report(traj, series: spectral.SpectrumSeries, model, window) -> dict:
 def cmd_gas(args) -> int:
     matrix = _parse_matrix(args.matrix)
     model = maps.spectral_decompose(matrix)
+    if args.modes < 0:
+        raise ValueError(f"--modes must be >= 0, got {args.modes}")
+    if args.threads < 0:
+        raise ValueError(f"--threads must be >= 0, got {args.threads}")
     if args.modes > 0 and args.steps == 0:
         raise ValueError("mode analysis needs --steps >= 1; use --modes 0 for a zero-step run")
     if args.particles % 2:
@@ -305,7 +309,10 @@ def cmd_gas(args) -> int:
 
 
 def _read_spectrum_csv(path: Path) -> tuple[dict, dict[tuple[int, int], np.ndarray]]:
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path} has no manifest header line")
     manifest = json.loads(lines[0][1:])

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import (CollisionModel, collide_arrays, collide_linear, default_model,
-                   torus_diff_arrays, _wrap_unit)
+from .maps import (CollisionModel, check_epsilon, collide_arrays, collide_linear,
+                   default_model, torus_diff_arrays, _wrap_unit)
 
 RNG_NAME = "numpy.random.PCG64"
 
@@ -49,8 +49,7 @@ class RunConfig:
             raise ValueError("need at least 2 particles")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        check_epsilon(self.epsilon)
         if self.pairing not in ("random", "tree"):
             raise ValueError(f"pairing must be 'random' or 'tree', got {self.pairing!r}")
 

@@ -249,6 +249,12 @@ def propagate_tangent_arrays(model: CollisionModel, d_in: np.ndarray, role: Role
     return d_in @ _role_matrix(model, role).T
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse an initial perturbation size that is not finite and positive."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+
+
 def torus_diff(a: PhasePoint, b: PhasePoint) -> TangentVector:
     """Minimal-image difference a - b, componentwise in [-1/2, 1/2)."""
     d = torus_diff_arrays(a.as_array(), b.as_array())

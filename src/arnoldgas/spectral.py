@@ -23,8 +23,7 @@ twin's points are bitwise equal to the reference points, so the tangent-linear
 sum and the twin difference run over affected particles only.  The twin delta
 is sum_{i affected} (w_twin,i - w_ref,i) / N rather than the difference of two
 full N-particle sums, which avoids cancelling two O(1) sums to get an O(eps)
-result.  A separately run perturbed trajectory carries no such guarantee, so
-its difference is summed over all N particles.
+result.
 
 The per-collision growth exponent of |Delta ntilde_k| is estimated either by
 a least-squares fit of ln|Delta ntilde_k(t)| or by the two-term closed-form
@@ -42,7 +41,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .gas import Trajectory
-from .maps import CollisionModel, PhasePoint
+from .maps import CollisionModel
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,15 +67,9 @@ def enumerate_modes(max_order: int) -> list[ModeIndex]:
     ]
 
 
-def _as_points_array(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        return points
-    return np.array([[q.x, q.p] for q in points]) if points and isinstance(points[0], PhasePoint) else np.asarray(points, dtype=float)
-
-
 def fourier_component(points, mode: ModeIndex) -> complex:
     """n_k = sum_i exp(-2*pi*i (m1 x_i + m2 p_i)); divide by N for ntilde_k."""
-    pts = _as_points_array(points)
+    pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise ValueError("need at least one particle")
     phase = TWO_PI * (pts @ np.array([mode.m1, mode.m2], dtype=float))
@@ -119,36 +112,20 @@ def _waves(points: np.ndarray, modes: Sequence[ModeIndex]) -> Iterator[np.ndarra
 
 
 def mode_series(reference: Trajectory, modes: Sequence[ModeIndex],
-                perturbed: Trajectory | None = None,
                 executor: Executor | None = None) -> list[SpectrumSeries]:
     """Per-step perturbation of every mode, tangent-linear and (when possible) exact.
 
-    The exact route uses `perturbed` if given, else the twin embedded in the
-    reference run.  A separate perturbed trajectory must share particle
-    count, step count, and pairing schedule.  Time rows are independent; with
-    an `executor` they are mapped over its workers and reassembled in row
-    order, so the result does not depend on the worker count.
+    The exact route uses the twin embedded in the reference run, when it was
+    run with one.  Time rows are independent; with an `executor` they are
+    mapped over its workers and reassembled in row order, so the result does
+    not depend on the worker count.
     """
     if reference.points_history is None or reference.affected_history is None:
         raise ValueError("trajectory was run without record_points")
     if any(mode.is_zero for mode in modes):
         raise ValueError("the zero mode is the conserved normalization; pick a nonzero mode")
 
-    twin_history = None
-    if perturbed is not None:
-        if (perturbed.n_particles != reference.n_particles
-                or perturbed.steps != reference.steps):
-            raise ValueError("reference and perturbed trajectories do not match")
-        if perturbed.pairs_history and reference.pairs_history:
-            for pa, pb in zip(reference.pairs_history, perturbed.pairs_history):
-                if not np.array_equal(pa, pb):
-                    raise ValueError("trajectories used different pairing schedules")
-        if perturbed.points_history is None:
-            raise ValueError("perturbed trajectory was run without record_points")
-        twin_history = perturbed.points_history
-    elif reference.twin_points_history is not None:
-        twin_history = reference.twin_points_history
-
+    twin_history = reference.twin_points_history
     n = reference.n_particles
     kvecs = [TWO_PI * np.array([mode.m1, mode.m2], dtype=float) for mode in modes]
 
@@ -156,11 +133,8 @@ def mode_series(reference: Trajectory, modes: Sequence[ModeIndex],
         """Unnormalised (values, linear, twin) sums of row t, one column per mode."""
         affected = np.flatnonzero(reference.affected_history[t])
         tangents = reference.tangents_history[t][affected]
-        twin_waves = [None] * len(modes)
-        if perturbed is not None:
-            twin_waves = _waves(twin_history[t], modes)
-        elif twin_history is not None:
-            twin_waves = _waves(twin_history[t][affected], modes)
+        twin_waves = ([None] * len(modes) if twin_history is None
+                      else _waves(twin_history[t][affected], modes))
         sums = np.zeros((3, len(modes)), dtype=complex)
         waves = _waves(reference.points_history[t], modes)
         for j, (kvec, wave, twin_wave) in enumerate(zip(kvecs, waves, twin_waves)):
@@ -168,8 +142,7 @@ def mode_series(reference: Trajectory, modes: Sequence[ModeIndex],
             sums[0, j] = wave.sum()
             sums[1, j] = (affected_wave * (tangents @ kvec)).sum()
             if twin_wave is not None:
-                sums[2, j] = (twin_wave - (wave if perturbed is not None
-                                           else affected_wave)).sum()
+                sums[2, j] = (twin_wave - affected_wave).sum()
         return sums
 
     rows = (executor.map if executor is not None else map)(
@@ -183,10 +156,9 @@ def mode_series(reference: Trajectory, modes: Sequence[ModeIndex],
             for j, mode in enumerate(modes)]
 
 
-def delta_series(reference: Trajectory, mode: ModeIndex,
-                 perturbed: Trajectory | None = None) -> SpectrumSeries:
+def delta_series(reference: Trajectory, mode: ModeIndex) -> SpectrumSeries:
     """`mode_series` for a single mode."""
-    return mode_series(reference, [mode], perturbed)[0]
+    return mode_series(reference, [mode])[0]
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .maps import CollisionModel, propagate_tangent_arrays
+from .maps import CollisionModel, check_epsilon, propagate_tangent_arrays
 
 DEFAULT_MAX_STAGES = 24
 
@@ -82,8 +83,7 @@ def run_tree(
     """
     if stages < 0:
         raise ValueError("stages must be >= 0")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    check_epsilon(epsilon)
     if stages > max_stages:
         raise MemoryBudgetError(
             f"{stages} stages needs 2^{stages} explicit leaves, over the "
@@ -178,15 +178,6 @@ def significance_stage(reservoir: int, model: CollisionModel) -> SignificanceSta
 
 def leaf_records(run: TreeRun) -> list[tuple[int, int, int, float, float, float]]:
     """Per-leaf rows (stage, n1, n2, dx, dp, |d|) for CSV output."""
-    norms = np.linalg.norm(run.displacements, axis=1)
-    return [
-        (
-            run.stages,
-            int(run.n1[i]),
-            int(run.stages - run.n1[i]),
-            float(run.displacements[i, 0]),
-            float(run.displacements[i, 1]),
-            float(norms[i]),
-        )
-        for i in range(run.n_leaves)
-    ]
+    dx, dp = run.displacements.T.tolist()
+    norms = np.linalg.norm(run.displacements, axis=1).tolist()
+    return list(zip(repeat(run.stages), run.n1.tolist(), run.n2.tolist(), dx, dp, norms))

@@ -1,9 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from arnoldgas import cli, spectral
+from arnoldgas import cli, gas, spectral, tree
 
 
 def run(args):
@@ -76,6 +79,15 @@ class TestTree:
         assert run(["tree", "--stages", "2", "--out", "rel.csv"]) == 0
         assert (tmp_path / "rel.csv").exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--aggregate-only"]])
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_refused_before_writing(self, tmp_path, capsys, epsilon,
+                                                       extra):
+        assert run(["tree", "--stages", "3", "--epsilon", epsilon, *extra,
+                    "--out", str(tmp_path / "e.csv")]) == 1
+        assert "epsilon must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestGas:
     def test_tree_pairing_saturates_at_log2n(self, tmp_path):
@@ -128,6 +140,29 @@ class TestGas:
         assert "--steps >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_refused_before_writing(self, tmp_path, capsys, epsilon):
+        assert run(["gas", "--particles", "16", "--steps", "3", "--epsilon", epsilon,
+                    "--out", str(tmp_path / "e.csv")]) == 1
+        assert "epsilon must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_modes_refused_before_writing(self, tmp_path, capsys):
+        assert run(["gas", "--particles", "16", "--steps", "3", "--modes", "-1",
+                    "--out", str(tmp_path / "n.csv")]) == 1
+        assert "--modes must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_threads_refused_before_writing(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the gas ran before --threads was checked")
+
+        monkeypatch.setattr(gas, "run_paired", never)
+        assert run(["gas", "--particles", "16", "--steps", "3", "--threads", "-1",
+                    "--out", str(tmp_path / "n.csv")]) == 1
+        assert "--threads must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_steps_without_modes_runs(self, tmp_path):
         out = tmp_path / "z.csv"
         assert run(["gas", "--particles", "16", "--steps", "0", "--modes", "0",
@@ -176,6 +211,13 @@ class TestSpectrum:
         slopes = [m["slope"] for m in payload["modes"] if "slope" in m]
         assert slopes and all(math.isfinite(s) for s in slopes)
 
+    def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
+        assert run(["spectrum", "--in", str(tmp_path / "nope.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ")
+        assert "nope.csv" in err
+        assert "Traceback" not in err
+
     def test_missing_manifest_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,m1,m2\n0,1,0\n")
@@ -202,6 +244,57 @@ class TestSpectrum:
         payload = json.loads(capsys.readouterr().out)
         assert payload["use"] == "twin"
         assert all("slope" in m for m in payload["modes"])
+
+
+def expected_body(columns, n_integer, rows):
+    """The CSV body of `rows`: the first `n_integer` cells as integers, the rest
+    with 17 significant digits."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(str(int(v)) if i < n_integer else format(float(v), ".17g")
+                              for i, v in enumerate(row)))
+    return "\n".join(lines)
+
+
+class TestCellFormat:
+    """Each CSV body against the library arrays it prints, formatted here."""
+
+    def test_tree_cells(self, tmp_path, model):
+        out = tmp_path / "t.csv"
+        assert run(["tree", "--stages", "3", "--out", str(out)]) == 0
+        leaves = tree.run_tree(model, 3, 1e-9)
+        norms = np.linalg.norm(leaves.displacements, axis=1)
+        rows = [(3, leaves.n1[i], 3 - leaves.n1[i], *leaves.displacements[i], norms[i])
+                for i in range(leaves.n_leaves)]
+        assert out.read_text().endswith("\n")
+        assert csv_body(out) == expected_body(cli.TREE_CSV_COLUMNS, 3, rows)
+
+    def test_gas_and_spectrum_cells(self, tmp_path, model):
+        out = tmp_path / "g.csv"
+        assert run(["gas", "--particles", "16", "--steps", "4", "--seed", "3",
+                    "--twin", "off", "--modes", "1", "--threads", "1",
+                    "--out", str(out)]) == 0
+        traj = gas.run_paired(gas.RunConfig(n_particles=16, steps=4, seed=3), model)
+        rows = [(t, traj.affected_count[t], traj.norm[t], traj.max_disp[t],
+                 traj.median_disp[t], traj.twin_dist[t]) for t in range(5)]
+        body = csv_body(out)
+        assert body == expected_body(cli.GAS_CSV_COLUMNS, 2, rows)
+        assert [line.split(",")[-1] for line in body.splitlines()[1:]] == ["nan"] * 5
+
+        rows = [(t, s.mode.m1, s.mode.m2, s.values[t].real, s.values[t].imag,
+                 math.nan, abs(s.deltas_linear[t]))
+                for s in spectral.mode_series(traj, spectral.enumerate_modes(1))
+                for t in range(5)]
+        body = csv_body(tmp_path / "g.spectrum.csv")
+        assert body == expected_body(cli.SPECTRUM_CSV_COLUMNS, 3, rows)
+
+
+def test_readme_lists_the_frozen_csv_schemas():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Frozen CSV schemas:")[1].strip().split("\n\n")[0]
+    listed = re.findall(r"^\|[^|]+\| `([^`]+)` \|$", table, re.MULTILINE)
+    assert listed == [",".join(columns) for columns in (
+        cli.TREE_CSV_COLUMNS, cli.GAS_CSV_COLUMNS, cli.SPECTRUM_CSV_COLUMNS)]
 
 
 class TestVerify:

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from arnoldgas import gas, maps, spectral
+from arnoldgas import gas, spectral
 from arnoldgas.gas import RunConfig
 from arnoldgas.spectral import ModeIndex
 
@@ -18,10 +18,6 @@ class TestFourierComponent:
         pts = np.random.default_rng(0).random((37, 2))
         value = spectral.fourier_component(pts, ModeIndex(0, 0))
         assert value == pytest.approx(37.0, abs=1e-9)
-
-    def test_accepts_phase_point_sequences(self):
-        pts = [maps.PhasePoint(0.25, 0.0)]
-        assert spectral.fourier_component(pts, ModeIndex(1, 0)) == pytest.approx(-1j, abs=1e-12)
 
     def test_uniform_gas_modes_are_small(self):
         # random-phase sum: |ntilde_k| < 5/sqrt(N) essentially always
@@ -79,22 +75,6 @@ class TestDeltaSeries:
         for t in range(11):
             twin, lin = series.deltas_twin[t], series.deltas_linear[t]
             assert abs(lin - twin) < 1e-3 * max(abs(twin), 1e-15)
-
-    def test_mismatched_trajectories_rejected(self, model):
-        a = gas.run_paired(RunConfig(n_particles=16, steps=4, seed=0), model)
-        b = gas.run_paired(RunConfig(n_particles=16, steps=5, seed=0), model)
-        with pytest.raises(ValueError, match="do not match"):
-            spectral.delta_series(a, ModeIndex(1, 0), perturbed=b)
-
-    def test_separate_perturbed_trajectory(self, model):
-        # same seed => same pairing schedule; perturbed run built externally
-        config = RunConfig(n_particles=16, steps=4, seed=0, twin=True)
-        traj = gas.run_paired(config, model)
-        series_embedded = spectral.delta_series(traj, ModeIndex(1, 0))
-        series_external = spectral.delta_series(traj, ModeIndex(1, 0), perturbed=traj)
-        # perturbed=itself gives zero difference, embedded twin does not
-        assert np.all(series_external.deltas_twin == 0)
-        assert np.any(np.abs(series_embedded.deltas_twin) > 0)
 
 
 def _longdouble_wave(points, mode):
