@@ -7,7 +7,7 @@ Columns: stage, geometric mean, arithmetic mean, whole-gas dilation, the
 
 import argparse
 
-from arnoldgas import maps, tree
+from arnoldgas import maps, tree, verify
 
 
 def main() -> None:
@@ -21,8 +21,7 @@ def main() -> None:
     for n in range(args.max_stages + 1):
         geo_c, arith_c = tree.mean_dilations_closed(model, n)
         gas_c = tree.gas_dilation_closed(model, n)
-        run = tree.run_tree(model, n, 1e-9)
-        gap = abs(tree.gas_dilation(run) - gas_c) / gas_c
+        gap = verify.gas_dilation_error(tree.run_tree(model, n, 1e-9), model)
         print(f"{n:>3} {geo_c:>12.6f} {arith_c:>12.6f} {gas_c:>14.4f} "
               f"{2 ** (n / 2):>14.4f} {gap:>10.2e}")
 

@@ -5,7 +5,7 @@ Subpackages:
   tree      -- staged collision-tree combinatorics and dilation factors
   gas       -- full N-particle gas with randomized pairwise collisions
   spectral  -- Fourier density components and fluctuation-growth exponents
-  kinetics  -- kinetic-theory estimates and step-to-seconds conversion
+  kinetics  -- kinetic-theory estimates (particle count, mean free time)
   cli       -- command-line front end with reproducible file output
 """
 

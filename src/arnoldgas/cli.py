@@ -316,16 +316,21 @@ def _read_spectrum_csv(path: Path) -> tuple[dict, dict[tuple[int, int], np.ndarr
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path} has no manifest header line")
     manifest = json.loads(lines[0][1:])
+    if len(lines) < 2:
+        raise ValueError(f"{path} has no column line after its manifest")
     columns = lines[1].split(",")
     idx = {name: i for i, name in enumerate(columns)}
     for required in ("t", "m1", "m2", "delta_twin", "delta_linear"):
         if required not in idx:
             raise ValueError(f"{path} is missing column {required!r}")
     per_mode: dict[tuple[int, int], dict[int, tuple[float, float]]] = {}
-    for line in lines[2:]:
+    for number, line in enumerate(lines[2:], start=3):
         if not line:
             continue
         cells = line.split(",")
+        if len(cells) != len(columns):
+            raise ValueError(f"{path} line {number} has {len(cells)} cells, "
+                             f"expected {len(columns)}")
         key = (int(cells[idx["m1"]]), int(cells[idx["m2"]]))
         t = int(cells[idx["t"]])
         per_mode.setdefault(key, {})[t] = (
@@ -380,8 +385,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    corrupt = os.environ.get(verify.CORRUPT_ENV) or None
-    results = verify.run_checks(quick=args.quick, corrupt=corrupt)
+    results = verify.run_checks(quick=args.quick)
     for result in results:
         print(result.line())
     if verify.all_passed(results):

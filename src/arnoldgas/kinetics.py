@@ -78,10 +78,3 @@ def derive(params: KineticParams) -> KineticDerived:
         mean_free_time=mean_free_time,
         collision_rate=1.0 / mean_free_time,
     )
-
-
-def steps_to_seconds(steps: int, derived: KineticDerived) -> float:
-    """Physical time of a simulation: one step is one mean free time."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    return steps * derived.mean_free_time

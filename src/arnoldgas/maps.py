@@ -21,11 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
-
-Role = Literal["direct", "switch"]
 
 DEFAULT_CAT_MATRIX = ((1, 1), (1, 2))
 
@@ -41,47 +38,6 @@ def _wrap_unit(values: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    """A particle's (position, momentum) on the unit 2-torus."""
-
-    x: float
-    p: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.p)):
-            raise ValueError("phase point components must be finite")
-        if not (0.0 <= self.x < 1.0 and 0.0 <= self.p < 1.0):
-            raise ValueError(f"phase point ({self.x}, {self.p}) outside [0, 1)^2")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.p])
-
-    @staticmethod
-    def from_array(values: np.ndarray) -> "PhasePoint":
-        wrapped = _wrap_unit(values)
-        return PhasePoint(float(wrapped[0]), float(wrapped[1]))
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Unbounded displacement (dx, dp) in phase space; never wrapped."""
-
-    dx: float
-    dp: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.dx) and math.isfinite(self.dp)):
-            raise ValueError("tangent components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dx, self.dp])
-
-    @property
-    def norm(self) -> float:
-        return math.hypot(self.dx, self.dp)
-
-
-@dataclass(frozen=True)
 class CollisionModel:
     """A hyperbolic unimodular collision matrix with its spectral data.
 
@@ -92,7 +48,6 @@ class CollisionModel:
       lambda_plus   larger eigenvalue of M
       lambda_minus  smaller eigenvalue of M (= 1/lambda_plus)
       xi_plus       unit eigenvector for lambda_plus, first component > 0
-      xi_minus      unit eigenvector for lambda_minus, first component > 0
       kp            eigenvalue of K+ on xi_plus, (1 + lambda_plus)/2
       km            eigenvalue of K- on xi_plus, (1 - lambda_plus)/2
     """
@@ -103,7 +58,6 @@ class CollisionModel:
     lambda_plus: float
     lambda_minus: float
     xi_plus: np.ndarray
-    xi_minus: np.ndarray
     kp: float
     km: float
 
@@ -111,11 +65,6 @@ class CollisionModel:
     def dilation_product(self) -> float:
         """|kp * km|, the squared per-two-collision mean dilation."""
         return abs(self.kp * self.km)
-
-    @property
-    def gas_growth_rate(self) -> float:
-        """Per-stage whole-gas dilation factor sqrt(kp^2 + km^2)."""
-        return math.sqrt(self.kp**2 + self.km**2)
 
 
 def _unit_eigenvector(m: np.ndarray, eigenvalue: float) -> np.ndarray:
@@ -163,12 +112,11 @@ def spectral_decompose(m) -> CollisionModel:
     k_minus = (identity - mf) / 2.0
 
     xi_plus = _unit_eigenvector(mf, lambda_plus)
-    xi_minus = _unit_eigenvector(mf, lambda_minus)
 
     kp = (1.0 + lambda_plus) / 2.0
     km = (1.0 - lambda_plus) / 2.0
 
-    for arr in (m, k_plus, k_minus, xi_plus, xi_minus):
+    for arr in (m, k_plus, k_minus, xi_plus):
         arr.setflags(write=False)
 
     return CollisionModel(
@@ -178,7 +126,6 @@ def spectral_decompose(m) -> CollisionModel:
         lambda_plus=lambda_plus,
         lambda_minus=lambda_minus,
         xi_plus=xi_plus,
-        xi_minus=xi_minus,
         kp=kp,
         km=km,
     )
@@ -193,17 +140,6 @@ def default_model() -> CollisionModel:
     if _DEFAULT_MODEL is None:
         _DEFAULT_MODEL = spectral_decompose(DEFAULT_CAT_MATRIX)
     return _DEFAULT_MODEL
-
-
-def cat_apply(model: CollisionModel, point: PhasePoint) -> PhasePoint:
-    """One iteration of the toral automorphism: (M x) mod 1."""
-    return PhasePoint.from_array(model.m.astype(float) @ point.as_array())
-
-
-def collide(model: CollisionModel, x0: PhasePoint, x1: PhasePoint) -> tuple[PhasePoint, PhasePoint]:
-    """Pair collision: x0' = K+ x0 + K- x1, x1' = K- x0 + K+ x1, mod 1."""
-    out0, out1 = collide_arrays(model, x0.as_array(), x1.as_array())
-    return PhasePoint.from_array(out0), PhasePoint.from_array(out1)
 
 
 def collide_linear(
@@ -222,43 +158,18 @@ def collide_linear(
 def collide_arrays(
     model: CollisionModel, x0: np.ndarray, x1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized collide over (n, 2) arrays of phase points."""
+    """Pair collision over (n, 2) arrays of phase points, mod 1.
+
+    x0' = K+ x0 + K- x1 and x1' = K- x0 + K+ x1.
+    """
     out0, out1 = collide_linear(model, x0, x1)
     return _wrap_unit(out0), _wrap_unit(out1)
-
-
-def _role_matrix(model: CollisionModel, role: Role) -> np.ndarray:
-    if role == "direct":
-        return model.k_plus
-    if role == "switch":
-        return model.k_minus
-    raise ValueError(f"role must be 'direct' or 'switch', got {role!r}")
-
-
-def propagate_tangent(model: CollisionModel, d_in: TangentVector, role: Role) -> TangentVector:
-    """Apply the direct (K+) or switch (K-) factor to a displacement.
-
-    No mod reduction: tangent space is linear.
-    """
-    out = _role_matrix(model, role) @ d_in.as_array()
-    return TangentVector(float(out[0]), float(out[1]))
-
-
-def propagate_tangent_arrays(model: CollisionModel, d_in: np.ndarray, role: Role) -> np.ndarray:
-    """Vectorized propagate_tangent over (n, 2) arrays."""
-    return d_in @ _role_matrix(model, role).T
 
 
 def check_epsilon(epsilon: float) -> None:
     """Refuse an initial perturbation size that is not finite and positive."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-
-
-def torus_diff(a: PhasePoint, b: PhasePoint) -> TangentVector:
-    """Minimal-image difference a - b, componentwise in [-1/2, 1/2)."""
-    d = torus_diff_arrays(a.as_array(), b.as_array())
-    return TangentVector(float(d[0]), float(d[1]))
 
 
 def torus_diff_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,32 +20,18 @@ aggregates:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
-from .maps import CollisionModel, check_epsilon, propagate_tangent_arrays
+from .maps import CollisionModel, check_epsilon
 
 DEFAULT_MAX_STAGES = 24
 
 
 class MemoryBudgetError(RuntimeError):
     """Raised when explicit leaf storage would exceed the configured budget."""
-
-
-@dataclass(frozen=True)
-class PathLabel:
-    """Counts of direct (n1) and switch (n2) collisions along one leaf path."""
-
-    n1: int
-    n2: int
-
-    @property
-    def stage(self) -> int:
-        return self.n1 + self.n2
 
 
 @dataclass
@@ -98,8 +84,8 @@ def run_tree(
     displacements = (epsilon * direction).reshape(1, 2)
     n1 = np.zeros(1, dtype=np.int64)
     for _ in range(stages):
-        direct = propagate_tangent_arrays(model, displacements, "direct")
-        switch = propagate_tangent_arrays(model, displacements, "switch")
+        direct = displacements @ model.k_plus.T
+        switch = displacements @ model.k_minus.T
         displacements = np.concatenate([direct, switch])
         n1 = np.concatenate([n1 + 1, n1])
 
@@ -110,11 +96,6 @@ def run_tree(
         n1=n1,
         displacements=displacements,
     )
-
-
-def path_dilation(model: CollisionModel, label: PathLabel) -> float:
-    """|kp|^{n1} |km|^{n2}, the dilation along one path from the root."""
-    return abs(model.kp) ** label.n1 * abs(model.km) ** label.n2
 
 
 def mean_dilations(run: TreeRun, model: CollisionModel) -> tuple[float, float]:
@@ -145,35 +126,6 @@ def gas_dilation(run: TreeRun) -> float:
 def gas_dilation_closed(model: CollisionModel, stages: int) -> float:
     """(kp^2 + km^2)^{n/2}; always >= 2^{n/2} since kp^2 + km^2 >= 2|kp*km| >= 2."""
     return (model.kp**2 + model.km**2) ** (stages / 2.0)
-
-
-class SignificanceStages(NamedTuple):
-    """Stage counts at which the perturbation becomes gas-wide significant."""
-
-    saturation: int  # smallest n with 2^n >= N (ideal-tree saturation)
-    dilation_bound: int  # smallest n with gas_dilation(n) >= sqrt(N)
-
-
-def significance_stage(reservoir: int, model: CollisionModel) -> SignificanceStages:
-    """Ideal-tree significance stages for a reservoir of N particles.
-
-    `saturation` is ceil(log2 N); `dilation_bound` is the first stage at
-    which the whole-gas dilation reaches sqrt(N).
-    """
-    if reservoir < 1:
-        raise ValueError("reservoir size must be >= 1")
-    saturation = max(0, (reservoir - 1).bit_length())
-    if reservoir == 1:
-        dilation_bound = 0
-    else:
-        rate = math.log(gas_dilation_closed(model, 2)) / 2.0
-        dilation_bound = math.ceil(0.5 * math.log(reservoir) / rate)
-        # guard against float edge cases around exact powers
-        while gas_dilation_closed(model, dilation_bound) < math.sqrt(reservoir):
-            dilation_bound += 1
-        while dilation_bound > 0 and gas_dilation_closed(model, dilation_bound - 1) >= math.sqrt(reservoir):
-            dilation_bound -= 1
-    return SignificanceStages(saturation=saturation, dilation_bound=dilation_bound)
 
 
 def leaf_records(run: TreeRun) -> list[tuple[int, int, int, float, float, float]]:

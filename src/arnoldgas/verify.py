@@ -3,9 +3,9 @@
 Each check compares a measured quantity against an independent expectation
 (closed form, brute-force enumeration, or a twin simulation) at a fixed
 tolerance.  The CLI `verify` subcommand runs these and exits nonzero on any
-failure.  Setting the environment variable ARNOLDGAS_VERIFY_CORRUPT to a
-check name perturbs that check's measured value; this is a test hook for
-confirming that failures are detected and named.
+failure.  The oracles are small functions of one model, tree run or seed, so
+the acceptance tests and scripts/dilation_table.py apply the same oracles
+over their own stage ranges, seeds and tolerances.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from itertools import product
 import numpy as np
 
 from . import gas, maps, spectral, tree
-
-CORRUPT_ENV = "ARNOLDGAS_VERIFY_CORRUPT"
 
 
 @dataclass
@@ -40,31 +38,69 @@ class CheckResult:
 
 
 def _check(name: str, measured: float, expected: float, tolerance: float,
-           corrupt: str | None, detail: str = "") -> CheckResult:
-    if corrupt == name:
-        measured = measured + max(abs(expected), 1.0) * 1e-3
-        detail = (detail + "; " if detail else "") + "corrupted by test hook"
+           detail: str = "") -> CheckResult:
     passed = abs(measured - expected) <= tolerance
     return CheckResult(name, passed, measured, expected, tolerance, detail)
 
 
-def run_checks(quick: bool = False, corrupt: str | None = None) -> list[CheckResult]:
-    model = maps.default_model()
+def spectral_constants(model: maps.CollisionModel) -> dict[str, tuple[float, float]]:
+    """(measured, closed form) per spectral constant of the default cat matrix."""
     sqrt5 = math.sqrt(5.0)
+    return {
+        "lambda-plus": (model.lambda_plus, (3 + sqrt5) / 2),
+        "k-plus": (model.kp, (5 + sqrt5) / 4),
+        "k-minus": (model.km, -(1 + sqrt5) / 4),
+        "dilation-product": (model.dilation_product, 1 + (3 / 8) * (sqrt5 - 1)),
+    }
+
+
+def leaf_count_error(run: tree.TreeRun) -> int:
+    """Largest deviation of the number of leaves with n1 direct collisions from C(n, n1)."""
+    n = run.stages
+    counts = np.bincount(run.n1, minlength=n + 1)
+    expected = np.array([math.comb(n, k) for k in range(n + 1)])
+    return int(np.max(np.abs(counts - expected)))
+
+
+def mean_dilation_error(run: tree.TreeRun, model: maps.CollisionModel) -> float:
+    """Relative error of the enumerated geometric-mean dilation against |kp*km|^(n/2)."""
+    geometric, _ = tree.mean_dilations(run, model)
+    closed, _ = tree.mean_dilations_closed(model, run.stages)
+    return abs(geometric - closed) / closed
+
+
+def gas_dilation_error(run: tree.TreeRun, model: maps.CollisionModel) -> float:
+    """Relative error of the enumerated whole-gas dilation against (kp^2 + km^2)^(n/2)."""
+    closed = tree.gas_dilation_closed(model, run.stages)
+    return abs(tree.gas_dilation(run) - closed) / closed
+
+
+def tangent_twin_discrepancy(model: maps.CollisionModel, seed: int) -> float:
+    """Relative gap between the tangents and the twin gas's displacement.
+
+    A random-pairing run of 64 particles for 10 steps with eps = 1e-9; the
+    twin's displacement is the minimal-image difference at the last step.
+    """
+    config = gas.RunConfig(n_particles=64, steps=10, epsilon=1e-9, seed=seed, twin=True)
+    traj = gas.run_paired(config, model)
+    diff = maps.torus_diff_arrays(traj.twin_points_history[-1], traj.points_history[-1])
+    tangents = traj.tangents_history[-1]
+    return float(np.linalg.norm(diff - tangents) / np.linalg.norm(tangents))
+
+
+def run_checks(quick: bool = False) -> list[CheckResult]:
+    model = maps.default_model()
     results: list[CheckResult] = []
 
     # closed-form spectral constants
-    results.append(_check("lambda-plus", model.lambda_plus, (3 + sqrt5) / 2, 1e-12, corrupt))
-    results.append(_check("k-plus", model.kp, (5 + sqrt5) / 4, 1e-12, corrupt))
-    results.append(_check("k-minus", model.km, -(1 + sqrt5) / 4, 1e-12, corrupt))
-    results.append(_check("dilation-product", model.dilation_product,
-                          1 + (3 / 8) * (sqrt5 - 1), 1e-12, corrupt,
-                          detail="|kp*km|, rounds to 1.46"))
+    for name, (measured, expected) in spectral_constants(model).items():
+        detail = "|kp*km|, rounds to 1.46" if name == "dilation-product" else ""
+        results.append(_check(name, measured, expected, 1e-12, detail))
 
     # matrix identities (exact)
     ident_err = float(np.max(np.abs(model.k_plus + model.k_minus - np.eye(2))))
     diff_err = float(np.max(np.abs(model.k_plus - model.k_minus - model.m)))
-    results.append(_check("k-matrix-identities", ident_err + diff_err, 0.0, 0.0, corrupt,
+    results.append(_check("k-matrix-identities", ident_err + diff_err, 0.0, 0.0,
                           detail="K+ + K- = I and K+ - K- = M entrywise"))
 
     # eigen residuals
@@ -73,19 +109,17 @@ def run_checks(quick: bool = False, corrupt: str | None = None) -> list[CheckRes
         float(np.linalg.norm(model.k_plus @ model.xi_plus - model.kp * model.xi_plus)),
         float(np.linalg.norm(model.k_minus @ model.xi_plus - model.km * model.xi_plus)),
     )
-    results.append(_check("eigen-residuals", res, 0.0, 1e-12, corrupt))
+    results.append(_check("eigen-residuals", res, 0.0, 1e-12))
 
     # pair map is area preserving in 4-D
     pair = np.block([[model.k_plus, model.k_minus], [model.k_minus, model.k_plus]])
-    results.append(_check("pair-jacobian", float(np.linalg.det(pair)), 1.0, 1e-12, corrupt))
+    results.append(_check("pair-jacobian", float(np.linalg.det(pair)), 1.0, 1e-12))
 
-    # cat map permutes the rational grid Q=5
-    grid = {(i, j) for i in range(5) for j in range(5)}
-    image = set()
-    for i, j in grid:
-        out = maps.cat_apply(model, maps.PhasePoint(i / 5, j / 5))
-        image.add((round(out.x * 5) % 5, round(out.p * 5) % 5))
-    results.append(_check("grid-permutation", float(len(image & grid)), 25.0, 0.0, corrupt,
+    # cat map permutes the rational grid Q=5, in integer arithmetic
+    points = np.array(list(product(range(5), repeat=2)))
+    grid = set(map(tuple, points.tolist()))
+    image = set(map(tuple, (points @ model.m.T % 5).tolist()))
+    results.append(_check("grid-permutation", float(len(image & grid)), 25.0, 0.0,
                           detail="Q=5 rational grid maps onto itself"))
 
     # pair-sum conservation mod 1 on random inputs
@@ -93,7 +127,7 @@ def run_checks(quick: bool = False, corrupt: str | None = None) -> list[CheckRes
     a, b = rng.random((64, 2)), rng.random((64, 2))
     a2, b2 = maps.collide_arrays(model, a, b)
     sum_err = float(np.max(np.abs(maps.torus_diff_arrays((a2 + b2) % 1.0, (a + b) % 1.0))))
-    results.append(_check("pair-sum-conservation", sum_err, 0.0, 1e-12, corrupt))
+    results.append(_check("pair-sum-conservation", sum_err, 0.0, 1e-12))
 
     # Fourier conjugate symmetry
     pts = rng.random((256, 2))
@@ -104,50 +138,24 @@ def run_checks(quick: bool = False, corrupt: str | None = None) -> list[CheckRes
         nk = spectral.fourier_component(pts, spectral.ModeIndex(m1, m2))
         nmk = spectral.fourier_component(pts, spectral.ModeIndex(-m1, -m2))
         worst = max(worst, abs(nmk - nk.conjugate()))
-    results.append(_check("fourier-symmetry", worst, 0.0, 1e-9, corrupt,
-                          detail="n_{-k} = conj(n_k)"))
+    results.append(_check("fourier-symmetry", worst, 0.0, 1e-9, detail="n_{-k} = conj(n_k)"))
 
+    # collision-tree enumeration against the closed forms
     max_stage = 8 if quick else 12
-    runs = {n: tree.run_tree(model, n, 1e-9) for n in range(1, max_stage + 1)}
-
-    # binomial path combinatorics by enumeration
-    worst_count = 0.0
-    for n, run in runs.items():
-        counts = np.bincount(run.n1, minlength=n + 1)
-        expected = np.array([math.comb(n, k) for k in range(n + 1)])
-        worst_count = max(worst_count, float(np.max(np.abs(counts - expected))))
-    results.append(_check("binomial-leaves", worst_count, 0.0, 0.0, corrupt,
+    runs = [tree.run_tree(model, n, 1e-9) for n in range(1, max_stage + 1)]
+    results.append(_check("binomial-leaves", float(max(map(leaf_count_error, runs))), 0.0, 0.0,
                           detail=f"leaf counts equal C(n, n1) for n <= {max_stage}"))
-
-    # geometric-mean dilation vs closed form
-    worst_rel = 0.0
-    for n, run in runs.items():
-        geo, _ = tree.mean_dilations(run, model)
-        closed, _ = tree.mean_dilations_closed(model, n)
-        worst_rel = max(worst_rel, abs(geo - closed) / closed)
-    results.append(_check("geometric-mean-dilation", worst_rel, 0.0, 1e-10, corrupt))
-
-    # whole-gas dilation: enumeration vs closed form, and the 2^(n/2) bound
-    worst_rel = 0.0
-    bound_ok = True
-    for n, run in runs.items():
-        brute = tree.gas_dilation(run)
-        closed = tree.gas_dilation_closed(model, n)
-        worst_rel = max(worst_rel, abs(brute - closed) / closed)
-        bound_ok = bound_ok and (closed >= 2 ** (n / 2))
-    results.append(_check("gas-dilation", worst_rel, 0.0, 1e-10, corrupt,
-                          detail="enumeration vs closed form"))
-    results.append(_check("gas-dilation-bound", 1.0 if bound_ok else 0.0, 1.0, 0.0, corrupt,
+    results.append(_check("geometric-mean-dilation",
+                          max(mean_dilation_error(run, model) for run in runs), 0.0, 1e-10))
+    results.append(_check("gas-dilation", max(gas_dilation_error(run, model) for run in runs),
+                          0.0, 1e-10, detail="enumeration vs closed form"))
+    bound_ok = all(tree.gas_dilation_closed(model, run.stages) >= 2 ** (run.stages / 2)
+                   for run in runs)
+    results.append(_check("gas-dilation-bound", 1.0 if bound_ok else 0.0, 1.0, 0.0,
                           detail="closed form >= 2^(n/2)"))
 
-    # tangent instrument vs fully nonlinear twin run
-    config = gas.RunConfig(n_particles=64, steps=10, epsilon=1e-9, seed=2024, twin=True)
-    traj = gas.run_paired(config, model)
-    diff = maps.torus_diff_arrays(traj.twin_points_history[-1], traj.points_history[-1])
-    tangents = traj.tangents_history[-1]
-    rel = float(np.linalg.norm(diff - tangents) / np.linalg.norm(tangents))
-    results.append(_check("tangent-twin-consistency", rel, 0.0, 1e-4, corrupt,
-                          detail="N=64, eps=1e-9, 10 steps"))
+    results.append(_check("tangent-twin-consistency", tangent_twin_discrepancy(model, 2024),
+                          0.0, 1e-4, detail="N=64, eps=1e-9, 10 steps"))
 
     if not quick:
         # bit-identical reruns
@@ -156,7 +164,7 @@ def run_checks(quick: bool = False, corrupt: str | None = None) -> list[CheckRes
         t2 = gas.run_paired(c, model)
         same = (np.array_equal(t1.points_history, t2.points_history)
                 and np.array_equal(t1.tangents_history, t2.tangents_history))
-        results.append(_check("determinism", 1.0 if same else 0.0, 1.0, 0.0, corrupt,
+        results.append(_check("determinism", 1.0 if same else 0.0, 1.0, 0.0,
                               detail="identical config gives bit-identical trajectories"))
 
         # tree-faithful pairing saturates the affected set at exactly log2 N
@@ -164,7 +172,7 @@ def run_checks(quick: bool = False, corrupt: str | None = None) -> list[CheckRes
                           record_points=False)
         t3 = gas.run_paired(c, model)
         results.append(_check("tree-pairing-saturation", float(t3.saturation_step),
-                              10.0, 0.0, corrupt, detail="N=1024 saturates at step 10"))
+                              10.0, 0.0, detail="N=1024 saturates at step 10"))
 
     return results
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from arnoldgas import cli, gas, kinetics, maps, spectral, tree
+from arnoldgas import cli, gas, kinetics, spectral, tree, verify
 from arnoldgas.gas import RunConfig
 from arnoldgas.spectral import ModeIndex
 
@@ -27,35 +27,20 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_spectral_constants(model):
-    checks = {
-        "lambda_plus": (model.lambda_plus, (3 + SQRT5) / 2),
-        "k_plus": (model.kp, (5 + SQRT5) / 4),
-        "k_minus": (model.km, -(1 + SQRT5) / 4),
-        "dilation_product": (model.dilation_product, 1 + 0.375 * (SQRT5 - 1)),
-    }
-    errors = {name: abs(got - want) for name, (got, want) in checks.items()}
-    ok = all(err <= 1e-12 for err in errors.values())
-    report(1, "spectral constants to 1e-12", ok, f"max error {max(errors.values()):.3g}")
+    errors = [abs(got - want) for got, want in verify.spectral_constants(model).values()]
+    ok = all(err <= 1e-12 for err in errors)
+    report(1, "spectral constants to 1e-12", ok, f"max error {max(errors):.3g}")
 
 
 def test_criterion_2_path_combinatorics(model):
-    worst = 0
-    for n in range(1, 13):
-        run = tree.run_tree(model, n, 1e-9)
-        counts = np.bincount(run.n1, minlength=n + 1)
-        expected = np.array([math.comb(n, k) for k in range(n + 1)])
-        worst = max(worst, int(np.max(np.abs(counts - expected))))
+    worst = max(verify.leaf_count_error(tree.run_tree(model, n, 1e-9)) for n in range(1, 13))
     report(2, "leaf counts equal C(n, n1) for n=1..12", worst == 0,
            f"max count deviation {worst}")
 
 
 def test_criterion_3_mean_dilation(model):
-    worst = 0.0
-    for n in range(1, 13):
-        run = tree.run_tree(model, n, 1e-9)
-        geo, _ = tree.mean_dilations(run, model)
-        closed = model.dilation_product ** (n / 2)
-        worst = max(worst, abs(geo - closed) / closed)
+    worst = max(verify.mean_dilation_error(tree.run_tree(model, n, 1e-9), model)
+                for n in range(1, 13))
     base = model.dilation_product**0.5
     base_ok = abs(base - 1.2097627) < 1e-6
     report(3, "geometric mean dilation equals |kp*km|^(n/2) to 1e-10",
@@ -64,26 +49,18 @@ def test_criterion_3_mean_dilation(model):
 
 
 def test_criterion_4_gas_dilation_bound(model):
-    worst = 0.0
-    bound_ok = True
-    for n in range(1, 13):
-        run = tree.run_tree(model, n, 1e-9)
-        brute = tree.gas_dilation(run)
-        closed = ((9 + 3 * SQRT5) / 4) ** (n / 2)
-        worst = max(worst, abs(brute - closed) / closed)
-        bound_ok = bound_ok and closed >= 2 ** (n / 2)
+    stages = range(1, 13)
+    worst = max(verify.gas_dilation_error(tree.run_tree(model, n, 1e-9), model) for n in stages)
+    closed = [tree.gas_dilation_closed(model, n) for n in stages]
+    anchor_ok = closed == pytest.approx([((9 + 3 * SQRT5) / 4) ** (n / 2) for n in stages],
+                                        rel=1e-12)
+    bound_ok = all(c >= 2 ** (n / 2) for n, c in zip(stages, closed))
     report(4, "gas dilation closed form matches enumeration and >= 2^(n/2)",
-           worst <= 1e-10 and bound_ok, f"max rel error {worst:.3g}")
+           worst <= 1e-10 and anchor_ok and bound_ok, f"max rel error {worst:.3g}")
 
 
 def test_criterion_5_tangent_twin_consistency(model):
-    worst = 0.0
-    for seed in range(25):
-        config = RunConfig(n_particles=64, steps=10, epsilon=1e-9, seed=seed, twin=True)
-        traj = gas.run_paired(config, model)
-        diff = maps.torus_diff_arrays(traj.twin_points_history[-1], traj.points_history[-1])
-        tangents = traj.tangents_history[-1]
-        worst = max(worst, float(np.linalg.norm(diff - tangents) / np.linalg.norm(tangents)))
+    worst = max(verify.tangent_twin_discrepancy(model, seed) for seed in range(25))
     report(5, "tangent vs twin displacement discrepancy < 1e-4 (N=64, 10 steps)",
            worst < 1e-4, f"worst rel discrepancy {worst:.3g}")
 

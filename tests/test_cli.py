@@ -223,6 +223,18 @@ class TestSpectrum:
         bad.write_text("t,m1,m2\n0,1,0\n")
         assert run(["spectrum", "--in", str(bad)]) == 1
 
+    @pytest.mark.parametrize("text,message", [
+        ("# {}\n", "no column line"),
+        ("# {}\nt,m1,m2,delta_twin,delta_linear\n0,1\n", "line 3 has 2 cells, expected 5"),
+    ], ids=["cut-after-manifest", "short-row"])
+    def test_truncated_file_is_usage_error(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert run(["spectrum", "--in", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+
     def test_twin_refit_without_twin_data_refused(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
         run(["gas", "--particles", "64", "--steps", "8", "--modes", "1",
@@ -305,10 +317,11 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_corrupt_hook_names_failure(self, capsys, monkeypatch):
-        monkeypatch.setenv("ARNOLDGAS_VERIFY_CORRUPT", "k-plus")
+        exact = tree.gas_dilation
+        monkeypatch.setattr(tree, "gas_dilation", lambda run: 1.001 * exact(run))
         assert run(["verify", "--quick"]) == 3
         out = capsys.readouterr().out
-        assert "FAIL k-plus" in out
+        assert "FAIL gas-dilation:" in out
         assert out.count("FAIL") == 2  # the failing line plus the summary
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from arnoldgas import kinetics
-from arnoldgas.kinetics import KineticDerived, KineticParams
+from arnoldgas.kinetics import KineticParams
 
 
 class TestDerive:
@@ -48,21 +48,3 @@ class TestDerive:
         assert KineticParams().diameter == pytest.approx(2.16e-10, rel=0.01)
         assert KineticParams().mass == pytest.approx(6.59e-26, rel=0.01)
 
-
-class TestStepsToSeconds:
-    def test_zero_steps(self):
-        derived = kinetics.derive(KineticParams())
-        assert kinetics.steps_to_seconds(0, derived) == 0.0
-
-    def test_one_second_of_collisions(self):
-        derived = kinetics.derive(KineticParams())
-        assert kinetics.steps_to_seconds(2_000_000_000, derived) == pytest.approx(1.0, rel=1e-12)
-
-    def test_twenty_steps(self):
-        derived = KineticDerived(1.0, 1.0, 1.0, 5e-10, 2e9)
-        assert kinetics.steps_to_seconds(20, derived) == pytest.approx(1e-8, rel=1e-12)
-
-    def test_rejects_negative(self):
-        derived = kinetics.derive(KineticParams())
-        with pytest.raises(ValueError):
-            kinetics.steps_to_seconds(-1, derived)

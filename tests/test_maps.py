@@ -6,13 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arnoldgas import maps
-from arnoldgas.maps import PhasePoint, TangentVector
 
 SQRT5 = math.sqrt(5.0)
 
 unit_coord = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
                        allow_nan=False, allow_infinity=False)
-phase_points = st.builds(PhasePoint, unit_coord, unit_coord)
+phase_points = st.tuples(unit_coord, unit_coord).map(np.array)
+
+
+def pair(x0, x1):
+    """One pair as two (1, 2) arrays."""
+    return np.array([x0], dtype=float), np.array([x1], dtype=float)
+
+
+def relative_after_collision(model, x0, x1):
+    """x0' - x1' mod 1, which the collision makes M (x0 - x1) mod 1."""
+    out0, out1 = maps.collide_arrays(model, *pair(x0, x1))
+    return (out0 - out1)[0] % 1.0
 
 
 class TestDefaultModelConstants:
@@ -65,54 +75,52 @@ class TestSpectralDecompose:
 
 
 class TestCatApply:
+    """The collision applies the cat map M to the pair's relative coordinate."""
+
     def test_fixed_point_origin(self, model):
-        assert maps.cat_apply(model, PhasePoint(0, 0)) == PhasePoint(0, 0)
+        assert relative_after_collision(model, (0, 0), (0, 0)).tolist() == [0.0, 0.0]
 
     def test_no_wrap(self, model):
-        out = maps.cat_apply(model, PhasePoint(0.2, 0.3))
-        assert out.x == pytest.approx(0.5, abs=1e-15)
-        assert out.p == pytest.approx(0.8, abs=1e-15)
+        out = relative_after_collision(model, (0.2, 0.3), (0, 0))
+        assert out == pytest.approx([0.5, 0.8], abs=1e-15)
 
     def test_wrap(self, model):
-        out = maps.cat_apply(model, PhasePoint(0.7, 0.6))
-        assert out.x == pytest.approx(0.3, abs=1e-12)
-        assert out.p == pytest.approx(0.9, abs=1e-12)
+        out = relative_after_collision(model, (0.9, 0.8), (0.2, 0.2))
+        assert out == pytest.approx([0.3, 0.9], abs=1e-12)
 
     def test_permutes_rational_grid(self, model):
         q = 5
         grid = {(i, j) for i in range(q) for j in range(q)}
         image = set()
         for i, j in grid:
-            out = maps.cat_apply(model, PhasePoint(i / q, j / q))
-            image.add((round(out.x * q) % q, round(out.p * q) % q))
+            out = relative_after_collision(model, (i / q, j / q), (1 / q, 3 / q))
+            image.add(tuple(np.round(out * q).astype(int) % q))
         assert image == grid
 
-    @given(phase_points)
-    def test_output_in_unit_square(self, model, point):
-        out = maps.cat_apply(model, point)
-        assert 0 <= out.x < 1 and 0 <= out.p < 1
+    @given(phase_points, phase_points)
+    def test_output_in_unit_square(self, model, a, b):
+        for out in maps.collide_arrays(model, a[None, :], b[None, :]):
+            assert np.all((0 <= out) & (out < 1))
 
 
 class TestCollide:
     def test_equal_inputs_fixed(self, model):
-        p = PhasePoint(0.4, 0.7)
-        out0, out1 = maps.collide(model, p, p)
-        assert (out0.x, out0.p) == pytest.approx((p.x, p.p), abs=1e-12)
-        assert (out1.x, out1.p) == pytest.approx((p.x, p.p), abs=1e-12)
+        p = np.array([[0.4, 0.7]])
+        out0, out1 = maps.collide_arrays(model, p, p)
+        assert out0 == pytest.approx(p, abs=1e-12)
+        assert out1 == pytest.approx(p, abs=1e-12)
 
     def test_hand_computed_pair(self, model):
-        out0, out1 = maps.collide(model, PhasePoint(0.5, 0.5), PhasePoint(0.1, 0.3))
-        assert out0.x == pytest.approx(0.6, abs=1e-12)
-        assert out0.p == pytest.approx(0.8, abs=1e-12)
-        assert out1.x == pytest.approx(0.0, abs=1e-12)
-        assert out1.p == pytest.approx(0.0, abs=1e-12)
+        out0, out1 = maps.collide_arrays(model, *pair((0.5, 0.5), (0.1, 0.3)))
+        assert out0[0] == pytest.approx([0.6, 0.8], abs=1e-12)
+        assert out1[0] == pytest.approx([0.0, 0.0], abs=1e-12)
 
     @given(phase_points, phase_points)
     @settings(max_examples=200)
     def test_pair_sum_conserved_mod_1(self, model, a, b):
-        out0, out1 = maps.collide(model, a, b)
-        before = np.array([a.x + b.x, a.p + b.p]) % 1.0
-        after = np.array([out0.x + out1.x, out0.p + out1.p]) % 1.0
+        out0, out1 = maps.collide_arrays(model, a[None, :], b[None, :])
+        before = (a + b) % 1.0
+        after = (out0[0] + out1[0]) % 1.0
         gap = maps.torus_diff_arrays(after, before)
         assert np.max(np.abs(gap)) < 1e-12
 
@@ -123,49 +131,47 @@ class TestCollide:
 
 
 class TestPropagateTangent:
+    """A displacement met by an undisplaced partner: the incumbent carries
+    K+ d (direct), the partner K- d (switch)."""
+
     def test_direct_on_expanding_eigenvector(self, model):
         eps = 1e-9
-        d = TangentVector(*(eps * model.xi_plus))
-        out = maps.propagate_tangent(model, d, "direct")
+        d = eps * model.xi_plus[None, :]
+        direct, _ = maps.collide_linear(model, d, np.zeros_like(d))
         expected = 1.8090169944 * eps * model.xi_plus
-        assert out.as_array() == pytest.approx(expected, rel=1e-9)
+        assert direct[0] == pytest.approx(expected, rel=1e-9)
 
     def test_switch_on_expanding_eigenvector(self, model):
         eps = 1e-9
-        d = TangentVector(*(eps * model.xi_plus))
-        out = maps.propagate_tangent(model, d, "switch")
+        d = eps * model.xi_plus[None, :]
+        _, switch = maps.collide_linear(model, d, np.zeros_like(d))
         expected = -0.8090169944 * eps * model.xi_plus
-        assert out.as_array() == pytest.approx(expected, rel=1e-9)
+        assert switch[0] == pytest.approx(expected, rel=1e-9)
 
     def test_zero_stays_zero(self, model):
-        out = maps.propagate_tangent(model, TangentVector(0, 0), "direct")
-        assert out == TangentVector(0, 0)
-
-    def test_invalid_role(self, model):
-        with pytest.raises(ValueError, match="role"):
-            maps.propagate_tangent(model, TangentVector(1, 0), "sideways")
+        zero = np.zeros((1, 2))
+        for out in maps.collide_linear(model, zero, zero):
+            assert out.tolist() == [[0.0, 0.0]]
 
 
 class TestTorusDiff:
     def test_identical_points(self):
-        assert maps.torus_diff(PhasePoint(0.3, 0.8), PhasePoint(0.3, 0.8)) == TangentVector(0, 0)
+        assert maps.torus_diff_arrays([0.3, 0.8], [0.3, 0.8]).tolist() == [0.0, 0.0]
 
     def test_minimal_image_across_wrap(self):
-        d = maps.torus_diff(PhasePoint(0.95, 0.1), PhasePoint(0.05, 0.1))
-        assert d.dx == pytest.approx(-0.10, abs=1e-12)
-        assert d.dp == pytest.approx(0.0, abs=1e-12)
+        d = maps.torus_diff_arrays([0.95, 0.1], [0.05, 0.1])
+        assert d == pytest.approx([-0.10, 0.0], abs=1e-12)
 
     def test_componentwise(self):
-        d = maps.torus_diff(PhasePoint(0.3, 0.8), PhasePoint(0.1, 0.1))
-        assert d.dx == pytest.approx(0.2, abs=1e-12)
-        assert d.dp == pytest.approx(-0.3, abs=1e-12)
+        d = maps.torus_diff_arrays([0.3, 0.8], [0.1, 0.1])
+        assert d == pytest.approx([0.2, -0.3], abs=1e-12)
 
     @given(phase_points, phase_points)
     @settings(max_examples=200)
     def test_bounded_by_half_diagonal(self, a, b):
-        d = maps.torus_diff(a, b)
-        assert -0.5 <= d.dx < 0.5 and -0.5 <= d.dp < 0.5
-        assert d.norm <= math.sqrt(2) / 2
+        d = maps.torus_diff_arrays(a, b)
+        assert np.all((-0.5 <= d) & (d < 0.5))
+        assert np.linalg.norm(d) <= math.sqrt(2) / 2
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),

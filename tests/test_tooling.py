@@ -1,12 +1,16 @@
-"""The benchmark's output checks and the package metadata, run in Tier-1.
+"""The benchmark's output checks, the experiment scripts and the package
+metadata, run in Tier-1.
 
 Each workload in `perfbench/workloads.py` runs at its tiny size through
 `cli.main`, and its own check must find no problem with the outputs.  The
-module is read from `perfbench/`; nothing there is changed.
+module is read from `perfbench/`; nothing there is changed.  Each script in
+`scripts/` runs at a tiny size, so a library name it imports cannot be
+deleted unnoticed.
 """
 
 import importlib.util
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,6 +42,20 @@ def test_workload_tiny_run_passes_its_check(name, tmp_path, monkeypatch):
     argv = workload.argv(workload.tiny, 0, min(2, os.cpu_count() or 1))
     assert cli.main(argv) == 0
     assert workload.check(tmp_path, workload.tiny) == []
+
+
+@pytest.mark.parametrize("script,args,header", [
+    ("dilation_table.py", ["--max-stages", "4"],
+     "  n     geo_mean   arith_mean   gas_dilation  bound 2^(n/2)    rel_gap"),
+    ("fluctuation_ensemble.py", ["--particles", "256", "--seeds", "2", "--steps", "8"],
+     "mode (1, 0)  N=256  pairing=tree  seeds=2  window=(2, 8)"),
+], ids=["dilation_table", "fluctuation_ensemble"])
+def test_experiment_script_runs(script, args, header):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == header
 
 
 def test_pyproject_version_matches_package():

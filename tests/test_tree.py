@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arnoldgas import maps, tree
-from arnoldgas.tree import PathLabel
+from arnoldgas import gas, maps, tree
 
 
 class TestRunTree:
@@ -60,14 +59,22 @@ class TestRunTree:
 
 
 class TestPathDilation:
+    """|d| / eps of a leaf is the product of |kp| per direct and |km| per switch."""
+
+    @staticmethod
+    def leaf_dilations(model, stages, n1):
+        run = tree.run_tree(model, stages, 1.0)
+        return np.linalg.norm(run.displacements[run.n1 == n1], axis=1)
+
     def test_two_direct(self, model):
-        assert tree.path_dilation(model, PathLabel(2, 0)) == pytest.approx(3.2725424859, abs=1e-9)
+        assert self.leaf_dilations(model, 2, 2) == pytest.approx([3.2725424859], abs=1e-9)
 
     def test_one_each_matches_product(self, model):
-        assert tree.path_dilation(model, PathLabel(1, 1)) == pytest.approx(1.4635254916, abs=1e-9)
+        assert self.leaf_dilations(model, 2, 1) == pytest.approx([1.4635254916] * 2, abs=1e-9)
 
     def test_empty_product(self, model):
-        assert tree.path_dilation(model, PathLabel(0, 0)) == 1.0
+        run = tree.run_tree(model, 0, 1.0, direction=np.array([1.0, 0.0]))
+        assert np.linalg.norm(run.displacements[0]) == 1.0
 
 
 class TestMeanDilations:
@@ -127,21 +134,22 @@ class TestGasDilation:
 
 
 class TestSignificanceStage:
-    @pytest.mark.parametrize("n_particles,expected", [(1, 0), (2, 1), (1000, 10), (1024, 10), (1025, 11)])
+    """An ideal tree saturates N particles at stage ceil(log2 N); the
+    tree-faithful gas realises it."""
+
+    @pytest.mark.parametrize("n_particles,expected", [(2, 1), (1000, 10), (1024, 10), (1025, 11)])
     def test_saturation_stage(self, model, n_particles, expected):
-        assert tree.significance_stage(n_particles, model).saturation == expected
+        config = gas.RunConfig(n_particles=n_particles, steps=12, pairing="tree",
+                               record_points=False)
+        assert gas.run_paired(config, model).saturation_step == expected
 
     def test_dilation_stage_reaches_sqrt_n(self, model):
-        stages = tree.significance_stage(1024, model)
-        n = stages.dilation_bound
-        assert tree.gas_dilation_closed(model, n) >= math.sqrt(1024)
-        assert n == 0 or tree.gas_dilation_closed(model, n - 1) < math.sqrt(1024)
-        # whole-gas dilation grows faster than 2^(n/2), so this is <= saturation
-        assert n <= stages.saturation
-
-    def test_rejects_empty_reservoir(self, model):
-        with pytest.raises(ValueError):
-            tree.significance_stage(0, model)
+        n = 0
+        while tree.gas_dilation_closed(model, n) < math.sqrt(1024):
+            n += 1
+        # whole-gas dilation grows faster than 2^(n/2), so it reaches sqrt(N)
+        # no later than the saturation stage log2 1024 = 10
+        assert n <= 10
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
