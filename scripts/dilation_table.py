@@ -23,7 +23,7 @@ def main() -> None:
         gas_c = tree.gas_dilation_closed(model, n)
         gap = verify.gas_dilation_error(tree.run_tree(model, n, 1e-9), model)
         print(f"{n:>3} {geo_c:>12.6f} {arith_c:>12.6f} {gas_c:>14.4f} "
-              f"{2 ** (n / 2):>14.4f} {gap:>10.2e}")
+              f"{tree.gas_dilation_bound(n):>14.4f} {gap:>10.2e}")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ def main() -> None:
         window = spectral.default_fit_window(traj)
         series = spectral.delta_series(traj, mode)
         fit = spectral.fit_growth(series.deltas_linear, window)
-        est = spectral.exponent_estimate(traj, mode, model, window[1])
+        est = spectral.exponent_estimate(series, model, window[1])
         slopes.append(fit.slope)
         r2s.append(fit.r2)
         lams.append(est.lam)

@@ -174,7 +174,7 @@ def cmd_tree(args) -> int:
     stages = args.stages
     geo_closed, arith_closed = tree.mean_dilations_closed(model, stages)
     gasdil_closed = tree.gas_dilation_closed(model, stages)
-    bound = 2.0 ** (stages / 2.0)
+    bound = tree.gas_dilation_bound(stages)
 
     digests: dict[str, str] = {}
     summary = {
@@ -189,7 +189,7 @@ def cmd_tree(args) -> int:
 
     if not args.aggregate_only:
         run = tree.run_tree(model, stages, args.epsilon)
-        geo, arith = tree.mean_dilations(run, model)
+        geo, arith = tree.mean_dilations(run)
         summary["geometric_mean_dilation"] = geo
         summary["arithmetic_mean_dilation"] = arith
         summary["gas_dilation"] = tree.gas_dilation(run)
@@ -205,16 +205,21 @@ def cmd_tree(args) -> int:
 # ------------------------------------------------------------------- gas
 
 
-def _mode_report(traj, series: spectral.SpectrumSeries, model, window) -> dict:
-    mode = series.mode
-    deltas = series.deltas_twin if series.deltas_twin is not None else series.deltas_linear
-    report: dict = {"m1": mode.m1, "m2": mode.m2}
+def _fit_report(m1: int, m2: int, deltas, window) -> dict:
+    """The mode with its growth fit (slope, intercept, r2), or the fit_error."""
+    report: dict = {"m1": m1, "m2": m2}
     try:
         fit = spectral.fit_growth(deltas, window)
         report.update(slope=fit.slope, intercept=fit.intercept, r2=fit.r2)
     except ValueError as exc:
         report["fit_error"] = str(exc)
-    est = spectral.exponent_estimate(traj, mode, model, window[1])
+    return report
+
+
+def _mode_report(series: spectral.SpectrumSeries, model, window) -> dict:
+    deltas = series.deltas_twin if series.deltas_twin is not None else series.deltas_linear
+    report = _fit_report(series.mode.m1, series.mode.m2, deltas, window)
+    est = spectral.exponent_estimate(series, model, window[1])
     report.update(
         lambda_=est.lam, term1=est.term1, term2=est.term2, degenerate=est.degenerate
     )
@@ -278,7 +283,7 @@ def cmd_gas(args) -> int:
         workers = args.threads or os.cpu_count() or 1
         with ThreadPoolExecutor(max_workers=workers) as pool:
             all_series = spectral.mode_series(traj, modes, executor=pool)
-        summary["modes"] = [_mode_report(traj, series, model, window)
+        summary["modes"] = [_mode_report(series, model, window)
                             for series in all_series]
 
         spectrum_rows = []
@@ -359,13 +364,7 @@ def cmd_spectrum(args) -> int:
             window = (args.window[0], args.window[1])
         else:
             window = (2, len(deltas) - 1)
-        report: dict = {"m1": m1, "m2": m2}
-        try:
-            fit = spectral.fit_growth(np.nan_to_num(deltas, nan=0.0), window)
-            report.update(slope=fit.slope, intercept=fit.intercept, r2=fit.r2)
-        except ValueError as exc:
-            report["fit_error"] = str(exc)
-        reports.append(report)
+        reports.append(_fit_report(m1, m2, np.nan_to_num(deltas, nan=0.0), window))
     payload = {
         "source": str(path),
         "source_manifest": manifest,

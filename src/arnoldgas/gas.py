@@ -11,7 +11,7 @@ its partner's).  Two pairing schedules are provided:
              doubles exactly each step until it saturates at N
 
 A twin mode evolves a second, fully nonlinear copy of the gas whose particle
-0 starts displaced by eps*direction, through identical pairings, so the
+0 starts displaced by eps*xi_plus, through identical pairings, so the
 exactness of the tangent instrument can be checked against minimal-image
 trajectory differences.
 """
@@ -38,7 +38,6 @@ class RunConfig:
     n_particles: int
     steps: int
     epsilon: float = 1e-9
-    direction: tuple[float, float] | None = None  # None -> xi_plus of the model
     seed: int = 0
     pairing: str = "random"  # "random" | "tree"
     twin: bool = False
@@ -103,15 +102,6 @@ class Trajectory:
         return int(hits[0]) if hits.size else math.inf
 
 
-def resolve_direction(config: RunConfig, model: CollisionModel) -> np.ndarray:
-    if config.direction is None:
-        return model.xi_plus.copy()
-    direction = np.asarray(config.direction, dtype=float)
-    if not np.any(direction):
-        raise ValueError("direction must be nonzero")
-    return direction
-
-
 def init_gas(config: RunConfig, model: CollisionModel | None = None,
              rng: np.random.Generator | None = None) -> GasState:
     """i.i.d. uniform points; particle 0 carries the whole perturbation."""
@@ -120,7 +110,7 @@ def init_gas(config: RunConfig, model: CollisionModel | None = None,
     n = config.n_particles
     points = rng.random((n, 2))
     tangents = np.zeros((n, 2))
-    tangents[0] = config.epsilon * resolve_direction(config, model)
+    tangents[0] = config.epsilon * model.xi_plus
     affected = np.zeros(n, dtype=bool)
     affected[0] = True
     twin_points = None

@@ -28,7 +28,9 @@ result.
 The per-collision growth exponent of |Delta ntilde_k| is estimated either by
 a least-squares fit of ln|Delta ntilde_k(t)| or by the two-term closed-form
 estimator whose state-independent part equals ln sqrt|kp*km| ~= 0.190424 for
-the default collision matrix (often quoted rounded as ln 1.2 ~= 0.18).
+the default collision matrix (often quoted rounded as ln 1.2 ~= 0.18).  Its
+state-dependent part needs the phase sum sum_{i affected} exp(-i k . X_i(t)) / N,
+which is the pass's fourth per-row sum, so the estimator forms no wave itself.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ class SpectrumSeries:
     mode: ModeIndex
     values: np.ndarray  # (steps+1,) complex ntilde_k(t) of the reference
     deltas_linear: np.ndarray  # (steps+1,) complex tangent-linear estimate
+    phase_sums: np.ndarray  # (steps+1,) complex sum_{i affected} exp(-i k.X_i) / N
     deltas_twin: np.ndarray | None = None  # exact twin difference when available
 
 
@@ -130,12 +133,12 @@ def mode_series(reference: Trajectory, modes: Sequence[ModeIndex],
     kvecs = [TWO_PI * np.array([mode.m1, mode.m2], dtype=float) for mode in modes]
 
     def row(t: int) -> np.ndarray:
-        """Unnormalised (values, linear, twin) sums of row t, one column per mode."""
+        """Unnormalised (values, linear, twin, phase) sums of row t, one column per mode."""
         affected = np.flatnonzero(reference.affected_history[t])
         tangents = reference.tangents_history[t][affected]
         twin_waves = ([None] * len(modes) if twin_history is None
                       else _waves(twin_history[t][affected], modes))
-        sums = np.zeros((3, len(modes)), dtype=complex)
+        sums = np.zeros((4, len(modes)), dtype=complex)
         waves = _waves(reference.points_history[t], modes)
         for j, (kvec, wave, twin_wave) in enumerate(zip(kvecs, waves, twin_waves)):
             affected_wave = wave[affected]
@@ -143,15 +146,18 @@ def mode_series(reference: Trajectory, modes: Sequence[ModeIndex],
             sums[1, j] = (affected_wave * (tangents @ kvec)).sum()
             if twin_wave is not None:
                 sums[2, j] = (twin_wave - affected_wave).sum()
+            sums[3, j] = affected_wave.sum()
         return sums
 
     rows = (executor.map if executor is not None else map)(
         row, range(reference.steps + 1))
-    values, linear, twin = np.stack(list(rows), axis=2)  # each (modes, steps+1)
+    values, linear, twin, phase = np.stack(list(rows), axis=2)  # each (modes, steps+1)
     values = values / n
     linear = (-1j / n) * linear
+    phase = phase / n
     twin = None if twin_history is None else twin / n
     return [SpectrumSeries(mode=mode, values=values[j], deltas_linear=linear[j],
+                           phase_sums=phase[j],
                            deltas_twin=None if twin is None else twin[j])
             for j, mode in enumerate(modes)]
 
@@ -181,26 +187,19 @@ def exponent_term2(model: CollisionModel) -> float:
     return 0.5 * math.log(model.dilation_product)
 
 
-def exponent_estimate(trajectory: Trajectory, mode: ModeIndex,
-                      model: CollisionModel, t: int) -> ExponentEstimate:
-    """Evaluate the two-term exponent at step t.
+def exponent_estimate(series: SpectrumSeries, model: CollisionModel,
+                      t: int) -> ExponentEstimate:
+    """Evaluate the two-term exponent of the series' mode at step t.
 
-    term1 = (1/t) ln| sum_{i affected} exp(-i k.X_i(t)) (k.xi_plus) / N |;
-    the sum runs over affected particles only, since unaffected ones carry
-    zero displacement and cannot contribute to the response.
+    term1 = (1/t) ln|phase_sums[t] (k.xi_plus)| with the series' phase sum
+    sum_{i affected} exp(-i k.X_i(t)) / N; the sum runs over affected
+    particles only, since unaffected ones carry zero displacement and cannot
+    contribute to the response.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if mode.is_zero:
-        raise ValueError("mode must be nonzero")
-    if trajectory.points_history is None or trajectory.affected_history is None:
-        raise ValueError("trajectory was run without record_points")
-
-    kvec = TWO_PI * np.array([mode.m1, mode.m2], dtype=float)
-    mask = trajectory.affected_history[t]
-    pts = trajectory.points_history[t][mask]
-    k_dot_xi = float(kvec @ model.xi_plus)
-    phase_sum = np.exp(-1j * (pts @ kvec)).sum() * k_dot_xi / trajectory.n_particles
+    kvec = TWO_PI * np.array([series.mode.m1, series.mode.m2], dtype=float)
+    phase_sum = series.phase_sums[t] * float(kvec @ model.xi_plus)
     term2 = exponent_term2(model)
     if phase_sum == 0:
         return ExponentEstimate(lam=math.nan, term1=math.nan, term2=term2, degenerate=True)
@@ -218,11 +217,15 @@ def fit_growth(deltas: Sequence[complex] | np.ndarray,
                window: tuple[int, int]) -> GrowthFit:
     """Least-squares line through (t, ln|delta_t|) for t in [t_a, t_b].
 
-    Refuses windows shorter than 3 steps or containing zeros of |delta|.
+    Refuses windows shorter than 3 steps, reaching outside the series, or
+    containing zeros of |delta|.
     """
     t_a, t_b = window
     if t_b - t_a < 3:
         raise ValueError("fit window must span at least 3 steps")
+    if t_a < 0 or t_b >= len(deltas):
+        raise ValueError(f"fit window [{t_a}, {t_b}] reaches outside the series' "
+                         f"steps 0..{len(deltas) - 1}")
     mags = np.abs(np.asarray(deltas)[t_a : t_b + 1])
     if np.any(mags == 0):
         raise ValueError("fit window contains zeros of |delta|; shrink the window")

@@ -40,7 +40,6 @@ class TreeRun:
 
     stages: int
     epsilon: float
-    direction: np.ndarray
     n1: np.ndarray = field(repr=False)  # (2^n,) direct-collision counts
     displacements: np.ndarray = field(repr=False)  # (2^n, 2) tangent vectors
 
@@ -53,35 +52,24 @@ class TreeRun:
         return self.stages - self.n1
 
 
-def run_tree(
-    model: CollisionModel,
-    stages: int,
-    epsilon: float,
-    direction: np.ndarray | None = None,
-    max_stages: int = DEFAULT_MAX_STAGES,
-) -> TreeRun:
+def run_tree(model: CollisionModel, stages: int, epsilon: float) -> TreeRun:
     """Expand the collision tree to `stages` stages with explicit leaves.
 
-    Each stage maps every leaf displacement d to the pair (K+ d, K- d): the
-    direct factor goes to the incumbent particle, the switch factor to the
-    fresh partner.  Refuses stage counts whose 2^n leaf storage exceeds
-    `max_stages`.
+    The root displacement is epsilon * xi_plus.  Each stage maps every leaf
+    displacement d to the pair (K+ d, K- d): the direct factor goes to the
+    incumbent particle, the switch factor to the fresh partner.  Refuses
+    stage counts over DEFAULT_MAX_STAGES, whose 2^n leaves would not fit.
     """
     if stages < 0:
         raise ValueError("stages must be >= 0")
     check_epsilon(epsilon)
-    if stages > max_stages:
+    if stages > DEFAULT_MAX_STAGES:
         raise MemoryBudgetError(
             f"{stages} stages needs 2^{stages} explicit leaves, over the "
-            f"budget of {max_stages} stages; use closed-form aggregates instead"
+            f"budget of {DEFAULT_MAX_STAGES} stages; use closed-form aggregates instead"
         )
-    if direction is None:
-        direction = model.xi_plus
-    direction = np.asarray(direction, dtype=float)
-    if not np.any(direction):
-        raise ValueError("direction must be nonzero")
 
-    displacements = (epsilon * direction).reshape(1, 2)
+    displacements = (epsilon * model.xi_plus).reshape(1, 2)
     n1 = np.zeros(1, dtype=np.int64)
     for _ in range(stages):
         direct = displacements @ model.k_plus.T
@@ -92,18 +80,16 @@ def run_tree(
     return TreeRun(
         stages=stages,
         epsilon=epsilon,
-        direction=direction,
         n1=n1,
         displacements=displacements,
     )
 
 
-def mean_dilations(run: TreeRun, model: CollisionModel) -> tuple[float, float]:
+def mean_dilations(run: TreeRun) -> tuple[float, float]:
     """(geometric mean, arithmetic mean) of leaf dilations, by enumeration.
 
-    For direction xi_plus the geometric mean equals |kp*km|^{n/2} (binomial
-    symmetry puts the mean n1 at n/2) and the arithmetic mean equals
-    ((|kp|+|km|)/2)^n.
+    The geometric mean equals |kp*km|^{n/2} (binomial symmetry puts the
+    mean n1 at n/2) and the arithmetic mean equals ((|kp|+|km|)/2)^n.
     """
     mags = np.linalg.norm(run.displacements, axis=1) / run.epsilon
     geometric = float(np.exp(np.mean(np.log(mags))))
@@ -112,7 +98,7 @@ def mean_dilations(run: TreeRun, model: CollisionModel) -> tuple[float, float]:
 
 
 def mean_dilations_closed(model: CollisionModel, stages: int) -> tuple[float, float]:
-    """Closed-form (geometric, arithmetic) mean dilations for direction xi_plus."""
+    """Closed-form (geometric, arithmetic) mean dilations of `run_tree`'s leaves."""
     geometric = model.dilation_product ** (stages / 2.0)
     arithmetic = ((abs(model.kp) + abs(model.km)) / 2.0) ** stages
     return geometric, arithmetic
@@ -126,6 +112,11 @@ def gas_dilation(run: TreeRun) -> float:
 def gas_dilation_closed(model: CollisionModel, stages: int) -> float:
     """(kp^2 + km^2)^{n/2}; always >= 2^{n/2} since kp^2 + km^2 >= 2|kp*km| >= 2."""
     return (model.kp**2 + model.km**2) ** (stages / 2.0)
+
+
+def gas_dilation_bound(stages: int) -> float:
+    """2^{n/2}, the lower bound on the whole-gas dilation after n stages."""
+    return 2.0 ** (stages / 2.0)
 
 
 def leaf_records(run: TreeRun) -> list[tuple[int, int, int, float, float, float]]:

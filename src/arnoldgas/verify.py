@@ -64,7 +64,7 @@ def leaf_count_error(run: tree.TreeRun) -> int:
 
 def mean_dilation_error(run: tree.TreeRun, model: maps.CollisionModel) -> float:
     """Relative error of the enumerated geometric-mean dilation against |kp*km|^(n/2)."""
-    geometric, _ = tree.mean_dilations(run, model)
+    geometric, _ = tree.mean_dilations(run)
     closed, _ = tree.mean_dilations_closed(model, run.stages)
     return abs(geometric - closed) / closed
 
@@ -149,8 +149,8 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
                           max(mean_dilation_error(run, model) for run in runs), 0.0, 1e-10))
     results.append(_check("gas-dilation", max(gas_dilation_error(run, model) for run in runs),
                           0.0, 1e-10, detail="enumeration vs closed form"))
-    bound_ok = all(tree.gas_dilation_closed(model, run.stages) >= 2 ** (run.stages / 2)
-                   for run in runs)
+    bound_ok = all(tree.gas_dilation_closed(model, run.stages)
+                   >= tree.gas_dilation_bound(run.stages) for run in runs)
     results.append(_check("gas-dilation-bound", 1.0 if bound_ok else 0.0, 1.0, 0.0,
                           detail="closed form >= 2^(n/2)"))
 

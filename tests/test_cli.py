@@ -187,6 +187,24 @@ class TestGas:
         assert len(mode_calls[0]) == 24
         assert delta_calls == []
 
+    def test_exponent_estimate_matches_affected_wave_oracle(self, tmp_path, model):
+        out = tmp_path / "x.csv"
+        # random pairing has not yet affected every particle at the window end
+        assert run(["gas", "--particles", "256", "--steps", "10", "--seed", "3",
+                    "--modes", "1", "--out", str(out)]) == 0
+        summary = read_summary(tmp_path / "x.summary.json")["summary"]
+        traj = gas.run_paired(gas.RunConfig(n_particles=256, steps=10, seed=3), model)
+        t = summary["fit_window"][1]
+        assert traj.affected_count[t] < 256
+        pts = traj.points_history[t][traj.affected_history[t]]
+        term2 = spectral.exponent_term2(model)
+        for report in summary["modes"]:
+            kvec = 2 * math.pi * np.array([report["m1"], report["m2"]], dtype=float)
+            phase_sum = np.exp(-1j * (pts @ kvec)).sum() / 256 * (kvec @ model.xi_plus)
+            term1 = math.log(abs(phase_sum)) / t
+            assert report["term1"] == pytest.approx(term1, rel=1e-12)
+            assert report["lambda_"] == pytest.approx(term1 + term2, rel=1e-12)
+
     def test_failed_mode_analysis_writes_nothing(self, tmp_path, monkeypatch, capsys):
         def out_of_memory(*args, **kwargs):
             raise MemoryError("mode analysis ran out of memory")
@@ -210,6 +228,16 @@ class TestSpectrum:
         assert len(payload["modes"]) == 8
         slopes = [m["slope"] for m in payload["modes"] if "slope" in m]
         assert slopes and all(math.isfinite(s) for s in slopes)
+
+    @pytest.mark.parametrize("window", [("2", "100"), ("-3", "3")])
+    def test_window_outside_series_is_fit_error(self, tmp_path, capsys, window):
+        src = tmp_path / "s.csv"
+        src.write_text("# {}\nt,m1,m2,delta_twin,delta_linear\n" + "".join(
+            f"{t},{m1},0,nan,{2.0 ** t}\n" for m1 in (1, -1) for t in range(4)))
+        assert run(["spectrum", "--in", str(src), "--window", *window]) == 0
+        modes = json.loads(capsys.readouterr().out)["modes"]
+        assert len(modes) == 2
+        assert all("outside the series" in m["fit_error"] for m in modes)
 
     def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
         assert run(["spectrum", "--in", str(tmp_path / "nope.csv")]) == 1

@@ -104,6 +104,9 @@ class TestModeSeries:
                 linear = (-1j / n) * (np.exp(-1j * (pts @ kvec)) * k_dot_d).sum()
                 scale = np.abs(k_dot_d).mean()
                 assert abs(series.deltas_linear[t] - linear) <= 8 * order * eps * scale
+                affected = traj.affected_history[t]
+                phase = np.exp(-1j * (pts[affected] @ kvec)).sum() / n
+                assert abs(series.phase_sums[t] - phase) <= 8 * order * eps
 
     def test_twin_delta_no_farther_from_extended_precision_than_full_sums(self, model):
         if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
@@ -155,7 +158,8 @@ class TestExponentEstimate:
         traj = gas.run_paired(config, model)
         traj.points_history[2] = 0.0
         traj.affected_history[2] = True
-        est = spectral.exponent_estimate(traj, ModeIndex(1, 0), model, 2)
+        series = spectral.delta_series(traj, ModeIndex(1, 0))
+        est = spectral.exponent_estimate(series, model, 2)
         k_dot_xi = 2 * math.pi * model.xi_plus[0]
         assert est.term1 == pytest.approx(math.log(abs(k_dot_xi)) / 2, rel=1e-12)
         assert est.lam == pytest.approx(est.term1 + est.term2, abs=1e-15)
@@ -164,16 +168,19 @@ class TestExponentEstimate:
     def test_degenerate_zero_sum_flagged(self, model):
         traj = gas.run_paired(RunConfig(n_particles=8, steps=2, seed=0), model)
         traj.affected_history[2] = False  # empty sum is exactly zero
-        est = spectral.exponent_estimate(traj, ModeIndex(1, 0), model, 2)
+        series = spectral.delta_series(traj, ModeIndex(1, 0))
+        est = spectral.exponent_estimate(series, model, 2)
         assert est.degenerate
         assert math.isnan(est.lam)
 
     def test_requires_positive_time_and_nonzero_mode(self, model):
         traj = gas.run_paired(RunConfig(n_particles=8, steps=2, seed=0), model)
+        series = spectral.delta_series(traj, ModeIndex(1, 0))
         with pytest.raises(ValueError):
-            spectral.exponent_estimate(traj, ModeIndex(1, 0), model, 0)
-        with pytest.raises(ValueError):
-            spectral.exponent_estimate(traj, ModeIndex(0, 0), model, 1)
+            spectral.exponent_estimate(series, model, 0)
+        # the estimate reads a mode's series, and the zero mode has none
+        with pytest.raises(ValueError, match="zero mode"):
+            spectral.delta_series(traj, ModeIndex(0, 0))
 
     def test_large_tree_faithful_run_reports_both_terms(self, model):
         # The state-dependent term dominates negatively pre-saturation at this
@@ -181,7 +188,8 @@ class TestExponentEstimate:
         # be examined rather than assumed.
         config = RunConfig(n_particles=2**16, steps=12, seed=0, pairing="tree")
         traj = gas.run_paired(config, model)
-        est = spectral.exponent_estimate(traj, ModeIndex(1, 0), model, 12)
+        series = spectral.delta_series(traj, ModeIndex(1, 0))
+        est = spectral.exponent_estimate(series, model, 12)
         assert math.isfinite(est.lam)
         assert est.lam == pytest.approx(est.term1 + est.term2, abs=1e-15)
         assert est.term2 > 0
@@ -207,6 +215,11 @@ class TestFitGrowth:
     def test_refuses_short_window(self):
         with pytest.raises(ValueError, match="at least 3"):
             spectral.fit_growth(np.ones(10), (2, 4))
+
+    @pytest.mark.parametrize("window", [(2, 100), (-3, 3)])
+    def test_refuses_window_outside_series(self, window):
+        with pytest.raises(ValueError, match="outside the series"):
+            spectral.fit_growth(np.ones(4), window)
 
     def test_refuses_zeros(self):
         deltas = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
