@@ -329,7 +329,8 @@ def _read_spectrum_csv(path: Path) -> tuple[dict, dict[tuple[int, int], np.ndarr
         if required not in idx:
             raise ValueError(f"{path} is missing column {required!r}")
     per_mode: dict[tuple[int, int], dict[int, tuple[float, float]]] = {}
-    for number, line in enumerate(lines[2:], start=3):
+    rows = lines[2:]
+    for number, line in enumerate(rows, start=3):
         if not line:
             continue
         cells = line.split(",")
@@ -338,8 +339,15 @@ def _read_spectrum_csv(path: Path) -> tuple[dict, dict[tuple[int, int], np.ndarr
                              f"expected {len(columns)}")
         key = (int(cells[idx["m1"]]), int(cells[idx["m2"]]))
         t = int(cells[idx["t"]])
-        per_mode.setdefault(key, {})[t] = (
-            float(cells[idx["delta_twin"]]), float(cells[idx["delta_linear"]]))
+        # a mode's series cannot be longer than the file, which also bounds
+        # the arrays allocated below
+        if not 0 <= t < len(rows):
+            raise ValueError(f"{path} line {number} has t = {t}, outside "
+                             f"0..{len(rows) - 1} for a file of {len(rows)} rows")
+        by_t = per_mode.setdefault(key, {})
+        if t in by_t:
+            raise ValueError(f"{path} line {number} repeats mode {key} at t = {t}")
+        by_t[t] = (float(cells[idx["delta_twin"]]), float(cells[idx["delta_linear"]]))
     series = {}
     for key, by_t in per_mode.items():
         n_steps = max(by_t) + 1

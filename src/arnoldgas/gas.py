@@ -14,6 +14,12 @@ A twin mode evolves a second, fully nonlinear copy of the gas whose particle
 0 starts displaced by eps*xi_plus, through identical pairings, so the
 exactness of the tangent instrument can be checked against minimal-image
 trajectory differences.
+
+Off the affected set (the particles the perturbation has reached) tangents
+are exactly 0 and twin points equal the reference points bitwise.  Because
+the pair kernel is row-wise, step collides tangents and twin points only on
+pairs that touch the affected set; every other pair's result is known, and
+the per-step diagnostics sum over the affected set alone.
 """
 
 from __future__ import annotations
@@ -66,9 +72,6 @@ class GasState:
     @property
     def n_particles(self) -> int:
         return self.points.shape[0]
-
-    def displacement_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.tangents, axis=1)
 
 
 @dataclass
@@ -152,12 +155,27 @@ def _tree_matching(affected: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return np.concatenate([mixed, rest]) if rest.size else mixed
 
 
+def _collide_rows(collide, model: CollisionModel, src: np.ndarray, dst: np.ndarray,
+                  i: np.ndarray, j: np.ndarray) -> None:
+    """dst[i], dst[j] = collide(model, src[i], src[j]) for (n, 2) float arrays.
+
+    np.take, and a scatter through a view with one complex item per row, use
+    numpy's 1-D fast paths; 2-D fancy indexing is several times slower.  dst
+    must be C-ordered.
+    """
+    out_i, out_j = collide(model, np.take(src, i, axis=0), np.take(src, j, axis=0))
+    rows = dst.view(np.complex128)[:, 0]
+    rows[i] = out_i.view(np.complex128)[:, 0]
+    rows[j] = out_j.view(np.complex128)[:, 0]
+
+
 def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
          pairing: str = "random") -> tuple[GasState, np.ndarray]:
     """Advance one mean collision time; returns (new state, pair indices).
 
     Every listed pair collides; positions wrap mod 1, tangents propagate
-    linearly, and affected flags spread.
+    linearly, and affected flags spread.  Tangents and twin points are
+    collided only on pairs that touch the affected set.
     """
     if pairing == "random":
         pairs = _random_matching(state.n_particles, rng)
@@ -167,23 +185,27 @@ def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
         raise ValueError(f"unknown pairing mode {pairing!r}")
 
     i, j = pairs[:, 0], pairs[:, 1]
+    was = state.affected
+    hit = was[i] | was[j]
+    ih, jh = i[hit], j[hit]
 
     points = state.points.copy()
-    points[i], points[j] = collide_arrays(model, points[i], points[j])
+    _collide_rows(collide_arrays, model, state.points, points, i, j)
 
+    # A pair that touches no affected particle keeps tangents 0 and takes the
+    # new reference points as its twin points (see the module docstring); an
+    # affected particle that idles (odd N) keeps its tangent and twin point.
     tangents = state.tangents.copy()
-    tangents[i], tangents[j] = collide_linear(model, tangents[i], tangents[j])
+    _collide_rows(collide_linear, model, state.tangents, tangents, ih, jh)
 
-    was = state.affected
     affected = was.copy()
-    affected[i] |= was[j]
-    affected[j] |= was[i]
+    affected[ih] = True
+    affected[jh] = True
 
     twin_points = None
     if state.twin_points is not None:
-        twin_points = state.twin_points.copy()
-        twin_points[i], twin_points[j] = collide_arrays(
-            model, twin_points[i], twin_points[j])
+        twin_points = np.where(was[:, None], state.twin_points, points)
+        _collide_rows(collide_arrays, model, state.twin_points, twin_points, ih, jh)
 
     new_state = GasState(
         points=points,
@@ -196,18 +218,43 @@ def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
 
 
 def _diagnostics(state: GasState) -> tuple[int, float, float, float, float]:
-    norms = state.displacement_norms()
+    """(affected count, norm, max, median of |dX_i|, twin distance).
+
+    Off the affected set every norm and twin difference is 0, so the sums
+    and the max run over the affected set, and the median is read from the
+    count of zero norms and the affected norms.
+    """
+    n = state.n_particles
+    affected = state.affected
+    norms = np.linalg.norm(np.compress(affected, state.tangents, axis=0), axis=1)
     twin = math.nan
     if state.twin_points is not None:
-        diff = torus_diff_arrays(state.twin_points, state.points)
+        diff = torus_diff_arrays(np.compress(affected, state.twin_points, axis=0),
+                                 np.compress(affected, state.points, axis=0))
         twin = float(np.sqrt(np.sum(diff**2)))
     return (
-        int(np.count_nonzero(state.affected)),
+        norms.size,
         float(np.sqrt(np.sum(norms**2))),
-        float(norms.max()),
-        float(np.median(norms)),
+        float(norms.max(initial=0.0)),
+        _median_with_zeros(norms, n),
         twin,
     )
+
+
+def _median_with_zeros(norms: np.ndarray, n: int) -> float:
+    """np.median of `norms` padded with zeros to n values, without the padding.
+
+    The middle of the sorted n values lies at positions lo and hi; a position
+    below the zero count holds 0.  The norms are partitioned only when the
+    zeros do not fill the middle.
+    """
+    zeros = n - np.count_nonzero(norms)
+    lo, hi = (n - 1) // 2, n // 2
+    if hi < zeros:
+        return 0.0
+    nonzero = np.partition(norms[norms > 0], (max(lo - zeros, 0), hi - zeros))
+    low = nonzero[lo - zeros] if lo >= zeros else 0.0
+    return float((low + nonzero[hi - zeros]) / 2)
 
 
 def run_paired(config: RunConfig, model: CollisionModel | None = None) -> Trajectory:

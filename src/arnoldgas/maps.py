@@ -8,7 +8,9 @@ coordinate:
 
 Equivalently each outgoing state is a linear combination of both incoming
 states through the direct matrix K+ = (I + M)/2 and the switch matrix
-K- = (I - M)/2.  The default M is [[1, 1], [1, 2]].
+K- = (I - M)/2.  The default M is [[1, 1], [1, 2]].  Since K+ = I - K-, the
+pair update is computed row-wise as x0' = x0 + s, x1' = x1 - s with
+s = K- (x1 - x0), and phase points wrap into [0, 1) as a - floor(a).
 
 Displacements (tangent vectors) obey the same linear relations without any
 additive constants and without mod-1 reduction: the tangent space is linear,
@@ -28,13 +30,18 @@ DEFAULT_CAT_MATRIX = ((1, 1), (1, 2))
 
 
 def _wrap_unit(values: np.ndarray) -> np.ndarray:
-    """Reduce componentwise into [0, 1).
+    """Reduce componentwise into [0, 1) as a - floor(a).
 
-    numpy's ``%`` can return exactly 1.0 for tiny negative inputs, which
-    would violate the half-open interval; clamp those back to 0.
+    For a tiny negative a the subtraction rounds to exactly 1.0, which would
+    violate the half-open interval; those entries become 0.  The result is
+    the same as numpy's ``% 1.0`` (both round the exact a - floor(a) once)
+    at a fraction of its cost.
     """
-    out = np.asarray(values, dtype=float) % 1.0
-    return np.where(out >= 1.0, out - 1.0, out)
+    a = np.asarray(values, dtype=float)
+    out = np.floor(a)
+    np.subtract(a, out, out=out)
+    np.copyto(out, 0.0, where=out == 1.0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -147,12 +154,23 @@ def collide_linear(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pair update without mod-1 reduction, over (n, 2) arrays.
 
+    With s = K- (x1 - x0), x0' = x0 + s and x1' = x1 - s.  s is written as
+    explicit multiply-adds per component, so each output row is a function
+    of its own input row alone and rounds the same way whatever the batch
+    (a matrix product through BLAS does not).  x1 - x0 is the plain
+    difference of the stored values, not a minimal image: K+- have
+    half-integer entries, so the collision depends on the lift.
+
     This is the whole collision for tangent vectors; phase points wrap its
     result (see collide_arrays).
     """
-    out0 = x0 @ model.k_plus.T + x1 @ model.k_minus.T
-    out1 = x0 @ model.k_minus.T + x1 @ model.k_plus.T
-    return out0, out1
+    (k00, k01), (k10, k11) = model.k_minus
+    d0 = x1[:, 0] - x0[:, 0]
+    d1 = x1[:, 1] - x0[:, 1]
+    s = np.empty(x0.shape)
+    s[:, 0] = k00 * d0 + k01 * d1
+    s[:, 1] = k10 * d0 + k11 * d1
+    return x0 + s, x1 - s
 
 
 def collide_arrays(

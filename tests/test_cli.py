@@ -263,6 +263,23 @@ class TestSpectrum:
         assert err.startswith("error: ")
         assert message in err
 
+    @pytest.mark.parametrize("rows,message", [
+        ("0,1,0,nan,1\n1,1,0,nan,2\n-1,1,0,nan,1e-30\n",
+         "line 5 has t = -1, outside 0..2"),
+        ("0,1,0,nan,1\n1,1,0,nan,2\n1,1,0,nan,3\n",
+         "line 5 repeats mode (1, 0) at t = 1"),
+        ("0,1,0,nan,1\n1,1,0,nan,2\n3,1,0,nan,8\n",
+         "line 5 has t = 3, outside 0..2"),
+    ], ids=["negative-t", "repeated-row", "t-past-row-count"])
+    def test_bad_time_row_is_usage_error(self, tmp_path, capsys, rows, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# {}\nt,m1,m2,delta_twin,delta_linear\n" + rows)
+        assert run(["spectrum", "--in", str(bad), "--window", "0", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_twin_refit_without_twin_data_refused(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
         run(["gas", "--particles", "64", "--steps", "8", "--modes", "1",

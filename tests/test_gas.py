@@ -24,7 +24,8 @@ class TestInitGas:
     def test_tangent_norm_sum_is_epsilon(self, model):
         eps = 3e-7
         state = gas.init_gas(RunConfig(n_particles=16, steps=0, epsilon=eps, seed=5), model)
-        assert state.displacement_norms().sum() == pytest.approx(eps, rel=1e-12)
+        norms = np.linalg.norm(state.tangents, axis=1)
+        assert norms.sum() == pytest.approx(eps, rel=1e-12)
 
     def test_rejects_tiny_gas(self, model):
         with pytest.raises(ValueError):
@@ -73,6 +74,88 @@ class TestStep:
         for _ in range(20):
             state, _ = gas.step(state, model, rng)
         assert np.all(state.points >= 0.0) and np.all(state.points < 1.0)
+
+
+def full_update(model, state, pairs):
+    """One step that collides points, tangents and twin points on every pair."""
+    i, j = pairs[:, 0], pairs[:, 1]
+    out = []
+    for arr, collide in ((state.points, maps.collide_arrays),
+                         (state.tangents, maps.collide_linear),
+                         (state.twin_points, maps.collide_arrays)):
+        arr = arr.copy()
+        arr[i], arr[j] = collide(model, arr[i], arr[j])
+        out.append(arr)
+    affected = state.affected.copy()
+    affected[i] |= state.affected[j]
+    affected[j] |= state.affected[i]
+    return (*out, affected)
+
+
+def full_diagnostics(state):
+    """The per-step diagnostics over all N particles."""
+    norms = np.linalg.norm(state.tangents, axis=1)
+    diff = maps.torus_diff_arrays(state.twin_points, state.points)
+    return (np.count_nonzero(state.affected), np.sqrt(np.sum(norms**2)), norms.max(),
+            np.median(norms), np.sqrt(np.sum(diff**2)))
+
+
+def assert_diagnostics_match(state):
+    count, norm, max_disp, median, twin = gas._diagnostics(state)
+    ref = full_diagnostics(state)
+    assert (count, max_disp, median) == (ref[0], ref[2], ref[3])
+    # the sums run over fewer terms, in another order
+    assert norm == pytest.approx(ref[1], rel=1e-14, abs=0.0)
+    assert twin == pytest.approx(ref[4], rel=1e-14, abs=0.0)
+
+
+def bits(a):
+    return a.view(np.uint64) if a.dtype == float else a
+
+
+class TestAffectedSetStep:
+    """step collides tangents and twin points only on pairs that touch the
+    affected set; the result must equal a full update bit for bit."""
+
+    @pytest.mark.parametrize("pairing", ["random", "tree"])
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_matches_full_update(self, model, pairing, n):
+        config = RunConfig(n_particles=n, steps=0, seed=6, pairing=pairing, twin=True)
+        rng = np.random.default_rng(config.seed)
+        state = gas.init_gas(config, model, rng)
+        partial = saturated = 0
+        for _ in range(24):
+            new, pairs = gas.step(state, model, rng, pairing)
+            expected = full_update(model, state, pairs)
+            got = (new.points, new.tangents, new.twin_points, new.affected)
+            for g, e in zip(got, expected):
+                assert np.array_equal(bits(g), bits(e))
+            assert_diagnostics_match(new)
+            state = new
+            if state.affected.all():
+                saturated += 1
+            else:
+                partial += 1
+        assert partial >= 5 and saturated >= 5
+
+    @pytest.mark.parametrize("n", [255, 256])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_diagnostics_match_full_arrays(self, model, n, shift):
+        # affected counts around N/2 put the median's middle positions on
+        # either side of the zero norms of the unaffected particles
+        rng = np.random.default_rng(n + shift)
+        count = n // 2 + shift
+        points = rng.random((n, 2))
+        tangents = np.zeros((n, 2))
+        affected = np.zeros(n, dtype=bool)
+        chosen = rng.permutation(n)[:count]
+        affected[chosen] = True
+        tangents[chosen] = rng.normal(size=(count, 2)) * 1e-9
+        tangents[chosen[0]] = 0.0  # an affected particle may carry no displacement
+        twin_points = maps._wrap_unit(points + tangents)
+        state = GasState(points=points, tangents=tangents, affected=affected, t=0,
+                         twin_points=twin_points)
+        assert_diagnostics_match(state)
 
 
 class TestRunPaired:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arnoldgas import maps
@@ -203,3 +203,43 @@ def test_tangent_propagation_matches_twin_collision_chain(seed, roles):
 
     measured = maps.torus_diff_arrays(twin, ref)
     assert np.linalg.norm(measured - tangent) <= 1e-4 * max(np.linalg.norm(tangent), 1e-9)
+
+
+class TestRowWise:
+    """Each output row of the pair kernel depends on its own input row alone,
+    bit for bit, whatever the batch it comes in."""
+
+    def test_row_independent_of_batch(self, model):
+        rng = np.random.default_rng(2024)
+        n = 512
+        points = (rng.random((n, 2)), rng.random((n, 2)))
+        scale = 10.0 ** rng.uniform(-12, 2, size=(n, 1))
+        tangents = (rng.normal(size=(n, 2)) * scale, rng.normal(size=(n, 2)) * scale)
+        perm = rng.permutation(n)
+        for collide, (x0, x1) in ((maps.collide_arrays, points),
+                                  (maps.collide_linear, tangents)):
+            full = np.stack(collide(model, x0, x1))
+            permuted = np.stack(collide(model, x0[perm], x1[perm]))
+            assert permuted.tobytes() == full[:, perm].tobytes()
+            for r in range(n):
+                one = np.stack(collide(model, x0[r:r + 1], x1[r:r + 1]))
+                assert one.tobytes() == full[:, r:r + 1].tobytes()
+
+
+def wrap_reference(a):
+    """numpy's % 1.0, with the 1.0 it can return for tiny negatives set to 0."""
+    out = a % 1.0
+    return np.where(out >= 1.0, out - 1.0, out)
+
+
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                min_size=1, max_size=8))
+@example([-1e-20])
+@example([-5e-324, -0.0, 0.0])
+@example([math.nextafter(k, -math.inf) for k in (1.0, 2.0, 3.0, -1.0, -2.0, 1e6)])
+def test_wrap_unit_maps_into_unit_interval(values):
+    a = np.array(values)
+    out = maps._wrap_unit(a)
+    assert np.all((0.0 <= out) & (out < 1.0))
+    assert out.tobytes() == wrap_reference(a).tobytes()
+
