@@ -29,9 +29,9 @@ def main() -> None:
     for seed in range(args.seeds):
         config = gas.RunConfig(n_particles=args.particles, steps=args.steps,
                                seed=seed, pairing=args.pairing)
-        traj = gas.run_paired(config, model)
+        traj, states = gas.with_diagnostics(config, gas.evolve(config, model))
+        series = spectral.delta_series(states, mode)
         window = spectral.default_fit_window(traj)
-        series = spectral.delta_series(traj, mode)
         fit = spectral.fit_growth(series.deltas_linear, window)
         est = spectral.exponent_estimate(series, model, window[1])
         slopes.append(fit.slope)

@@ -161,20 +161,25 @@ def cmd_params(args) -> int:
 
 def cmd_tree(args) -> int:
     maps.check_epsilon(args.epsilon)  # recorded in the manifest even with --aggregate-only
+    stages = args.stages
+    if stages < 0:
+        raise ValueError(f"--stages must be >= 0, got {stages}")
     matrix = _parse_matrix(args.matrix)
     model = maps.spectral_decompose(matrix)
+    try:
+        geo_closed, arith_closed = tree.mean_dilations_closed(model, stages)
+        gasdil_closed = tree.gas_dilation_closed(model, stages)
+        bound = tree.gas_dilation_bound(stages)
+    except OverflowError:
+        raise ValueError(f"--stages {stages} is too large: the closed-form "
+                         "dilations overflow a float") from None
     out = _resolve_out(args.out)
     params = {
-        "stages": args.stages,
+        "stages": stages,
         "epsilon": args.epsilon,
         "aggregate_only": args.aggregate_only,
     }
     manifest = _manifest("tree", params, seed=args.seed, matrix=matrix)
-
-    stages = args.stages
-    geo_closed, arith_closed = tree.mean_dilations_closed(model, stages)
-    gasdil_closed = tree.gas_dilation_closed(model, stages)
-    bound = tree.gas_dilation_bound(stages)
 
     digests: dict[str, str] = {}
     summary = {
@@ -259,14 +264,19 @@ def cmd_gas(args) -> int:
     out = _resolve_out(args.out)
 
     # Every result is computed before the first file is written, so a
-    # failure leaves no partial output behind.
-    traj = gas.run_paired(config, model)
+    # failure leaves no partial output behind.  One pass over the gas states:
+    # each gives its diagnostics here and its mode row to the pool.
+    traj, states = gas.with_diagnostics(config, gas.evolve(config, model))
+    all_series = []
+    if args.modes > 0:
+        modes = spectral.enumerate_modes(args.modes)
+        with ThreadPoolExecutor(max_workers=args.threads or os.cpu_count() or 1) as pool:
+            all_series = spectral.mode_series(states, modes, executor=pool)
+    for _ in states:  # runs the gas when no mode pass has drawn the states
+        pass
 
-    rows = [
-        (t, traj.affected_count[t], traj.norm[t], traj.max_disp[t],
-         traj.median_disp[t], traj.twin_dist[t])
-        for t in range(args.steps + 1)
-    ]
+    rows = zip(range(args.steps + 1), traj.affected_count, traj.norm, traj.max_disp,
+               traj.median_disp, traj.twin_dist)
 
     t_s = gas.significance_time(traj)
     t_sat = traj.saturation_step
@@ -276,13 +286,9 @@ def cmd_gas(args) -> int:
     }
 
     outputs = [(out, GAS_CSV_COLUMNS, rows)]
-    if args.modes > 0:
+    if all_series:
         window = spectral.default_fit_window(traj)
         summary["fit_window"] = list(window)
-        modes = spectral.enumerate_modes(args.modes)
-        workers = args.threads or os.cpu_count() or 1
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            all_series = spectral.mode_series(traj, modes, executor=pool)
         summary["modes"] = [_mode_report(series, model, window)
                             for series in all_series]
 

@@ -20,12 +20,17 @@ are exactly 0 and twin points equal the reference points bitwise.  Because
 the pair kernel is row-wise, step collides tangents and twin points only on
 pairs that touch the affected set; every other pair's result is known, and
 the per-step diagnostics sum over the affected set alone.
+
+The gas keeps O(N) memory, not its history: `evolve` yields each step's state
+and a caller keeps what it needs.  `with_diagnostics` fills in the per-step
+diagnostics as states pass, so `cli` analyses modes in the same pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -47,7 +52,6 @@ class RunConfig:
     seed: int = 0
     pairing: str = "random"  # "random" | "tree"
     twin: bool = False
-    record_points: bool = True
 
     def __post_init__(self) -> None:
         if self.n_particles < 2:
@@ -76,7 +80,7 @@ class GasState:
 
 @dataclass
 class Trajectory:
-    """Per-step diagnostics (and optional state history) of one run."""
+    """Per-step diagnostics of one run."""
 
     config: RunConfig
     affected_count: np.ndarray  # (steps+1,)
@@ -84,11 +88,6 @@ class Trajectory:
     max_disp: np.ndarray
     median_disp: np.ndarray
     twin_dist: np.ndarray  # nan when twin mode is off
-    points_history: np.ndarray | None = None  # (steps+1, N, 2)
-    tangents_history: np.ndarray | None = None
-    affected_history: np.ndarray | None = None
-    twin_points_history: np.ndarray | None = None
-    pairs_history: list[np.ndarray] = field(default_factory=list)
 
     @property
     def n_particles(self) -> int:
@@ -204,7 +203,9 @@ def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
 
     twin_points = None
     if state.twin_points is not None:
-        twin_points = np.where(was[:, None], state.twin_points, points)
+        twin_points = points.copy()
+        np.copyto(twin_points.view(np.complex128)[:, 0],
+                  state.twin_points.view(np.complex128)[:, 0], where=was)
         _collide_rows(collide_arrays, model, state.twin_points, twin_points, ih, jh)
 
     new_state = GasState(
@@ -257,56 +258,49 @@ def _median_with_zeros(norms: np.ndarray, n: int) -> float:
     return float((low + nonzero[hi - zeros]) / 2)
 
 
-def run_paired(config: RunConfig, model: CollisionModel | None = None) -> Trajectory:
-    """Evolve the gas for config.steps steps, recording per-step diagnostics."""
+def evolve(config: RunConfig, model: CollisionModel | None = None) -> Iterator[GasState]:
+    """Yield the gas state at t = 0..config.steps.
+
+    Each state is a fresh set of arrays, and no array of a state is written
+    after it is yielded, so a caller may keep states, or read them on other
+    threads, while the gas advances.
+    """
     model = model or default_model()
     rng = np.random.default_rng(config.seed)
     state = init_gas(config, model, rng)
+    yield state
+    for _ in range(config.steps):
+        state, _pairs = step(state, model, rng, config.pairing)
+        yield state
 
+
+def with_diagnostics(config: RunConfig, states: Iterable[GasState]
+                     ) -> tuple[Trajectory, Iterator[GasState]]:
+    """Pass the states through, filling in the trajectory's row t as state t passes.
+
+    The trajectory is complete once the returned iterator is exhausted.
+    """
     n_rows = config.steps + 1
-    affected_count = np.zeros(n_rows, dtype=np.int64)
-    norm = np.zeros(n_rows)
-    max_disp = np.zeros(n_rows)
-    median_disp = np.zeros(n_rows)
-    twin_dist = np.full(n_rows, math.nan)
+    # affected_count; norm, max_disp, median_disp; twin_dist
+    traj = Trajectory(config, np.zeros(n_rows, dtype=np.int64), *np.zeros((3, n_rows)),
+                      np.full(n_rows, math.nan))
 
-    record = config.record_points
-    points_history = tangents_history = affected_history = twin_history = None
-    if record:
-        n = config.n_particles
-        points_history = np.empty((n_rows, n, 2))
-        tangents_history = np.empty((n_rows, n, 2))
-        affected_history = np.empty((n_rows, n), dtype=bool)
-        if config.twin:
-            twin_history = np.empty((n_rows, n, 2))
+    def passing() -> Iterator[GasState]:
+        for state in states:
+            t = state.t
+            (traj.affected_count[t], traj.norm[t], traj.max_disp[t],
+             traj.median_disp[t], traj.twin_dist[t]) = _diagnostics(state)
+            yield state
 
-    pairs_history: list[np.ndarray] = []
+    return traj, passing()
 
-    for t in range(n_rows):
-        if t > 0:
-            state, pairs = step(state, model, rng, config.pairing)
-            pairs_history.append(pairs)
-        (affected_count[t], norm[t], max_disp[t], median_disp[t], twin_dist[t]) = _diagnostics(state)
-        if record:
-            points_history[t] = state.points
-            tangents_history[t] = state.tangents
-            affected_history[t] = state.affected
-            if config.twin:
-                twin_history[t] = state.twin_points
 
-    return Trajectory(
-        config=config,
-        affected_count=affected_count,
-        norm=norm,
-        max_disp=max_disp,
-        median_disp=median_disp,
-        twin_dist=twin_dist,
-        points_history=points_history,
-        tangents_history=tangents_history,
-        affected_history=affected_history,
-        twin_points_history=twin_history,
-        pairs_history=pairs_history,
-    )
+def run_paired(config: RunConfig, model: CollisionModel | None = None) -> Trajectory:
+    """Evolve the gas for config.steps steps and return its per-step diagnostics."""
+    traj, states = with_diagnostics(config, evolve(config, model))
+    for _ in states:
+        pass
+    return traj
 
 
 def significance_time(trajectory: Trajectory) -> int | float:

@@ -11,11 +11,12 @@ simulation against the reference, and the tangent-linear estimate
 
     Delta ntilde_k(t) ~= (-i/N) sum_i exp(-i k . X_i(t)) (k . dX_i(t)).
 
-`mode_series` computes every requested mode in one pass over the recorded
-history, one time row at a time.  Because k = 2*pi*(m1, m2) with integer m,
-each wave factorises as exp(-i k . X) = z_x**m1 * z_p**m2 with
-z = exp(-2*pi*i*coord): two `exp` calls per row serve every mode, positive
-powers come from repeated multiplication and negative ones are conjugates.
+`mode_series` computes every requested mode in one pass over a run's gas
+states, one row per state, so it can read them as `gas.evolve` yields them.
+Because k = 2*pi*(m1, m2) with integer m, each wave factorises as
+exp(-i k . X) = z_x**m1 * z_p**m2 with z = exp(-2*pi*i*coord): two `exp`
+calls per row serve every mode, positive powers come from repeated
+multiplication and negative ones are conjugates.
 The rounding error of z**m grows about linearly in |m|.
 
 Off the affected set of a row the tangents are exactly zero and the embedded
@@ -38,11 +39,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .gas import Trajectory
+from .gas import GasState, Trajectory
 from .maps import CollisionModel
 
 TWO_PI = 2.0 * math.pi
@@ -114,32 +116,33 @@ def _waves(points: np.ndarray, modes: Sequence[ModeIndex]) -> Iterator[np.ndarra
             yield zx[mode.m1] * zp[mode.m2]
 
 
-def mode_series(reference: Trajectory, modes: Sequence[ModeIndex],
+def mode_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
                 executor: Executor | None = None) -> list[SpectrumSeries]:
     """Per-step perturbation of every mode, tangent-linear and (when possible) exact.
 
-    The exact route uses the twin embedded in the reference run, when it was
-    run with one.  Time rows are independent; with an `executor` they are
-    mapped over its workers and reassembled in row order, so the result does
-    not depend on the worker count.
+    `states` are one run's states at t = 0, 1, ..., each read once; the exact
+    route uses the run's embedded twin, when it has one.  Rows are
+    independent; with an `executor` each state's row is submitted as the
+    states are drawn, and the rows are reassembled in order, so the result
+    does not depend on the worker count.
     """
-    if reference.points_history is None or reference.affected_history is None:
-        raise ValueError("trajectory was run without record_points")
     if any(mode.is_zero for mode in modes):
         raise ValueError("the zero mode is the conserved normalization; pick a nonzero mode")
-
-    twin_history = reference.twin_points_history
-    n = reference.n_particles
+    states = iter(states)
+    first = next(states, None)
+    if first is None:
+        raise ValueError("mode analysis needs at least one gas state")
+    n, has_twin = first.n_particles, first.twin_points is not None
     kvecs = [TWO_PI * np.array([mode.m1, mode.m2], dtype=float) for mode in modes]
 
-    def row(t: int) -> np.ndarray:
-        """Unnormalised (values, linear, twin, phase) sums of row t, one column per mode."""
-        affected = np.flatnonzero(reference.affected_history[t])
-        tangents = reference.tangents_history[t][affected]
-        twin_waves = ([None] * len(modes) if twin_history is None
-                      else _waves(twin_history[t][affected], modes))
+    def row(state: GasState) -> np.ndarray:
+        """Unnormalised (values, linear, twin, phase) sums of one state, one column per mode."""
+        affected = np.flatnonzero(state.affected)
+        tangents = np.take(state.tangents, affected, axis=0)
+        twin_waves = (_waves(np.take(state.twin_points, affected, axis=0), modes)
+                      if has_twin else repeat(None))
         sums = np.zeros((4, len(modes)), dtype=complex)
-        waves = _waves(reference.points_history[t], modes)
+        waves = _waves(state.points, modes)
         for j, (kvec, wave, twin_wave) in enumerate(zip(kvecs, waves, twin_waves)):
             affected_wave = wave[affected]
             sums[0, j] = wave.sum()
@@ -149,22 +152,21 @@ def mode_series(reference: Trajectory, modes: Sequence[ModeIndex],
             sums[3, j] = affected_wave.sum()
         return sums
 
-    rows = (executor.map if executor is not None else map)(
-        row, range(reference.steps + 1))
+    rows = (executor.map if executor is not None else map)(row, chain([first], states))
     values, linear, twin, phase = np.stack(list(rows), axis=2)  # each (modes, steps+1)
     values = values / n
     linear = (-1j / n) * linear
     phase = phase / n
-    twin = None if twin_history is None else twin / n
+    twin = twin / n if has_twin else None
     return [SpectrumSeries(mode=mode, values=values[j], deltas_linear=linear[j],
                            phase_sums=phase[j],
                            deltas_twin=None if twin is None else twin[j])
             for j, mode in enumerate(modes)]
 
 
-def delta_series(reference: Trajectory, mode: ModeIndex) -> SpectrumSeries:
+def delta_series(states: Iterable[GasState], mode: ModeIndex) -> SpectrumSeries:
     """`mode_series` for a single mode."""
-    return mode_series(reference, [mode])[0]
+    return mode_series(states, [mode])[0]
 
 
 @dataclass(frozen=True)

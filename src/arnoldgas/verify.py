@@ -82,9 +82,9 @@ def tangent_twin_discrepancy(model: maps.CollisionModel, seed: int) -> float:
     twin's displacement is the minimal-image difference at the last step.
     """
     config = gas.RunConfig(n_particles=64, steps=10, epsilon=1e-9, seed=seed, twin=True)
-    traj = gas.run_paired(config, model)
-    diff = maps.torus_diff_arrays(traj.twin_points_history[-1], traj.points_history[-1])
-    tangents = traj.tangents_history[-1]
+    *_, last = gas.evolve(config, model)
+    diff = maps.torus_diff_arrays(last.twin_points, last.points)
+    tangents = last.tangents
     return float(np.linalg.norm(diff - tangents) / np.linalg.norm(tangents))
 
 
@@ -160,16 +160,13 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
     if not quick:
         # bit-identical reruns
         c = gas.RunConfig(n_particles=512, steps=12, seed=99)
-        t1 = gas.run_paired(c, model)
-        t2 = gas.run_paired(c, model)
-        same = (np.array_equal(t1.points_history, t2.points_history)
-                and np.array_equal(t1.tangents_history, t2.tangents_history))
+        same = all(np.array_equal(a.points, b.points) and np.array_equal(a.tangents, b.tangents)
+                   for a, b in zip(gas.evolve(c, model), gas.evolve(c, model)))
         results.append(_check("determinism", 1.0 if same else 0.0, 1.0, 0.0,
                               detail="identical config gives bit-identical trajectories"))
 
         # tree-faithful pairing saturates the affected set at exactly log2 N
-        c = gas.RunConfig(n_particles=1024, steps=12, seed=7, pairing="tree",
-                          record_points=False)
+        c = gas.RunConfig(n_particles=1024, steps=12, seed=7, pairing="tree")
         t3 = gas.run_paired(c, model)
         results.append(_check("tree-pairing-saturation", float(t3.saturation_step),
                               10.0, 0.0, detail="N=1024 saturates at step 10"))

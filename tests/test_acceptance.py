@@ -66,16 +66,12 @@ def test_criterion_5_tangent_twin_consistency(model):
 
 
 def test_criterion_6_significance_time(model):
-    traj = gas.run_paired(
-        RunConfig(n_particles=1024, steps=15, seed=0, pairing="tree",
-                  record_points=False), model)
+    traj = gas.run_paired(RunConfig(n_particles=1024, steps=15, seed=0, pairing="tree"), model)
     tree_ok = traj.saturation_step == 10
 
     hits = 0
     for seed in range(100):
-        traj = gas.run_paired(
-            RunConfig(n_particles=1024, steps=30, seed=seed,
-                      record_points=False), model)
+        traj = gas.run_paired(RunConfig(n_particles=1024, steps=30, seed=seed), model)
         t_sat = traj.saturation_step
         hits += (not math.isinf(t_sat)) and 10 <= t_sat <= 30
     report(6, "tree pairing saturates at step 10; random within [10, 30] for >= 90/100 seeds",
@@ -86,8 +82,8 @@ def test_criterion_7_fluctuation_growth(model):
     slopes, r2s = [], []
     for seed in range(100):
         config = RunConfig(n_particles=2**16, steps=16, seed=seed, pairing="tree")
-        traj = gas.run_paired(config, model)
-        series = spectral.delta_series(traj, ModeIndex(1, 0))
+        traj, states = gas.with_diagnostics(config, gas.evolve(config, model))
+        series = spectral.delta_series(states, ModeIndex(1, 0))
         window = spectral.default_fit_window(traj)
         fit = spectral.fit_growth(series.deltas_linear, window)
         slopes.append(fit.slope)

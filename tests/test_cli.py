@@ -64,6 +64,20 @@ class TestTree:
         assert run(["tree", "--stages", "0", "--out", str(out)]) == 0
         assert len(csv_body(out).splitlines()) == 2
 
+    @pytest.mark.parametrize("stages,message", [
+        ("-1", "--stages must be >= 0, got -1"),
+        ("5000", "--stages 5000 is too large"),
+    ])
+    @pytest.mark.parametrize("extra", [[], ["--aggregate-only"]])
+    def test_bad_stages_refused_before_writing(self, tmp_path, capsys, stages, message,
+                                               extra):
+        assert run(["tree", "--stages", stages, *extra,
+                    "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_budget_refusal(self, tmp_path):
         assert run(["tree", "--stages", "40", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -157,7 +171,7 @@ class TestGas:
         def never(*args, **kwargs):
             raise AssertionError("the gas ran before --threads was checked")
 
-        monkeypatch.setattr(gas, "run_paired", never)
+        monkeypatch.setattr(gas, "evolve", never)
         assert run(["gas", "--particles", "16", "--steps", "3", "--threads", "-1",
                     "--out", str(tmp_path / "n.csv")]) == 1
         assert "--threads must be >= 0" in capsys.readouterr().err
@@ -193,10 +207,10 @@ class TestGas:
         assert run(["gas", "--particles", "256", "--steps", "10", "--seed", "3",
                     "--modes", "1", "--out", str(out)]) == 0
         summary = read_summary(tmp_path / "x.summary.json")["summary"]
-        traj = gas.run_paired(gas.RunConfig(n_particles=256, steps=10, seed=3), model)
+        states = list(gas.evolve(gas.RunConfig(n_particles=256, steps=10, seed=3), model))
         t = summary["fit_window"][1]
-        assert traj.affected_count[t] < 256
-        pts = traj.points_history[t][traj.affected_history[t]]
+        assert np.count_nonzero(states[t].affected) < 256
+        pts = states[t].points[states[t].affected]
         term2 = spectral.exponent_term2(model)
         for report in summary["modes"]:
             kvec = 2 * math.pi * np.array([report["m1"], report["m2"]], dtype=float)
@@ -331,7 +345,8 @@ class TestCellFormat:
         assert run(["gas", "--particles", "16", "--steps", "4", "--seed", "3",
                     "--twin", "off", "--modes", "1", "--threads", "1",
                     "--out", str(out)]) == 0
-        traj = gas.run_paired(gas.RunConfig(n_particles=16, steps=4, seed=3), model)
+        config = gas.RunConfig(n_particles=16, steps=4, seed=3)
+        traj = gas.run_paired(config, model)
         rows = [(t, traj.affected_count[t], traj.norm[t], traj.max_disp[t],
                  traj.median_disp[t], traj.twin_dist[t]) for t in range(5)]
         body = csv_body(out)
@@ -340,7 +355,8 @@ class TestCellFormat:
 
         rows = [(t, s.mode.m1, s.mode.m2, s.values[t].real, s.values[t].imag,
                  math.nan, abs(s.deltas_linear[t]))
-                for s in spectral.mode_series(traj, spectral.enumerate_modes(1))
+                for s in spectral.mode_series(gas.evolve(config, model),
+                                              spectral.enumerate_modes(1))
                 for t in range(5)]
         body = csv_body(tmp_path / "g.spectrum.csv")
         assert body == expected_body(cli.SPECTRUM_CSV_COLUMNS, 3, rows)

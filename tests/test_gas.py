@@ -165,30 +165,63 @@ class TestRunPaired:
 
     def test_determinism_bit_identical(self, model):
         config = RunConfig(n_particles=128, steps=8, seed=77)
-        a = gas.run_paired(config, model)
-        b = gas.run_paired(config, model)
-        assert np.array_equal(a.points_history, b.points_history)
-        assert np.array_equal(a.tangents_history, b.tangents_history)
-        assert np.array_equal(a.affected_count, b.affected_count)
+        a = list(gas.evolve(config, model))
+        b = list(gas.evolve(config, model))
+        assert len(a) == len(b) == 9
+        for sa, sb in zip(a, b):
+            assert np.array_equal(sa.points, sb.points)
+            assert np.array_equal(sa.tangents, sb.tangents)
+        assert np.array_equal(gas.run_paired(config, model).affected_count,
+                              gas.run_paired(config, model).affected_count)
 
     def test_pair_sums_conserved_every_step(self, model):
-        traj = gas.run_paired(RunConfig(n_particles=64, steps=10, seed=4), model)
-        for t, pairs in enumerate(traj.pairs_history, start=1):
+        config = RunConfig(n_particles=64, steps=0, seed=4)
+        rng = np.random.default_rng(config.seed)
+        state = gas.init_gas(config, model, rng)
+        for _ in range(10):
+            new, pairs = gas.step(state, model, rng)
             i, j = pairs[:, 0], pairs[:, 1]
-            before = (traj.points_history[t - 1][i] + traj.points_history[t - 1][j]) % 1.0
-            after = (traj.points_history[t][i] + traj.points_history[t][j]) % 1.0
+            before = (state.points[i] + state.points[j]) % 1.0
+            after = (new.points[i] + new.points[j]) % 1.0
             assert np.max(np.abs(maps.torus_diff_arrays(after, before))) < 1e-12
+            state = new
 
     def test_affected_monotone(self, model):
-        traj = gas.run_paired(RunConfig(n_particles=64, steps=15, seed=8), model)
+        config = RunConfig(n_particles=64, steps=15, seed=8)
+        traj = gas.run_paired(config, model)
         assert np.all(np.diff(traj.affected_count) >= 0)
-        for t in range(1, traj.steps + 1):
-            assert np.all(traj.affected_history[t] | ~traj.affected_history[t - 1])
+        states = list(gas.evolve(config, model))
+        for before, after in zip(states, states[1:]):
+            assert np.all(after.affected | ~before.affected)
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_yielded_states_are_never_written(self, model, n):
+        # callers keep states, and pool threads read them while the gas advances
+        config = RunConfig(n_particles=n, steps=12, seed=2, twin=True)
+        kept, copies = [], []
+        for state in gas.evolve(config, model):
+            kept.append(state)
+            copies.append([state.points.copy(), state.tangents.copy(),
+                           state.affected.copy(), state.twin_points.copy()])
+        for state, copy in zip(kept, copies):
+            got = [state.points, state.tangents, state.affected, state.twin_points]
+            for g, c in zip(got, copy):
+                assert np.array_equal(bits(g), bits(c))
+
+    def test_with_diagnostics_fills_rows_as_states_pass(self, model):
+        config = RunConfig(n_particles=64, steps=6, seed=3, twin=True)
+        states = list(gas.evolve(config, model))
+        traj, passing = gas.with_diagnostics(config, states)
+        for t, state in enumerate(passing):
+            assert state is states[t]
+            assert traj.affected_count[t] == np.count_nonzero(state.affected)
+        expected = gas.run_paired(config, model)
+        for name in ("affected_count", "norm", "max_disp", "median_disp", "twin_dist"):
+            assert np.array_equal(getattr(traj, name), getattr(expected, name))
 
     def test_tree_pairing_doubles_exactly(self, model):
         traj = gas.run_paired(
-            RunConfig(n_particles=1024, steps=12, seed=5, pairing="tree",
-                      record_points=False), model)
+            RunConfig(n_particles=1024, steps=12, seed=5, pairing="tree"), model)
         expected = [min(2**t, 1024) for t in range(13)]
         assert traj.affected_count.tolist() == expected
         assert traj.saturation_step == 10
@@ -198,9 +231,7 @@ class TestRunPaired:
         hits = 0
         seeds = range(100)
         for seed in seeds:
-            traj = gas.run_paired(
-                RunConfig(n_particles=1024, steps=20, seed=seed,
-                          record_points=False), model)
+            traj = gas.run_paired(RunConfig(n_particles=1024, steps=20, seed=seed), model)
             hits += not math.isinf(traj.saturation_step)
         assert hits >= 95
 
@@ -208,9 +239,9 @@ class TestRunPaired:
     @settings(max_examples=15, deadline=None)
     def test_twin_matches_tangents(self, model, seed):
         config = RunConfig(n_particles=64, steps=10, epsilon=1e-9, seed=seed, twin=True)
-        traj = gas.run_paired(config, model)
-        diff = maps.torus_diff_arrays(traj.twin_points_history[-1], traj.points_history[-1])
-        tangents = traj.tangents_history[-1]
+        *_, last = gas.evolve(config, model)
+        diff = maps.torus_diff_arrays(last.twin_points, last.points)
+        tangents = last.tangents
         rel = np.linalg.norm(diff - tangents) / np.linalg.norm(tangents)
         assert rel < 1e-4
 
@@ -220,22 +251,20 @@ class TestRunPaired:
         # spectral.mode_series sums tangents and twin differences over the
         # affected set only, which is exact because of these two facts
         config = RunConfig(n_particles=n, steps=7, seed=4, pairing=pairing, twin=True)
-        traj = gas.run_paired(config, model)
-        assert not traj.affected_history[-1].all()
-        for t in range(config.steps + 1):
-            off = ~traj.affected_history[t]
-            twin = traj.twin_points_history[t][off]
-            ref = traj.points_history[t][off]
+        states = list(gas.evolve(config, model))
+        assert not states[-1].affected.all()
+        for state in states:
+            off = ~state.affected
+            twin = state.twin_points[off]
+            ref = state.points[off]
             assert np.array_equal(twin.view(np.uint64), ref.view(np.uint64))
-            assert not np.any(traj.tangents_history[t][off])
+            assert not np.any(state.tangents[off])
 
     def test_norm_growth_exponent_at_least_paper_rate(self, model):
         # ensemble-median per-step log growth of the gas norm, pre-saturation
         rates = []
         for seed in range(20):
-            traj = gas.run_paired(
-                RunConfig(n_particles=4096, steps=12, seed=seed,
-                          record_points=False), model)
+            traj = gas.run_paired(RunConfig(n_particles=4096, steps=12, seed=seed), model)
             t_sat = traj.saturation_step
             upper = 12 if math.isinf(t_sat) else min(12, int(t_sat))
             logs = np.log(traj.norm[1 : upper + 1])
@@ -259,9 +288,7 @@ class TestSignificanceTime:
         # paper's ideal time is log2 N = 10 steps; random matching is slower
         hits = 0
         for seed in range(30):
-            traj = gas.run_paired(
-                RunConfig(n_particles=1024, steps=30, seed=seed,
-                          record_points=False), model)
+            traj = gas.run_paired(RunConfig(n_particles=1024, steps=30, seed=seed), model)
             t_s = gas.significance_time(traj)
             hits += (not math.isinf(t_s)) and 10 <= t_s <= 30
         assert hits >= 27  # >= 90% of seeds

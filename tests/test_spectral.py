@@ -44,34 +44,37 @@ class TestFourierComponent:
 
 class TestDeltaSeries:
     def test_zero_tangents_give_zero_linear_estimate(self, model):
-        traj = gas.run_paired(RunConfig(n_particles=16, steps=4, seed=0), model)
-        traj.tangents_history[:] = 0.0
-        series = spectral.delta_series(traj, ModeIndex(1, 0))
+        states = list(gas.evolve(RunConfig(n_particles=16, steps=4, seed=0), model))
+        for state in states:
+            state.tangents[:] = 0.0
+        series = spectral.delta_series(states, ModeIndex(1, 0))
         assert np.all(series.deltas_linear == 0)
 
     def test_initial_single_particle_magnitude(self, model):
         eps = 1e-9
         config = RunConfig(n_particles=64, steps=2, epsilon=eps, seed=1)
-        traj = gas.run_paired(config, model)
-        series = spectral.delta_series(traj, ModeIndex(1, 0))
+        series = spectral.delta_series(gas.evolve(config, model), ModeIndex(1, 0))
         kvec = 2 * math.pi * np.array([1.0, 0.0])
         expected = abs(kvec @ (eps * model.xi_plus)) / 64
         assert abs(series.deltas_linear[0]) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_mode_rejected(self, model):
-        traj = gas.run_paired(RunConfig(n_particles=8, steps=2, seed=0), model)
+        states = gas.evolve(RunConfig(n_particles=8, steps=2, seed=0), model)
         with pytest.raises(ValueError, match="zero mode"):
-            spectral.delta_series(traj, ModeIndex(0, 0))
+            spectral.delta_series(states, ModeIndex(0, 0))
+
+    def test_no_states_rejected(self):
+        with pytest.raises(ValueError, match="at least one gas state"):
+            spectral.delta_series([], ModeIndex(1, 0))
 
     def test_normalization_mode_value(self, model):
-        traj = gas.run_paired(RunConfig(n_particles=32, steps=3, seed=2), model)
-        series = spectral.delta_series(traj, ModeIndex(1, 1))
+        states = gas.evolve(RunConfig(n_particles=32, steps=3, seed=2), model)
+        series = spectral.delta_series(states, ModeIndex(1, 1))
         assert np.all(np.abs(series.values) <= 1 + 1e-12)
 
     def test_linear_matches_twin(self, model):
         config = RunConfig(n_particles=64, steps=10, epsilon=1e-9, seed=6, twin=True)
-        traj = gas.run_paired(config, model)
-        series = spectral.delta_series(traj, ModeIndex(1, 0))
+        series = spectral.delta_series(gas.evolve(config, model), ModeIndex(1, 0))
         for t in range(11):
             twin, lin = series.deltas_twin[t], series.deltas_linear[t]
             assert abs(lin - twin) < 1e-3 * max(abs(twin), 1e-15)
@@ -89,22 +92,22 @@ class TestModeSeries:
         # The power recursion and the oracle's rounded phase 2*pi*(m . X) both
         # err by a few ulp per unit of |m1| + |m2|, so the bound grows linearly in it.
         eps = np.finfo(float).eps
-        traj = gas.run_paired(RunConfig(n_particles=200, steps=8, seed=3, twin=True), model)
-        n = traj.n_particles
+        states = list(gas.evolve(RunConfig(n_particles=200, steps=8, seed=3, twin=True), model))
+        n = 200
         modes = spectral.enumerate_modes(8)
-        for series in spectral.mode_series(traj, modes):
+        for series in spectral.mode_series(states, modes):
             mode = series.mode
             order = abs(mode.m1) + abs(mode.m2)
             kvec = 2 * math.pi * np.array([mode.m1, mode.m2], dtype=float)
-            for t in range(traj.steps + 1):
-                pts, tangents = traj.points_history[t], traj.tangents_history[t]
+            for t, state in enumerate(states):
+                pts, tangents = state.points, state.tangents
                 value = spectral.fourier_component(pts, mode) / n
                 assert abs(series.values[t] - value) <= 8 * order * eps
                 k_dot_d = tangents @ kvec
                 linear = (-1j / n) * (np.exp(-1j * (pts @ kvec)) * k_dot_d).sum()
                 scale = np.abs(k_dot_d).mean()
                 assert abs(series.deltas_linear[t] - linear) <= 8 * order * eps * scale
-                affected = traj.affected_history[t]
+                affected = state.affected
                 phase = np.exp(-1j * (pts[affected] @ kvec)).sum() / n
                 assert abs(series.phase_sums[t] - phase) <= 8 * order * eps
 
@@ -112,14 +115,14 @@ class TestModeSeries:
         if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
             pytest.skip("np.longdouble has no extra precision on this platform")
         config = RunConfig(n_particles=1024, steps=10, seed=0, pairing="tree", twin=True)
-        traj = gas.run_paired(config, model)
-        n = traj.n_particles
+        states = list(gas.evolve(config, model))
+        n = config.n_particles
         worst_new = worst_full = 0.0
-        for series in spectral.mode_series(traj, spectral.enumerate_modes(2)):
+        for series in spectral.mode_series(states, spectral.enumerate_modes(2)):
             mode = series.mode
             kvec = 2 * math.pi * np.array([mode.m1, mode.m2], dtype=float)
-            for t in range(traj.steps + 1):
-                ref, twin = traj.points_history[t], traj.twin_points_history[t]
+            for t, state in enumerate(states):
+                ref, twin = state.points, state.twin_points
                 ref_re, ref_im = _longdouble_wave(ref, mode)
                 twin_re, twin_im = _longdouble_wave(twin, mode)
                 exact = complex(float((twin_re - ref_re).sum() / n),
@@ -131,16 +134,34 @@ class TestModeSeries:
         assert worst_new <= worst_full
 
     def test_executor_gives_identical_result(self, model):
-        traj = gas.run_paired(RunConfig(n_particles=128, steps=6, seed=2, twin=True), model)
+        states = list(gas.evolve(RunConfig(n_particles=128, steps=6, seed=2, twin=True), model))
         modes = spectral.enumerate_modes(2)
-        serial = spectral.mode_series(traj, modes)
+        serial = spectral.mode_series(states, modes)
         with ThreadPoolExecutor(max_workers=4) as pool:
-            pooled = spectral.mode_series(traj, modes, executor=pool)
-        for a, b in zip(serial, pooled):
-            assert a.mode == b.mode
-            assert np.array_equal(a.values, b.values)
-            assert np.array_equal(a.deltas_linear, b.deltas_linear)
-            assert np.array_equal(a.deltas_twin, b.deltas_twin)
+            pooled = spectral.mode_series(states, modes, executor=pool)
+        assert_same_series(serial, pooled)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_one_shot_generator_equals_list(self, model, workers):
+        # the gas advances while pool workers still read earlier states
+        config = RunConfig(n_particles=255, steps=9, seed=4, pairing="tree", twin=True)
+        modes = spectral.enumerate_modes(2)
+        from_list = spectral.mode_series(list(gas.evolve(config, model)), modes)
+        if workers is None:
+            streamed = spectral.mode_series(gas.evolve(config, model), modes)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                streamed = spectral.mode_series(gas.evolve(config, model), modes,
+                                                executor=pool)
+        assert_same_series(from_list, streamed)
+
+
+def assert_same_series(expected, got):
+    assert len(expected) == len(got)
+    for a, b in zip(expected, got):
+        assert a.mode == b.mode
+        for name in ("values", "deltas_linear", "phase_sums", "deltas_twin"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestExponentEstimate:
@@ -155,10 +176,10 @@ class TestExponentEstimate:
         # all affected particles at the origin: the phase sum has modulus
         # (count/N) |k . xi_plus|, so term1 is computable by hand
         config = RunConfig(n_particles=8, steps=2, seed=0)
-        traj = gas.run_paired(config, model)
-        traj.points_history[2] = 0.0
-        traj.affected_history[2] = True
-        series = spectral.delta_series(traj, ModeIndex(1, 0))
+        states = list(gas.evolve(config, model))
+        states[2].points[:] = 0.0
+        states[2].affected[:] = True
+        series = spectral.delta_series(states, ModeIndex(1, 0))
         est = spectral.exponent_estimate(series, model, 2)
         k_dot_xi = 2 * math.pi * model.xi_plus[0]
         assert est.term1 == pytest.approx(math.log(abs(k_dot_xi)) / 2, rel=1e-12)
@@ -166,29 +187,28 @@ class TestExponentEstimate:
         assert not est.degenerate
 
     def test_degenerate_zero_sum_flagged(self, model):
-        traj = gas.run_paired(RunConfig(n_particles=8, steps=2, seed=0), model)
-        traj.affected_history[2] = False  # empty sum is exactly zero
-        series = spectral.delta_series(traj, ModeIndex(1, 0))
+        states = list(gas.evolve(RunConfig(n_particles=8, steps=2, seed=0), model))
+        states[2].affected[:] = False  # empty sum is exactly zero
+        series = spectral.delta_series(states, ModeIndex(1, 0))
         est = spectral.exponent_estimate(series, model, 2)
         assert est.degenerate
         assert math.isnan(est.lam)
 
     def test_requires_positive_time_and_nonzero_mode(self, model):
-        traj = gas.run_paired(RunConfig(n_particles=8, steps=2, seed=0), model)
-        series = spectral.delta_series(traj, ModeIndex(1, 0))
+        states = list(gas.evolve(RunConfig(n_particles=8, steps=2, seed=0), model))
+        series = spectral.delta_series(states, ModeIndex(1, 0))
         with pytest.raises(ValueError):
             spectral.exponent_estimate(series, model, 0)
         # the estimate reads a mode's series, and the zero mode has none
         with pytest.raises(ValueError, match="zero mode"):
-            spectral.delta_series(traj, ModeIndex(0, 0))
+            spectral.delta_series(states, ModeIndex(0, 0))
 
     def test_large_tree_faithful_run_reports_both_terms(self, model):
         # The state-dependent term dominates negatively pre-saturation at this
         # scale; the estimator reports both terms so the asymptotic claim can
         # be examined rather than assumed.
         config = RunConfig(n_particles=2**16, steps=12, seed=0, pairing="tree")
-        traj = gas.run_paired(config, model)
-        series = spectral.delta_series(traj, ModeIndex(1, 0))
+        series = spectral.delta_series(gas.evolve(config, model), ModeIndex(1, 0))
         est = spectral.exponent_estimate(series, model, 12)
         assert math.isfinite(est.lam)
         assert est.lam == pytest.approx(est.term1 + est.term2, abs=1e-15)
@@ -231,8 +251,8 @@ class TestFitGrowth:
         slopes = []
         for seed in range(40):
             config = RunConfig(n_particles=2**10, steps=10, seed=seed, pairing="tree")
-            traj = gas.run_paired(config, model)
-            series = spectral.delta_series(traj, ModeIndex(1, 0))
+            traj, states = gas.with_diagnostics(config, gas.evolve(config, model))
+            series = spectral.delta_series(states, ModeIndex(1, 0))
             window = spectral.default_fit_window(traj)
             slopes.append(spectral.fit_growth(series.deltas_linear, window).slope)
         assert np.median(slopes) >= math.log(1.2) - 0.05
@@ -245,11 +265,12 @@ def test_every_low_mode_grows_in_tree_mode(model):
     slopes = np.zeros((n_seeds, len(modes)))
     for s in range(n_seeds):
         config = RunConfig(n_particles=2**8, steps=8, seed=s, pairing="tree")
-        traj = gas.run_paired(config, model)
+        traj, states = gas.with_diagnostics(config, gas.evolve(config, model))
+        all_series = spectral.mode_series(states, modes)
         # window from first step with >= 4 affected particles to saturation
         t_lo = int(np.nonzero(traj.affected_count >= 4)[0][0])
         t_hi = int(traj.saturation_step)
-        for k, series in enumerate(spectral.mode_series(traj, modes)):
+        for k, series in enumerate(all_series):
             slopes[s, k] = spectral.fit_growth(series.deltas_linear, (t_lo, t_hi)).slope
     assert np.all(np.median(slopes, axis=0) > 0)
 

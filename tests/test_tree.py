@@ -137,8 +137,7 @@ class TestSignificanceStage:
 
     @pytest.mark.parametrize("n_particles,expected", [(2, 1), (1000, 10), (1024, 10), (1025, 11)])
     def test_saturation_stage(self, model, n_particles, expected):
-        config = gas.RunConfig(n_particles=n_particles, steps=12, pairing="tree",
-                               record_points=False)
+        config = gas.RunConfig(n_particles=n_particles, steps=12, pairing="tree")
         assert gas.run_paired(config, model).saturation_step == expected
 
     def test_dilation_stage_reaches_sqrt_n(self, model):
