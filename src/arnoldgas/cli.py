@@ -11,8 +11,8 @@ Every output file starts with a one-line JSON manifest comment recording the
 command, parameters, seed, collision matrix, generator, and tool version.
 Integer columns print as integers and all others with 17 significant digits,
 so re-runs with the same manifest reproduce byte-identical CSV bodies.  Exit
-codes: 0 success, 1 usage error, 2 runtime refusal (memory budget),
-3 verification failure.
+codes: 0 success, 1 usage error or an output that cannot be written,
+2 runtime refusal (memory budget), 3 verification failure.
 
 The environment variable ARNOLDGAS_OUTDIR, when set, is the base directory
 for relative output paths.
@@ -60,7 +60,6 @@ def _resolve_out(path_str: str) -> Path:
     base = os.environ.get(OUTDIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -81,9 +80,11 @@ def _manifest(command: str, params: dict, seed=None, matrix=None) -> dict:
 def _write_atomic(path: Path, *chunks: str) -> None:
     """Write the chunks to a temporary sibling file, then rename it over `path`.
 
-    A failed write leaves no partial file at `path`.
+    The parent directory is made first.  A failed write leaves no partial
+    file at `path`.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(tmp, "w") as fh:
             for chunk in chunks:
@@ -113,15 +114,35 @@ def _write_summary(path: Path, manifest: dict, summary: dict,
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_results(out: Path, manifest: dict, summary: dict, tables) -> None:
+    """Write each (path, columns, rows) CSV table, then out's summary with their digests.
+
+    The `wrote` lines are printed once every file is in place.  An OSError
+    removes the files already written and is raised as a ValueError naming
+    the output path, so the run exits 1 with nothing left behind.
+    """
+    written: list[Path] = []
+    digests: dict[str, str] = {}
+    try:
+        for path, columns, rows in tables:
+            digests[path.name] = _write_csv(path, manifest, columns, rows)
+            written.append(path)
+        path = out.with_suffix(".summary.json")
+        _write_summary(path, manifest, summary, digests)
+        written.append(path)
+    except OSError as exc:
+        for done in written:
+            done.unlink(missing_ok=True)
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    for done in written:
+        print(f"wrote {done}")
+
+
 def _parse_matrix(text: str) -> list[list[int]]:
     parts = [int(v) for v in text.split(",")]
     if len(parts) != 4:
         raise ValueError("matrix must be four comma-separated integers a,b,c,d")
     return [[parts[0], parts[1]], [parts[2], parts[3]]]
-
-
-def _summary_path(out: Path) -> Path:
-    return out.with_suffix(".summary.json")
 
 
 # ---------------------------------------------------------------- params
@@ -181,7 +202,6 @@ def cmd_tree(args) -> int:
     }
     manifest = _manifest("tree", params, seed=args.seed, matrix=matrix)
 
-    digests: dict[str, str] = {}
     summary = {
         "stages": stages,
         "n_leaves": 2**stages,
@@ -192,18 +212,16 @@ def cmd_tree(args) -> int:
         "bound_satisfied": gasdil_closed >= bound,
     }
 
+    tables = []
     if not args.aggregate_only:
         run = tree.run_tree(model, stages, args.epsilon)
         geo, arith = tree.mean_dilations(run)
         summary["geometric_mean_dilation"] = geo
         summary["arithmetic_mean_dilation"] = arith
         summary["gas_dilation"] = tree.gas_dilation(run)
-        digests[out.name] = _write_csv(out, manifest, TREE_CSV_COLUMNS, tree.leaf_records(run))
-        print(f"wrote {out}")
+        tables.append((out, TREE_CSV_COLUMNS, tree.leaf_records(run)))
 
-    summary_path = _summary_path(out)
-    _write_summary(summary_path, manifest, summary, digests)
-    print(f"wrote {summary_path}")
+    _write_results(out, manifest, summary, tables)
     return EXIT_OK
 
 
@@ -305,14 +323,7 @@ def cmd_gas(args) -> int:
         outputs.append((out.with_suffix(".spectrum.csv"), SPECTRUM_CSV_COLUMNS,
                         spectrum_rows))
 
-    digests = {}
-    for path, columns, csv_rows in outputs:
-        digests[path.name] = _write_csv(path, manifest, columns, csv_rows)
-        print(f"wrote {path}")
-
-    summary_path = _summary_path(out)
-    _write_summary(summary_path, manifest, summary, digests)
-    print(f"wrote {summary_path}")
+    _write_results(out, manifest, summary, outputs)
     return EXIT_OK
 
 
@@ -398,7 +409,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_checks(quick=args.quick)
+    results = verify.run_checks()
     for result in results:
         print(result.line())
     if verify.all_passed(results):
@@ -459,7 +470,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="run the invariant self-check suite")
-    p.add_argument("--quick", action="store_true", help="fast subset (< 10 s)")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -470,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (tree.MemoryBudgetError, MemoryError) as exc:
+    except MemoryError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except ValueError as exc:

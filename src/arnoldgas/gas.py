@@ -39,8 +39,6 @@ from .maps import (CollisionModel, check_epsilon, collide_arrays, collide_linear
 
 RNG_NAME = "numpy.random.PCG64"
 
-TWIN_PARTICLE_CAP = 2**16
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -117,10 +115,6 @@ def init_gas(config: RunConfig, model: CollisionModel | None = None,
     affected[0] = True
     twin_points = None
     if config.twin:
-        if n > TWIN_PARTICLE_CAP:
-            raise MemoryError(
-                f"twin mode is limited to {TWIN_PARTICLE_CAP} particles, got {n}"
-            )
         twin_points = _wrap_unit(points + tangents)
     return GasState(
         points=points,

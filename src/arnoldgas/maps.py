@@ -191,6 +191,5 @@ def check_epsilon(epsilon: float) -> None:
 
 
 def torus_diff_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized minimal-image difference on arrays of torus coordinates."""
-    d = (np.asarray(a, dtype=float) - np.asarray(b, dtype=float) + 0.5) % 1.0 - 0.5
-    return np.where(d >= 0.5, d - 1.0, d)
+    """Vectorized minimal-image difference on arrays of torus coordinates, in [-0.5, 0.5)."""
+    return _wrap_unit(np.asarray(a, dtype=float) - np.asarray(b, dtype=float) + 0.5) - 0.5

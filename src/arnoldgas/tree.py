@@ -30,7 +30,7 @@ from .maps import CollisionModel, check_epsilon
 DEFAULT_MAX_STAGES = 24
 
 
-class MemoryBudgetError(RuntimeError):
+class MemoryBudgetError(MemoryError):
     """Raised when explicit leaf storage would exceed the configured budget."""
 
 

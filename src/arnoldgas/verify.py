@@ -88,7 +88,7 @@ def tangent_twin_discrepancy(model: maps.CollisionModel, seed: int) -> float:
     return float(np.linalg.norm(diff - tangents) / np.linalg.norm(tangents))
 
 
-def run_checks(quick: bool = False) -> list[CheckResult]:
+def run_checks() -> list[CheckResult]:
     model = maps.default_model()
     results: list[CheckResult] = []
 
@@ -141,7 +141,7 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
     results.append(_check("fourier-symmetry", worst, 0.0, 1e-9, detail="n_{-k} = conj(n_k)"))
 
     # collision-tree enumeration against the closed forms
-    max_stage = 8 if quick else 12
+    max_stage = 12
     runs = [tree.run_tree(model, n, 1e-9) for n in range(1, max_stage + 1)]
     results.append(_check("binomial-leaves", float(max(map(leaf_count_error, runs))), 0.0, 0.0,
                           detail=f"leaf counts equal C(n, n1) for n <= {max_stage}"))
@@ -157,19 +157,18 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
     results.append(_check("tangent-twin-consistency", tangent_twin_discrepancy(model, 2024),
                           0.0, 1e-4, detail="N=64, eps=1e-9, 10 steps"))
 
-    if not quick:
-        # bit-identical reruns
-        c = gas.RunConfig(n_particles=512, steps=12, seed=99)
-        same = all(np.array_equal(a.points, b.points) and np.array_equal(a.tangents, b.tangents)
-                   for a, b in zip(gas.evolve(c, model), gas.evolve(c, model)))
-        results.append(_check("determinism", 1.0 if same else 0.0, 1.0, 0.0,
-                              detail="identical config gives bit-identical trajectories"))
+    # bit-identical reruns
+    c = gas.RunConfig(n_particles=512, steps=12, seed=99)
+    same = all(np.array_equal(a.points, b.points) and np.array_equal(a.tangents, b.tangents)
+               for a, b in zip(gas.evolve(c, model), gas.evolve(c, model)))
+    results.append(_check("determinism", 1.0 if same else 0.0, 1.0, 0.0,
+                          detail="identical config gives bit-identical trajectories"))
 
-        # tree-faithful pairing saturates the affected set at exactly log2 N
-        c = gas.RunConfig(n_particles=1024, steps=12, seed=7, pairing="tree")
-        t3 = gas.run_paired(c, model)
-        results.append(_check("tree-pairing-saturation", float(t3.saturation_step),
-                              10.0, 0.0, detail="N=1024 saturates at step 10"))
+    # tree-faithful pairing saturates the affected set at exactly log2 N
+    c = gas.RunConfig(n_particles=1024, steps=12, seed=7, pairing="tree")
+    t3 = gas.run_paired(c, model)
+    results.append(_check("tree-pairing-saturation", float(t3.saturation_step),
+                          10.0, 0.0, detail="N=1024 saturates at step 10"))
 
     return results
 

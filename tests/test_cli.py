@@ -79,7 +79,8 @@ class TestTree:
         assert list(tmp_path.iterdir()) == []
 
     def test_budget_refusal(self, tmp_path):
-        assert run(["tree", "--stages", "40", "--out", str(tmp_path / "x.csv")]) == 2
+        assert run(["tree", "--stages", "40", "--out", str(tmp_path / "c" / "x.csv")]) == 2
+        assert list(tmp_path.iterdir()) == []  # not even the output directory
 
     def test_aggregate_only_allows_large_stage(self, tmp_path):
         out = tmp_path / "big.csv"
@@ -130,10 +131,15 @@ class TestGas:
         summary = read_summary(tmp_path / "m.summary.json")["summary"]
         assert len(summary["modes"]) == 80
 
-    def test_twin_cap_refused(self, tmp_path):
-        code = run(["gas", "--particles", str(2**17), "--steps", "1",
-                    "--twin", "on", "--modes", "0", "--out", str(tmp_path / "x.csv")])
-        assert code == 2
+    def test_twin_runs_above_2_16_particles(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["gas", "--particles", str(2**17), "--steps", "2",
+                    "--twin", "on", "--modes", "0", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in csv_body(out).splitlines()[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            norm, twin_dist = float(row[2]), float(row[5])
+            assert twin_dist / norm == pytest.approx(1.0, abs=1e-4)
 
     def test_odd_particles_warns(self, tmp_path, capsys):
         assert run(["gas", "--particles", "7", "--steps", "2", "--modes", "0",
@@ -228,6 +234,38 @@ class TestGas:
                     "--out", str(tmp_path / "f.csv")]) == 2
         assert "refused" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestUnwritableOutput:
+    """A write that fails exits 1, names the output path and leaves no file behind."""
+
+    def refused(self, tmp_path, capsys, argv, path):
+        before = sorted(tmp_path.rglob("*"))
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert ".tmp" not in captured.err
+        assert "wrote" not in captured.out
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_gas_out_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        out.mkdir()
+        self.refused(tmp_path, capsys, ["gas", "--particles", "16", "--steps", "2",
+                                        "--modes", "0", "--out", str(out)], out)
+
+    def test_gas_spectrum_path_is_a_directory(self, tmp_path, capsys):
+        spectrum = tmp_path / "spec" / "x.spectrum.csv"
+        spectrum.mkdir(parents=True)
+        # the trajectory CSV is written first and must be removed again
+        self.refused(tmp_path, capsys, ["gas", "--particles", "16", "--steps", "2",
+                                        "--modes", "1", "--out",
+                                        str(tmp_path / "spec" / "x.csv")], spectrum)
+
+    def test_tree_out_parent_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "F").write_text("")
+        out = tmp_path / "F" / "t.csv"
+        self.refused(tmp_path, capsys, ["tree", "--stages", "2", "--out", str(out)], out)
 
 
 class TestSpectrum:
@@ -371,19 +409,22 @@ def test_readme_lists_the_frozen_csv_schemas():
 
 
 class TestVerify:
-    def test_quick_passes(self, capsys):
-        assert run(["verify", "--quick"]) == 0
+    def test_all_checks_pass(self, capsys):
+        assert run(["verify"]) == 0
         out = capsys.readouterr().out
         assert "PASS lambda-plus" in out
         assert "FAIL" not in out
+        assert "all 17 checks passed" in out
 
     def test_corrupt_hook_names_failure(self, capsys, monkeypatch):
         exact = tree.gas_dilation
         monkeypatch.setattr(tree, "gas_dilation", lambda run: 1.001 * exact(run))
-        assert run(["verify", "--quick"]) == 3
+        assert run(["verify"]) == 3
         out = capsys.readouterr().out
         assert "FAIL gas-dilation:" in out
         assert out.count("FAIL") == 2  # the failing line plus the summary
+        assert "all 17 checks passed" not in out
+        assert out.count("PASS ") == 16  # every other check still runs
 
 
 def test_usage_error_exit_code():

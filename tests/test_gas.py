@@ -31,11 +31,6 @@ class TestInitGas:
         with pytest.raises(ValueError):
             RunConfig(n_particles=1, steps=0)
 
-    def test_twin_cap_enforced(self, model):
-        config = RunConfig(n_particles=2**17, steps=0, twin=True)
-        with pytest.raises(MemoryError):
-            gas.init_gas(config, model)
-
 
 class TestStep:
     def test_zero_tangents_stay_zero(self, model):

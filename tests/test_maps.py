@@ -243,3 +243,23 @@ def test_wrap_unit_maps_into_unit_interval(values):
     assert np.all((0.0 <= out) & (out < 1.0))
     assert out.tobytes() == wrap_reference(a).tobytes()
 
+
+def torus_diff_reference(a, b):
+    """The minimal image as % 1.0 shifted by one half, with d = 0.5 folded to -0.5."""
+    d = (a - b + 0.5) % 1.0 - 0.5
+    return np.where(d >= 0.5, d - 1.0, d)
+
+
+torus_pairs = st.lists(st.tuples(st.floats(min_value=-4.0, max_value=4.0),
+                                 st.floats(min_value=-4.0, max_value=4.0)),
+                       min_size=1, max_size=8)
+
+
+@given(torus_pairs)
+@example([(0.5, 0.0), (0.0, 0.5), (0.75, 0.25), (0.25, 0.75)])
+@example([(math.nextafter(0.5, k), 0.0) for k in (-math.inf, math.inf)]
+         + [(math.nextafter(-0.5, k), 0.0) for k in (-math.inf, math.inf)])
+@example([(1e-20, 0.0), (-1e-20, 0.0), (0.0, 1e-20), (0.0, -1e-20)])
+def test_torus_diff_matches_two_step_formula(pairs):
+    a, b = np.array(pairs).T
+    assert maps.torus_diff_arrays(a, b).tobytes() == torus_diff_reference(a, b).tobytes()
