@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,8 @@ GAS_CSV_COLUMNS = ["t", "affected", "norm", "max_disp", "median_disp", "twin_dis
 SPECTRUM_CSV_COLUMNS = ["t", "m1", "m2", "re_ntilde", "im_ntilde", "delta_twin", "delta_linear"]
 # Columns of the schemas above that print as integers; all others are floats.
 INTEGER_COLUMNS = frozenset({"stage", "n1", "n2", "t", "affected", "m1", "m2"})
+# CSV lines joined, hashed and written at a time (about 1 MB of tree rows)
+CSV_CHUNK_ROWS = 16384
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,8 +80,8 @@ def _manifest(command: str, params: dict, seed=None, matrix=None) -> dict:
     return manifest
 
 
-def _write_atomic(path: Path, *chunks: str) -> None:
-    """Write the chunks to a temporary sibling file, then rename it over `path`.
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the byte chunks to a temporary sibling file, then rename it over `path`.
 
     The parent directory is made first.  A failed write leaves no partial
     file at `path`.
@@ -86,7 +89,7 @@ def _write_atomic(path: Path, *chunks: str) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
@@ -94,48 +97,73 @@ def _write_atomic(path: Path, *chunks: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _write_csv(path: Path, manifest: dict, columns: list[str], rows) -> str:
+def _write_csv(path: Path, manifest: dict, columns: list[str], rows, order) -> str:
     """Write manifest header + CSV; return the sha256 of the CSV body.
 
     Each row is a tuple with one value per column.  Integer columns print
-    with %d, the others with 17 significant digits (%.17g).
+    with %d, the others with 17 significant digits (%.17g).  Each row is
+    formatted once, and the body lists rows[k] for each k of `order`, so a
+    row may appear many times or not at all.  The body is written and
+    hashed CSV_CHUNK_ROWS lines at a time, so it is never held whole.
     """
     template = ",".join("%d" if name in INTEGER_COLUMNS else "%.17g"
                         for name in columns) + "\n"
-    body = "".join([",".join(columns) + "\n"] + [template % row for row in rows])
-    header = "# " + json.dumps(manifest, sort_keys=True) + "\n"
-    _write_atomic(path, header, body)
-    return hashlib.sha256(body.encode()).hexdigest()
+    lines = [template % row for row in rows]
+    digest = hashlib.sha256()
+
+    def hashed(text: str) -> bytes:
+        data = text.encode()
+        digest.update(data)
+        return data
+
+    def chunks():
+        yield ("# " + json.dumps(manifest, sort_keys=True) + "\n").encode()
+        yield hashed(",".join(columns) + "\n")
+        for start in range(0, len(order), CSV_CHUNK_ROWS):
+            yield hashed("".join([lines[k] for k in order[start:start + CSV_CHUNK_ROWS]]))
+
+    _write_atomic(path, chunks())
+    return digest.hexdigest()
 
 
 def _write_summary(path: Path, manifest: dict, summary: dict,
                    digests: dict[str, str]) -> None:
     payload = {"manifest": manifest, "summary": summary, "output_digests": digests}
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
-def _write_results(out: Path, manifest: dict, summary: dict, tables) -> None:
-    """Write each (path, columns, rows) CSV table, then out's summary with their digests.
+def _write_files(files) -> None:
+    """Call each (path, write) pair in order; write() puts the file at path.
 
     The `wrote` lines are printed once every file is in place.  An OSError
     removes the files already written and is raised as a ValueError naming
-    the output path, so the run exits 1 with nothing left behind.
+    the path that failed, so the run exits 1 with nothing left behind.
     """
     written: list[Path] = []
-    digests: dict[str, str] = {}
     try:
-        for path, columns, rows in tables:
-            digests[path.name] = _write_csv(path, manifest, columns, rows)
+        for path, write in files:
+            write()
             written.append(path)
-        path = out.with_suffix(".summary.json")
-        _write_summary(path, manifest, summary, digests)
-        written.append(path)
     except OSError as exc:
         for done in written:
             done.unlink(missing_ok=True)
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
     for done in written:
         print(f"wrote {done}")
+
+
+def _write_results(out: Path, manifest: dict, summary: dict, tables) -> None:
+    """Write each (path, columns, rows, order) CSV table, then out's summary
+    with their digests, through _write_files."""
+    digests: dict[str, str] = {}
+
+    def write_table(path, columns, rows, order):
+        digests[path.name] = _write_csv(path, manifest, columns, rows, order)
+
+    summary_path = out.with_suffix(".summary.json")
+    _write_files([(table[0], partial(write_table, *table)) for table in tables]
+                 + [(summary_path, partial(_write_summary, summary_path, manifest,
+                                           summary, digests))])
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
@@ -219,7 +247,7 @@ def cmd_tree(args) -> int:
         summary["geometric_mean_dilation"] = geo
         summary["arithmetic_mean_dilation"] = arith
         summary["gas_dilation"] = tree.gas_dilation(run)
-        tables.append((out, TREE_CSV_COLUMNS, tree.leaf_records(run)))
+        tables.append((out, TREE_CSV_COLUMNS, *tree.leaf_records(run)))
 
     _write_results(out, manifest, summary, tables)
     return EXIT_OK
@@ -293,8 +321,8 @@ def cmd_gas(args) -> int:
     for _ in states:  # runs the gas when no mode pass has drawn the states
         pass
 
-    rows = zip(range(args.steps + 1), traj.affected_count, traj.norm, traj.max_disp,
-               traj.median_disp, traj.twin_dist)
+    rows = list(zip(range(args.steps + 1), traj.affected_count, traj.norm, traj.max_disp,
+                    traj.median_disp, traj.twin_dist))
 
     t_s = gas.significance_time(traj)
     t_sat = traj.saturation_step
@@ -303,7 +331,7 @@ def cmd_gas(args) -> int:
         "saturation_step": None if math.isinf(t_sat) else t_sat,
     }
 
-    outputs = [(out, GAS_CSV_COLUMNS, rows)]
+    outputs = [(out, GAS_CSV_COLUMNS, rows, range(len(rows)))]
     if all_series:
         window = spectral.default_fit_window(traj)
         summary["fit_window"] = list(window)
@@ -321,7 +349,7 @@ def cmd_gas(args) -> int:
                     twin_mag, abs(series.deltas_linear[t]),
                 ))
         outputs.append((out.with_suffix(".spectrum.csv"), SPECTRUM_CSV_COLUMNS,
-                        spectrum_rows))
+                        spectrum_rows, range(len(spectrum_rows))))
 
     _write_results(out, manifest, summary, outputs)
     return EXIT_OK
@@ -398,8 +426,8 @@ def cmd_spectrum(args) -> int:
     }
     if args.out:
         out = _resolve_out(args.out)
-        _write_atomic(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {out}")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _write_files([(out, partial(_write_atomic, out, [text.encode()]))])
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK

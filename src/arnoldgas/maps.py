@@ -149,27 +149,34 @@ def default_model() -> CollisionModel:
     return _DEFAULT_MODEL
 
 
+def apply_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """matrix @ row for every row of an (n, 2) array.
+
+    Written as explicit multiply-adds per component, so each output row is a
+    function of its own input row alone and rounds the same way whatever the
+    batch (a matrix product through BLAS does not).
+    """
+    (k00, k01), (k10, k11) = matrix
+    out = np.empty(rows.shape)
+    out[:, 0] = k00 * rows[:, 0] + k01 * rows[:, 1]
+    out[:, 1] = k10 * rows[:, 0] + k11 * rows[:, 1]
+    return out
+
+
 def collide_linear(
     model: CollisionModel, x0: np.ndarray, x1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pair update without mod-1 reduction, over (n, 2) arrays.
 
-    With s = K- (x1 - x0), x0' = x0 + s and x1' = x1 - s.  s is written as
-    explicit multiply-adds per component, so each output row is a function
-    of its own input row alone and rounds the same way whatever the batch
-    (a matrix product through BLAS does not).  x1 - x0 is the plain
-    difference of the stored values, not a minimal image: K+- have
-    half-integer entries, so the collision depends on the lift.
+    With s = K- (x1 - x0), x0' = x0 + s and x1' = x1 - s, each row on its
+    own (see apply_rows).  x1 - x0 is the plain difference of the stored
+    values, not a minimal image: K+- have half-integer entries, so the
+    collision depends on the lift.
 
     This is the whole collision for tangent vectors; phase points wrap its
     result (see collide_arrays).
     """
-    (k00, k01), (k10, k11) = model.k_minus
-    d0 = x1[:, 0] - x0[:, 0]
-    d1 = x1[:, 1] - x0[:, 1]
-    s = np.empty(x0.shape)
-    s[:, 0] = k00 * d0 + k01 * d1
-    s[:, 1] = k10 * d0 + k11 * d1
+    s = apply_rows(model.k_minus, x1 - x0)
     return x0 + s, x1 - s
 
 

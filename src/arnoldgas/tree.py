@@ -16,6 +16,12 @@ aggregates:
   geometric mean dilation  |kp*km|^{n/2}      (~ 1.2097627^n for the default)
   arithmetic mean dilation ((|kp|+|km|)/2)^n
   whole-gas dilation       (kp^2 + km^2)^{n/2} >= 2^{n/2}
+
+The leaves are stored by distinct value: the 2^n leaves take n + 1 values
+in exact arithmetic and a few hundred distinct bit patterns in floating
+point, so a run keeps those rows once plus a 2^n-entry index of each leaf's
+row (see run_tree).  Every product is an explicit multiply-add per
+component, so the leaf bits do not depend on the BLAS build or kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .maps import CollisionModel, check_epsilon
+from .maps import CollisionModel, apply_rows, check_epsilon
 
 DEFAULT_MAX_STAGES = 24
 
@@ -36,29 +42,68 @@ class MemoryBudgetError(MemoryError):
 
 @dataclass
 class TreeRun:
-    """All 2^n leaves of an n-stage collision tree with exact tangents."""
+    """The 2^n leaves of an n-stage collision tree, stored by distinct value.
+
+    `distinct` holds each distinct leaf displacement once, with its n1 count
+    in `distinct_n1`, and `leaf[i]` is the row of leaf i in `distinct`.
+    `displacements`, `n1` and `n2` are the per-leaf views, gathered through
+    `leaf` on each access.
+    """
 
     stages: int
     epsilon: float
-    n1: np.ndarray = field(repr=False)  # (2^n,) direct-collision counts
-    displacements: np.ndarray = field(repr=False)  # (2^n, 2) tangent vectors
+    distinct: np.ndarray = field(repr=False)  # (k, 2) distinct tangent vectors
+    distinct_n1: np.ndarray = field(repr=False)  # (k,) their direct-collision counts
+    leaf: np.ndarray = field(repr=False)  # (2^n,) row of each leaf in `distinct`
 
     @property
     def n_leaves(self) -> int:
-        return self.displacements.shape[0]
+        return self.leaf.shape[0]
+
+    @property
+    def displacements(self) -> np.ndarray:
+        return self.distinct[self.leaf]
+
+    @property
+    def n1(self) -> np.ndarray:
+        return self.distinct_n1[self.leaf]
 
     @property
     def n2(self) -> np.ndarray:
         return self.stages - self.n1
 
 
+def _distinct_rows(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first index of each distinct row, row of each input among them).
+
+    Rows are keyed on the bit patterns of their floats and on their integer
+    label, not compared as floats, so -0.0 and 0.0 stay apart and so do NaNs
+    of different payloads, while rows of identical bits always merge.
+    """
+    keys = np.column_stack([rows.view(np.int64), labels])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
 def run_tree(model: CollisionModel, stages: int, epsilon: float) -> TreeRun:
-    """Expand the collision tree to `stages` stages with explicit leaves.
+    """Expand the collision tree to `stages` stages over its distinct leaves.
 
     The root displacement is epsilon * xi_plus.  Each stage maps every leaf
     displacement d to the pair (K+ d, K- d): the direct factor goes to the
-    incumbent particle, the switch factor to the fresh partner.  Refuses
-    stage counts over DEFAULT_MAX_STAGES, whose 2^n leaves would not fit.
+    incumbent particle, the switch factor to the fresh partner, and the
+    leaves of the next stage are the direct children of all leaves followed
+    by their switch children.  Both factors act on the distinct rows only,
+    row by row (maps.apply_rows), so every leaf gets the bits that a full
+    per-leaf expansion would give it; the candidates are then merged on
+    their bits and n1 counts, and `leaf` is remapped through the merge.
+
+    In exact arithmetic a leaf is kp^n1 km^n2 epsilon xi_plus, so the 2^n
+    leaves take only n + 1 values.  Paths to the same value differ only in
+    their rounding, a spread of a few ulps that widens slowly with the
+    stage, so k grows about as n^2 / 2 (170 rows at 18 stages, 299 at 24
+    with the default matrix), not as 2^n.  A stage costs O(k) arithmetic
+    plus the O(2^n) remap of `leaf`.  Refuses stage counts over
+    DEFAULT_MAX_STAGES, whose 2^n leaves would not fit in the output.
     """
     if stages < 0:
         raise ValueError("stages must be >= 0")
@@ -69,19 +114,23 @@ def run_tree(model: CollisionModel, stages: int, epsilon: float) -> TreeRun:
             f"budget of {DEFAULT_MAX_STAGES} stages; use closed-form aggregates instead"
         )
 
-    displacements = (epsilon * model.xi_plus).reshape(1, 2)
-    n1 = np.zeros(1, dtype=np.int64)
+    distinct = (epsilon * model.xi_plus).reshape(1, 2)
+    distinct_n1 = np.zeros(1, dtype=np.int64)
+    leaf = np.zeros(1, dtype=np.intp)
     for _ in range(stages):
-        direct = displacements @ model.k_plus.T
-        switch = displacements @ model.k_minus.T
-        displacements = np.concatenate([direct, switch])
-        n1 = np.concatenate([n1 + 1, n1])
+        candidates = np.concatenate([apply_rows(model.k_plus, distinct),
+                                     apply_rows(model.k_minus, distinct)])
+        candidate_n1 = np.concatenate([distinct_n1 + 1, distinct_n1])
+        first, inverse = _distinct_rows(candidates, candidate_n1)
+        leaf = np.concatenate([inverse[:len(distinct)][leaf], inverse[len(distinct):][leaf]])
+        distinct, distinct_n1 = candidates[first], candidate_n1[first]
 
     return TreeRun(
         stages=stages,
         epsilon=epsilon,
-        n1=n1,
-        displacements=displacements,
+        distinct=distinct,
+        distinct_n1=distinct_n1,
+        leaf=leaf,
     )
 
 
@@ -90,10 +139,12 @@ def mean_dilations(run: TreeRun) -> tuple[float, float]:
 
     The geometric mean equals |kp*km|^{n/2} (binomial symmetry puts the
     mean n1 at n/2) and the arithmetic mean equals ((|kp|+|km|)/2)^n.
+    Each norm and log is taken once per distinct row; the means sum the
+    per-leaf values over all 2^n leaves in leaf order.
     """
-    mags = np.linalg.norm(run.displacements, axis=1) / run.epsilon
-    geometric = float(np.exp(np.mean(np.log(mags))))
-    arithmetic = float(np.mean(mags))
+    mags = np.linalg.norm(run.distinct, axis=1) / run.epsilon
+    geometric = float(np.exp(np.mean(np.log(mags)[run.leaf])))
+    arithmetic = float(np.mean(mags[run.leaf]))
     return geometric, arithmetic
 
 
@@ -105,8 +156,11 @@ def mean_dilations_closed(model: CollisionModel, stages: int) -> tuple[float, fl
 
 
 def gas_dilation(run: TreeRun) -> float:
-    """Whole-gas dilation sqrt(sum of squared leaf displacements) / eps."""
-    return float(np.sqrt(np.sum(run.displacements**2)) / run.epsilon)
+    """Whole-gas dilation sqrt(sum of squared leaf displacements) / eps.
+
+    Squares once per distinct row and sums over all leaves in leaf order.
+    """
+    return float(np.sqrt(np.sum((run.distinct**2)[run.leaf])) / run.epsilon)
 
 
 def gas_dilation_closed(model: CollisionModel, stages: int) -> float:
@@ -119,8 +173,14 @@ def gas_dilation_bound(stages: int) -> float:
     return 2.0 ** (stages / 2.0)
 
 
-def leaf_records(run: TreeRun) -> list[tuple[int, int, int, float, float, float]]:
-    """Per-leaf rows (stage, n1, n2, dx, dp, |d|) for CSV output."""
-    dx, dp = run.displacements.T.tolist()
-    norms = np.linalg.norm(run.displacements, axis=1).tolist()
-    return list(zip(repeat(run.stages), run.n1.tolist(), run.n2.tolist(), dx, dp, norms))
+def leaf_records(run: TreeRun) -> tuple[list[tuple[int, int, int, float, float, float]],
+                                        list[int]]:
+    """CSV rows (stage, n1, n2, dx, dp, |d|) of the distinct leaves, and `leaf`.
+
+    The CSV lists leaf i as row leaf[i], so each distinct row is formatted once.
+    """
+    dx, dp = run.distinct.T.tolist()
+    norms = np.linalg.norm(run.distinct, axis=1).tolist()
+    n1 = run.distinct_n1.tolist()
+    n2 = (run.stages - run.distinct_n1).tolist()
+    return list(zip(repeat(run.stages), n1, n2, dx, dp, norms)), run.leaf.tolist()

@@ -1,12 +1,19 @@
+import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from arnoldgas import cli, gas, spectral, tree
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -88,6 +95,25 @@ class TestTree:
         assert not out.exists()
         summary = read_summary(tmp_path / "big.summary.json")["summary"]
         assert summary["gas_dilation_closed"] >= 2 ** 20
+
+    def test_bytes_independent_of_blas_kernel(self, tmp_path):
+        # OPENBLAS_CORETYPE picks OpenBLAS's kernel for one process; the leaves
+        # are products written as multiply-adds, so no kernel can change a byte
+        outputs = []
+        for name, coretype in [("default", None), ("prescott", "Prescott")]:
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_CORETYPE", cli.OUTDIR_ENV)}
+            env["PYTHONPATH"] = str(SRC)
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            (tmp_path / name).mkdir()
+            result = subprocess.run([sys.executable, "-m", "arnoldgas.cli", "tree",
+                                     "--stages", "12", "--out", "t.csv"],
+                                    cwd=tmp_path / name, env=env, capture_output=True,
+                                    text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            outputs.append((tmp_path / name / "t.summary.json").read_text())
+        assert outputs[0] == outputs[1]
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
@@ -267,6 +293,15 @@ class TestUnwritableOutput:
         out = tmp_path / "F" / "t.csv"
         self.refused(tmp_path, capsys, ["tree", "--stages", "2", "--out", str(out)], out)
 
+    def test_spectrum_out_is_a_directory(self, tmp_path, capsys):
+        assert run(["gas", "--particles", "16", "--steps", "4", "--modes", "1",
+                    "--out", str(tmp_path / "g.csv")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "D"
+        out.mkdir()
+        self.refused(tmp_path, capsys, ["spectrum", "--in", str(tmp_path / "g.spectrum.csv"),
+                                        "--out", str(out)], out)
+
 
 class TestSpectrum:
     def test_refit_from_saved_csv(self, tmp_path, capsys):
@@ -367,6 +402,21 @@ def expected_body(columns, n_integer, rows):
 
 class TestCellFormat:
     """Each CSV body against the library arrays it prints, formatted here."""
+
+    @pytest.mark.parametrize("chunk_rows", [2, cli.CSV_CHUNK_ROWS])
+    def test_repeated_rows_in_any_order(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        # rows 0 and 1 differ only in the sign of zero, rows 2 and 3 are equal
+        rows = [(1, 0.0, 0.5), (1, -0.0, 0.5), (2, math.nan, -1e-300),
+                (2, math.nan, -1e-300), (3, 1 / 3, math.inf)]
+        order = [4, 1, 1, 0, 2, 4, 3, 0, 1]
+        columns = ["t", "x", "y"]
+        out = tmp_path / "r.csv"
+        digest = cli._write_csv(out, {}, columns, rows, order)
+        body = out.read_text().split("\n", 1)[1]
+        assert body == "t,x,y\n" + "".join("%d,%.17g,%.17g\n" % rows[k] for k in order)
+        assert body.splitlines()[2:5] == ["1,-0,0.5", "1,-0,0.5", "1,0,0.5"]
+        assert digest == hashlib.sha256(body.encode()).hexdigest()
 
     def test_tree_cells(self, tmp_path, model):
         out = tmp_path / "t.csv"

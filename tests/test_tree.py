@@ -56,6 +56,51 @@ class TestRunTree:
             tree.run_tree(model, 3, 0.0)
 
 
+def full_expansion(model, stages, eps):
+    """Every leaf of the tree, one row per leaf, as explicit multiply-adds."""
+    def times(k, d):
+        return np.column_stack([k[0, 0] * d[:, 0] + k[0, 1] * d[:, 1],
+                                k[1, 0] * d[:, 0] + k[1, 1] * d[:, 1]])
+
+    d = (eps * model.xi_plus).reshape(1, 2)
+    n1 = np.zeros(1, dtype=np.int64)
+    for _ in range(stages):
+        d = np.concatenate([times(model.k_plus, d), times(model.k_minus, d)])
+        n1 = np.concatenate([n1 + 1, n1])
+    return d, n1
+
+
+class TestDistinctLeaves:
+    """The distinct-leaf tree expands to the bits of a full per-leaf expansion."""
+
+    @pytest.mark.parametrize("matrix", [[[1, 1], [1, 2]], [[2, 1], [1, 1]]],
+                             ids=["default", "2,1,1,1"])
+    @pytest.mark.parametrize("eps", [1e-9, 1.0])
+    def test_expands_to_full_oracle_bitwise(self, matrix, eps):
+        model = maps.spectral_decompose(matrix)
+        for stages in range(15):
+            run = tree.run_tree(model, stages, eps)
+            d, n1 = full_expansion(model, stages, eps)
+            assert run.n_leaves == 2**stages
+            assert np.array_equal(run.displacements.view(np.uint64), d.view(np.uint64)), stages
+            assert np.array_equal(run.n1, n1), stages
+            assert len(run.distinct) <= 2 * stages**2 + 1, stages
+
+    def test_rows_keyed_on_bits_and_label(self):
+        nan_a = np.float64(math.nan)
+        nan_b = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [nan_a, 1.0], [nan_b, 1.0],
+                         [0.0, 1.0], [nan_a, 1.0], [0.0, 1.0]])
+        labels = np.array([0, 0, 0, 0, 0, 0, 1])
+        first, inverse = tree._distinct_rows(rows, labels)
+        assert len(first) == 5
+        groups = inverse.tolist()
+        assert groups[0] == groups[4]  # identical bits merge
+        assert groups[2] == groups[5]
+        assert len({groups[0], groups[1], groups[2], groups[3], groups[6]}) == 5
+        assert np.array_equal(rows[first][inverse].view(np.uint64), rows.view(np.uint64))
+
+
 class TestPathDilation:
     """|d| / eps of a leaf is the product of |kp| per direct and |km| per switch."""
 
