@@ -30,7 +30,7 @@ def main() -> None:
         config = gas.RunConfig(n_particles=args.particles, steps=args.steps,
                                seed=seed, pairing=args.pairing)
         traj, states = gas.with_diagnostics(config, gas.evolve(config, model))
-        series = spectral.delta_series(states, mode)
+        series = spectral.delta_series(states, [mode])[0]
         window = spectral.default_fit_window(traj)
         fit = spectral.fit_growth(series.deltas_linear, window)
         est = spectral.exponent_estimate(series, model, window[1])

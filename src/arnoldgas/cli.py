@@ -317,7 +317,7 @@ def cmd_gas(args) -> int:
     if args.modes > 0:
         modes = spectral.enumerate_modes(args.modes)
         with ThreadPoolExecutor(max_workers=args.threads or os.cpu_count() or 1) as pool:
-            all_series = spectral.mode_series(states, modes, executor=pool)
+            all_series = spectral.delta_series(states, modes, executor=pool)
     for _ in states:  # runs the gas when no mode pass has drawn the states
         pass
 

@@ -80,7 +80,7 @@ def _unit_eigenvector(m: np.ndarray, eigenvalue: float) -> np.ndarray:
         v = np.array([m[0, 1], eigenvalue - m[0, 0]])
     else:
         v = np.array([eigenvalue - m[1, 1], m[1, 0]])
-    v = v / np.linalg.norm(v)
+    v = v / math.sqrt(v[0] * v[0] + v[1] * v[1])
     if v[0] < 0 or (v[0] == 0 and v[1] < 0):
         v = -v
     return v

@@ -11,8 +11,10 @@ simulation against the reference, and the tangent-linear estimate
 
     Delta ntilde_k(t) ~= (-i/N) sum_i exp(-i k . X_i(t)) (k . dX_i(t)).
 
-`mode_series` computes every requested mode in one pass over a run's gas
-states, one row per state, so it can read them as `gas.evolve` yields them.
+`delta_series` computes every requested mode in one pass over a run's gas
+states, one row per state, so it can read them as `gas.evolve` yields them;
+perfbench traces it under that name.  k . v is written once, in
+`ModeIndex.k_dot`, as multiply-adds, so no output byte depends on BLAS.
 Because k = 2*pi*(m1, m2) with integer m, each wave factorises as
 exp(-i k . X) = z_x**m1 * z_p**m2 with z = exp(-2*pi*i*coord): two `exp`
 calls per row serve every mode, positive powers come from repeated
@@ -56,9 +58,9 @@ class ModeIndex(NamedTuple):
     m1: int
     m2: int
 
-    @property
-    def is_zero(self) -> bool:
-        return self.m1 == 0 and self.m2 == 0
+    def k_dot(self, v) -> np.ndarray:
+        """k . v over the last axis of v, as multiply-adds."""
+        return TWO_PI * (self.m1 * v[..., 0] + self.m2 * v[..., 1])
 
 
 def enumerate_modes(max_order: int) -> list[ModeIndex]:
@@ -76,8 +78,7 @@ def fourier_component(points, mode: ModeIndex) -> complex:
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise ValueError("need at least one particle")
-    phase = TWO_PI * (pts @ np.array([mode.m1, mode.m2], dtype=float))
-    return complex(np.exp(-1j * phase).sum())
+    return complex(np.exp(-1j * mode.k_dot(pts)).sum())
 
 
 @dataclass
@@ -116,8 +117,8 @@ def _waves(points: np.ndarray, modes: Sequence[ModeIndex]) -> Iterator[np.ndarra
             yield zx[mode.m1] * zp[mode.m2]
 
 
-def mode_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
-                executor: Executor | None = None) -> list[SpectrumSeries]:
+def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
+                 executor: Executor | None = None) -> list[SpectrumSeries]:
     """Per-step perturbation of every mode, tangent-linear and (when possible) exact.
 
     `states` are one run's states at t = 0, 1, ..., each read once; the exact
@@ -126,14 +127,13 @@ def mode_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
     states are drawn, and the rows are reassembled in order, so the result
     does not depend on the worker count.
     """
-    if any(mode.is_zero for mode in modes):
+    if (0, 0) in modes:
         raise ValueError("the zero mode is the conserved normalization; pick a nonzero mode")
     states = iter(states)
     first = next(states, None)
     if first is None:
         raise ValueError("mode analysis needs at least one gas state")
     n, has_twin = first.n_particles, first.twin_points is not None
-    kvecs = [TWO_PI * np.array([mode.m1, mode.m2], dtype=float) for mode in modes]
 
     def row(state: GasState) -> np.ndarray:
         """Unnormalised (values, linear, twin, phase) sums of one state, one column per mode."""
@@ -143,10 +143,10 @@ def mode_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
                       if has_twin else repeat(None))
         sums = np.zeros((4, len(modes)), dtype=complex)
         waves = _waves(state.points, modes)
-        for j, (kvec, wave, twin_wave) in enumerate(zip(kvecs, waves, twin_waves)):
+        for j, (mode, wave, twin_wave) in enumerate(zip(modes, waves, twin_waves)):
             affected_wave = wave[affected]
             sums[0, j] = wave.sum()
-            sums[1, j] = (affected_wave * (tangents @ kvec)).sum()
+            sums[1, j] = (affected_wave * mode.k_dot(tangents)).sum()
             if twin_wave is not None:
                 sums[2, j] = (twin_wave - affected_wave).sum()
             sums[3, j] = affected_wave.sum()
@@ -162,11 +162,6 @@ def mode_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
                            phase_sums=phase[j],
                            deltas_twin=None if twin is None else twin[j])
             for j, mode in enumerate(modes)]
-
-
-def delta_series(states: Iterable[GasState], mode: ModeIndex) -> SpectrumSeries:
-    """`mode_series` for a single mode."""
-    return mode_series(states, [mode])[0]
 
 
 @dataclass(frozen=True)
@@ -200,8 +195,7 @@ def exponent_estimate(series: SpectrumSeries, model: CollisionModel,
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    kvec = TWO_PI * np.array([series.mode.m1, series.mode.m2], dtype=float)
-    phase_sum = series.phase_sums[t] * float(kvec @ model.xi_plus)
+    phase_sum = series.phase_sums[t] * float(series.mode.k_dot(model.xi_plus))
     term2 = exponent_term2(model)
     if phase_sum == 0:
         return ExponentEstimate(lam=math.nan, term1=math.nan, term2=term2, degenerate=True)
@@ -233,11 +227,14 @@ def fit_growth(deltas: Sequence[complex] | np.ndarray,
         raise ValueError("fit window contains zeros of |delta|; shrink the window")
     ts = np.arange(t_a, t_b + 1, dtype=float)
     ys = np.log(mags)
-    slope, intercept = np.polyfit(ts, ys, 1)
+    t_mean, y_mean = ts.mean(), ys.mean()
+    dt = ts - t_mean
+    slope = float(np.sum(dt * (ys - y_mean)) / np.sum(dt * dt))
+    intercept = float(y_mean - slope * t_mean)
     resid = ys - (slope * ts + intercept)
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    ss_tot = float(np.sum((ys - y_mean) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return GrowthFit(slope=float(slope), intercept=float(intercept), r2=r2)
+    return GrowthFit(slope=slope, intercept=intercept, r2=r2)
 
 
 def default_fit_window(trajectory: Trajectory) -> tuple[int, int]:

@@ -83,7 +83,7 @@ def test_criterion_7_fluctuation_growth(model):
     for seed in range(100):
         config = RunConfig(n_particles=2**16, steps=16, seed=seed, pairing="tree")
         traj, states = gas.with_diagnostics(config, gas.evolve(config, model))
-        series = spectral.delta_series(states, ModeIndex(1, 0))
+        series = spectral.delta_series(states, [ModeIndex(1, 0)])[0]
         window = spectral.default_fit_window(traj)
         fit = spectral.fit_growth(series.deltas_linear, window)
         slopes.append(fit.slope)

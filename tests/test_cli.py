@@ -96,9 +96,15 @@ class TestTree:
         summary = read_summary(tmp_path / "big.summary.json")["summary"]
         assert summary["gas_dilation_closed"] >= 2 ** 20
 
-    def test_bytes_independent_of_blas_kernel(self, tmp_path):
-        # OPENBLAS_CORETYPE picks OpenBLAS's kernel for one process; the leaves
-        # are products written as multiply-adds, so no kernel can change a byte
+    @pytest.mark.parametrize("argv", [
+        ["tree", "--stages", "12"],
+        ["gas", "--particles", "4096", "--steps", "12", "--pairing", "tree",
+         "--twin", "on", "--modes", "2", "--threads", "1", "--seed", "1"],
+    ], ids=["tree", "gas"])
+    def test_bytes_independent_of_blas_kernel(self, tmp_path, argv):
+        # OPENBLAS_CORETYPE picks OpenBLAS's kernel for one process; every
+        # product behind an output is written as multiply-adds and the growth
+        # fit is closed-form, so no kernel can change a byte of any file
         outputs = []
         for name, coretype in [("default", None), ("prescott", "Prescott")]:
             env = {k: v for k, v in os.environ.items()
@@ -107,12 +113,14 @@ class TestTree:
             if coretype:
                 env["OPENBLAS_CORETYPE"] = coretype
             (tmp_path / name).mkdir()
-            result = subprocess.run([sys.executable, "-m", "arnoldgas.cli", "tree",
-                                     "--stages", "12", "--out", "t.csv"],
+            result = subprocess.run([sys.executable, "-m", "arnoldgas.cli", *argv,
+                                     "--out", "o.csv"],
                                     cwd=tmp_path / name, env=env, capture_output=True,
                                     text=True, timeout=120)
             assert result.returncode == 0, result.stderr
-            outputs.append((tmp_path / name / "t.summary.json").read_text())
+            outputs.append({path.name: path.read_bytes()
+                            for path in sorted((tmp_path / name).iterdir())})
+        assert len(outputs[0]) >= 2
         assert outputs[0] == outputs[1]
 
     def test_outdir_env(self, tmp_path, monkeypatch):
@@ -216,22 +224,19 @@ class TestGas:
         assert len(csv_body(out).splitlines()) == 1 + 1
 
     def test_each_mode_series_computed_once(self, tmp_path, monkeypatch):
-        mode_calls, delta_calls = [], []
-        original = spectral.mode_series
+        mode_calls = []
+        original = spectral.delta_series
 
         def counting(*args, **kwargs):
             mode_calls.append(list(args[1]))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(spectral, "mode_series", counting)
-        monkeypatch.setattr(spectral, "delta_series",
-                            lambda *args, **kwargs: delta_calls.append(args[1]))
+        monkeypatch.setattr(spectral, "delta_series", counting)
         assert run(["gas", "--particles", "64", "--steps", "6", "--modes", "2",
                     "--threads", "2", "--out", str(tmp_path / "s.csv")]) == 0
         assert len(mode_calls) == 1
         assert sorted(mode_calls[0]) == sorted(spectral.enumerate_modes(2))
         assert len(mode_calls[0]) == 24
-        assert delta_calls == []
 
     def test_exponent_estimate_matches_affected_wave_oracle(self, tmp_path, model):
         out = tmp_path / "x.csv"
@@ -255,7 +260,7 @@ class TestGas:
         def out_of_memory(*args, **kwargs):
             raise MemoryError("mode analysis ran out of memory")
 
-        monkeypatch.setattr(spectral, "mode_series", out_of_memory)
+        monkeypatch.setattr(spectral, "delta_series", out_of_memory)
         assert run(["gas", "--particles", "64", "--steps", "6", "--modes", "2",
                     "--out", str(tmp_path / "f.csv")]) == 2
         assert "refused" in capsys.readouterr().err
@@ -443,8 +448,8 @@ class TestCellFormat:
 
         rows = [(t, s.mode.m1, s.mode.m2, s.values[t].real, s.values[t].imag,
                  math.nan, abs(s.deltas_linear[t]))
-                for s in spectral.mode_series(gas.evolve(config, model),
-                                              spectral.enumerate_modes(1))
+                for s in spectral.delta_series(gas.evolve(config, model),
+                                               spectral.enumerate_modes(1))
                 for t in range(5)]
         body = csv_body(tmp_path / "g.spectrum.csv")
         assert body == expected_body(cli.SPECTRUM_CSV_COLUMNS, 3, rows)

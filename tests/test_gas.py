@@ -243,7 +243,7 @@ class TestRunPaired:
     @pytest.mark.parametrize("pairing", ["random", "tree"])
     @pytest.mark.parametrize("n", [255, 256])
     def test_unaffected_particles_carry_no_perturbation(self, model, pairing, n):
-        # spectral.mode_series sums tangents and twin differences over the
+        # spectral.delta_series sums tangents and twin differences over the
         # affected set only, which is exact because of these two facts
         config = RunConfig(n_particles=n, steps=7, seed=4, pairing=pairing, twin=True)
         states = list(gas.evolve(config, model))

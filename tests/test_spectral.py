@@ -47,13 +47,13 @@ class TestDeltaSeries:
         states = list(gas.evolve(RunConfig(n_particles=16, steps=4, seed=0), model))
         for state in states:
             state.tangents[:] = 0.0
-        series = spectral.delta_series(states, ModeIndex(1, 0))
+        series = spectral.delta_series(states, [ModeIndex(1, 0)])[0]
         assert np.all(series.deltas_linear == 0)
 
     def test_initial_single_particle_magnitude(self, model):
         eps = 1e-9
         config = RunConfig(n_particles=64, steps=2, epsilon=eps, seed=1)
-        series = spectral.delta_series(gas.evolve(config, model), ModeIndex(1, 0))
+        series = spectral.delta_series(gas.evolve(config, model), [ModeIndex(1, 0)])[0]
         kvec = 2 * math.pi * np.array([1.0, 0.0])
         expected = abs(kvec @ (eps * model.xi_plus)) / 64
         assert abs(series.deltas_linear[0]) == pytest.approx(expected, rel=1e-12)
@@ -61,20 +61,20 @@ class TestDeltaSeries:
     def test_zero_mode_rejected(self, model):
         states = gas.evolve(RunConfig(n_particles=8, steps=2, seed=0), model)
         with pytest.raises(ValueError, match="zero mode"):
-            spectral.delta_series(states, ModeIndex(0, 0))
+            spectral.delta_series(states, [ModeIndex(0, 0)])
 
     def test_no_states_rejected(self):
         with pytest.raises(ValueError, match="at least one gas state"):
-            spectral.delta_series([], ModeIndex(1, 0))
+            spectral.delta_series([], [ModeIndex(1, 0)])
 
     def test_normalization_mode_value(self, model):
         states = gas.evolve(RunConfig(n_particles=32, steps=3, seed=2), model)
-        series = spectral.delta_series(states, ModeIndex(1, 1))
+        series = spectral.delta_series(states, [ModeIndex(1, 1)])[0]
         assert np.all(np.abs(series.values) <= 1 + 1e-12)
 
     def test_linear_matches_twin(self, model):
         config = RunConfig(n_particles=64, steps=10, epsilon=1e-9, seed=6, twin=True)
-        series = spectral.delta_series(gas.evolve(config, model), ModeIndex(1, 0))
+        series = spectral.delta_series(gas.evolve(config, model), [ModeIndex(1, 0)])[0]
         for t in range(11):
             twin, lin = series.deltas_twin[t], series.deltas_linear[t]
             assert abs(lin - twin) < 1e-3 * max(abs(twin), 1e-15)
@@ -95,7 +95,7 @@ class TestModeSeries:
         states = list(gas.evolve(RunConfig(n_particles=200, steps=8, seed=3, twin=True), model))
         n = 200
         modes = spectral.enumerate_modes(8)
-        for series in spectral.mode_series(states, modes):
+        for series in spectral.delta_series(states, modes):
             mode = series.mode
             order = abs(mode.m1) + abs(mode.m2)
             kvec = 2 * math.pi * np.array([mode.m1, mode.m2], dtype=float)
@@ -118,7 +118,7 @@ class TestModeSeries:
         states = list(gas.evolve(config, model))
         n = config.n_particles
         worst_new = worst_full = 0.0
-        for series in spectral.mode_series(states, spectral.enumerate_modes(2)):
+        for series in spectral.delta_series(states, spectral.enumerate_modes(2)):
             mode = series.mode
             kvec = 2 * math.pi * np.array([mode.m1, mode.m2], dtype=float)
             for t, state in enumerate(states):
@@ -136,9 +136,9 @@ class TestModeSeries:
     def test_executor_gives_identical_result(self, model):
         states = list(gas.evolve(RunConfig(n_particles=128, steps=6, seed=2, twin=True), model))
         modes = spectral.enumerate_modes(2)
-        serial = spectral.mode_series(states, modes)
+        serial = spectral.delta_series(states, modes)
         with ThreadPoolExecutor(max_workers=4) as pool:
-            pooled = spectral.mode_series(states, modes, executor=pool)
+            pooled = spectral.delta_series(states, modes, executor=pool)
         assert_same_series(serial, pooled)
 
     @pytest.mark.parametrize("workers", [None, 2])
@@ -146,12 +146,12 @@ class TestModeSeries:
         # the gas advances while pool workers still read earlier states
         config = RunConfig(n_particles=255, steps=9, seed=4, pairing="tree", twin=True)
         modes = spectral.enumerate_modes(2)
-        from_list = spectral.mode_series(list(gas.evolve(config, model)), modes)
+        from_list = spectral.delta_series(list(gas.evolve(config, model)), modes)
         if workers is None:
-            streamed = spectral.mode_series(gas.evolve(config, model), modes)
+            streamed = spectral.delta_series(gas.evolve(config, model), modes)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                streamed = spectral.mode_series(gas.evolve(config, model), modes,
+                streamed = spectral.delta_series(gas.evolve(config, model), modes,
                                                 executor=pool)
         assert_same_series(from_list, streamed)
 
@@ -179,7 +179,7 @@ class TestExponentEstimate:
         states = list(gas.evolve(config, model))
         states[2].points[:] = 0.0
         states[2].affected[:] = True
-        series = spectral.delta_series(states, ModeIndex(1, 0))
+        series = spectral.delta_series(states, [ModeIndex(1, 0)])[0]
         est = spectral.exponent_estimate(series, model, 2)
         k_dot_xi = 2 * math.pi * model.xi_plus[0]
         assert est.term1 == pytest.approx(math.log(abs(k_dot_xi)) / 2, rel=1e-12)
@@ -189,26 +189,26 @@ class TestExponentEstimate:
     def test_degenerate_zero_sum_flagged(self, model):
         states = list(gas.evolve(RunConfig(n_particles=8, steps=2, seed=0), model))
         states[2].affected[:] = False  # empty sum is exactly zero
-        series = spectral.delta_series(states, ModeIndex(1, 0))
+        series = spectral.delta_series(states, [ModeIndex(1, 0)])[0]
         est = spectral.exponent_estimate(series, model, 2)
         assert est.degenerate
         assert math.isnan(est.lam)
 
     def test_requires_positive_time_and_nonzero_mode(self, model):
         states = list(gas.evolve(RunConfig(n_particles=8, steps=2, seed=0), model))
-        series = spectral.delta_series(states, ModeIndex(1, 0))
+        series = spectral.delta_series(states, [ModeIndex(1, 0)])[0]
         with pytest.raises(ValueError):
             spectral.exponent_estimate(series, model, 0)
         # the estimate reads a mode's series, and the zero mode has none
         with pytest.raises(ValueError, match="zero mode"):
-            spectral.delta_series(states, ModeIndex(0, 0))
+            spectral.delta_series(states, [ModeIndex(0, 0)])
 
     def test_large_tree_faithful_run_reports_both_terms(self, model):
         # The state-dependent term dominates negatively pre-saturation at this
         # scale; the estimator reports both terms so the asymptotic claim can
         # be examined rather than assumed.
         config = RunConfig(n_particles=2**16, steps=12, seed=0, pairing="tree")
-        series = spectral.delta_series(gas.evolve(config, model), ModeIndex(1, 0))
+        series = spectral.delta_series(gas.evolve(config, model), [ModeIndex(1, 0)])[0]
         est = spectral.exponent_estimate(series, model, 12)
         assert math.isfinite(est.lam)
         assert est.lam == pytest.approx(est.term1 + est.term2, abs=1e-15)
@@ -232,6 +232,24 @@ class TestFitGrowth:
         fit = spectral.fit_growth(deltas, (0, 14))
         assert fit.slope == pytest.approx(0.53, abs=1e-12)
 
+    @pytest.mark.parametrize("seed,window", [(0, (0, 11)), (1, (2, 9)), (2, (5, 30)),
+                                             (3, (17, 21))])
+    def test_closed_form_matches_polyfit_oracle(self, seed, window):
+        rng = np.random.default_rng(seed)
+        ts = np.arange(0, 32)
+        deltas = (1e-9 * np.exp(0.4 * ts + rng.normal(0, 0.5, ts.size))
+                  * np.exp(1j * rng.uniform(0, 2 * math.pi, ts.size)))
+        fit = spectral.fit_growth(deltas, window)
+        t_a, t_b = window
+        t = np.arange(t_a, t_b + 1, dtype=float)
+        y = np.log(np.abs(deltas[t_a : t_b + 1]))
+        slope, intercept = np.polyfit(t, y, 1)
+        resid = y - (slope * t + intercept)
+        r2 = 1.0 - np.sum(resid**2) / np.sum((y - y.mean()) ** 2)
+        assert fit.slope == pytest.approx(slope, rel=1e-12)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-12)
+        assert fit.r2 == pytest.approx(r2, rel=1e-12)
+
     def test_refuses_short_window(self):
         with pytest.raises(ValueError, match="at least 3"):
             spectral.fit_growth(np.ones(10), (2, 4))
@@ -252,7 +270,7 @@ class TestFitGrowth:
         for seed in range(40):
             config = RunConfig(n_particles=2**10, steps=10, seed=seed, pairing="tree")
             traj, states = gas.with_diagnostics(config, gas.evolve(config, model))
-            series = spectral.delta_series(states, ModeIndex(1, 0))
+            series = spectral.delta_series(states, [ModeIndex(1, 0)])[0]
             window = spectral.default_fit_window(traj)
             slopes.append(spectral.fit_growth(series.deltas_linear, window).slope)
         assert np.median(slopes) >= math.log(1.2) - 0.05
@@ -266,7 +284,7 @@ def test_every_low_mode_grows_in_tree_mode(model):
     for s in range(n_seeds):
         config = RunConfig(n_particles=2**8, steps=8, seed=s, pairing="tree")
         traj, states = gas.with_diagnostics(config, gas.evolve(config, model))
-        all_series = spectral.mode_series(states, modes)
+        all_series = spectral.delta_series(states, modes)
         # window from first step with >= 4 affected particles to saturation
         t_lo = int(np.nonzero(traj.affected_count >= 4)[0][0])
         t_hi = int(traj.saturation_step)
