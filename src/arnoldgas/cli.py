@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -295,7 +294,7 @@ def cmd_gas(args) -> int:
         steps=args.steps,
         epsilon=args.epsilon,
         seed=args.seed,
-        pairing="tree" if args.pairing == "tree" else "random",
+        pairing=args.pairing,
         twin=args.twin == "on",
     )
     params = {
@@ -316,8 +315,7 @@ def cmd_gas(args) -> int:
     all_series = []
     if args.modes > 0:
         modes = spectral.enumerate_modes(args.modes)
-        with ThreadPoolExecutor(max_workers=args.threads or os.cpu_count() or 1) as pool:
-            all_series = spectral.delta_series(states, modes, executor=pool)
+        all_series = spectral.delta_series(states, modes, args.threads or os.cpu_count() or 1)
     for _ in states:  # runs the gas when no mode pass has drawn the states
         pass
 
@@ -365,7 +363,10 @@ def _read_spectrum_csv(path: Path) -> tuple[dict, dict[tuple[int, int], np.ndarr
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path} has no manifest header line")
-    manifest = json.loads(lines[0][1:])
+    try:
+        manifest = json.loads(lines[0][1:])
+    except ValueError as exc:
+        raise ValueError(f"{path} line 1: {exc}") from None
     if len(lines) < 2:
         raise ValueError(f"{path} has no column line after its manifest")
     columns = lines[1].split(",")
@@ -382,8 +383,12 @@ def _read_spectrum_csv(path: Path) -> tuple[dict, dict[tuple[int, int], np.ndarr
         if len(cells) != len(columns):
             raise ValueError(f"{path} line {number} has {len(cells)} cells, "
                              f"expected {len(columns)}")
-        key = (int(cells[idx["m1"]]), int(cells[idx["m2"]]))
-        t = int(cells[idx["t"]])
+        try:
+            key = (int(cells[idx["m1"]]), int(cells[idx["m2"]]))
+            t = int(cells[idx["t"]])
+            pair = (float(cells[idx["delta_twin"]]), float(cells[idx["delta_linear"]]))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from None
         # a mode's series cannot be longer than the file, which also bounds
         # the arrays allocated below
         if not 0 <= t < len(rows):
@@ -392,7 +397,7 @@ def _read_spectrum_csv(path: Path) -> tuple[dict, dict[tuple[int, int], np.ndarr
         by_t = per_mode.setdefault(key, {})
         if t in by_t:
             raise ValueError(f"{path} line {number} repeats mode {key} at t = {t}")
-        by_t[t] = (float(cells[idx["delta_twin"]]), float(cells[idx["delta_linear"]]))
+        by_t[t] = pair
     series = {}
     for key, by_t in per_mode.items():
         n_steps = max(by_t) + 1

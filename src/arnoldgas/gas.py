@@ -35,7 +35,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .maps import (CollisionModel, check_epsilon, collide_arrays, collide_linear,
-                   default_model, torus_diff_arrays, _wrap_unit)
+                   torus_diff_arrays, _wrap_unit)
 
 RNG_NAME = "numpy.random.PCG64"
 
@@ -102,10 +102,9 @@ class Trajectory:
         return int(hits[0]) if hits.size else math.inf
 
 
-def init_gas(config: RunConfig, model: CollisionModel | None = None,
+def init_gas(config: RunConfig, model: CollisionModel,
              rng: np.random.Generator | None = None) -> GasState:
     """i.i.d. uniform points; particle 0 carries the whole perturbation."""
-    model = model or default_model()
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     n = config.n_particles
     points = rng.random((n, 2))
@@ -252,14 +251,13 @@ def _median_with_zeros(norms: np.ndarray, n: int) -> float:
     return float((low + nonzero[hi - zeros]) / 2)
 
 
-def evolve(config: RunConfig, model: CollisionModel | None = None) -> Iterator[GasState]:
+def evolve(config: RunConfig, model: CollisionModel) -> Iterator[GasState]:
     """Yield the gas state at t = 0..config.steps.
 
     Each state is a fresh set of arrays, and no array of a state is written
     after it is yielded, so a caller may keep states, or read them on other
     threads, while the gas advances.
     """
-    model = model or default_model()
     rng = np.random.default_rng(config.seed)
     state = init_gas(config, model, rng)
     yield state
@@ -289,7 +287,7 @@ def with_diagnostics(config: RunConfig, states: Iterable[GasState]
     return traj, passing()
 
 
-def run_paired(config: RunConfig, model: CollisionModel | None = None) -> Trajectory:
+def run_paired(config: RunConfig, model: CollisionModel) -> Trajectory:
     """Evolve the gas for config.steps steps and return its per-step diagnostics."""
     traj, states = with_diagnostics(config, evolve(config, model))
     for _ in states:

@@ -12,12 +12,13 @@ simulation against the reference, and the tangent-linear estimate
     Delta ntilde_k(t) ~= (-i/N) sum_i exp(-i k . X_i(t)) (k . dX_i(t)).
 
 `delta_series` computes every requested mode in one pass over a run's gas
-states, one row per state, so it can read them as `gas.evolve` yields them;
-perfbench traces it under that name.  k . v is written once, in
-`ModeIndex.k_dot`, as multiply-adds, so no output byte depends on BLAS.
-Because k = 2*pi*(m1, m2) with integer m, each wave factorises as
-exp(-i k . X) = z_x**m1 * z_p**m2 with z = exp(-2*pi*i*coord): two `exp`
-calls per row serve every mode, positive powers come from repeated
+states, one row per state on its own pool of worker threads.  It draws the
+states as `gas.evolve` yields them and keeps at most 2*threads + 1 of them
+alive, not the whole run; perfbench traces it under that name.  k . v is
+written once, in `ModeIndex.k_dot`, as multiply-adds, so no output byte
+depends on BLAS.  Because k = 2*pi*(m1, m2) with integer m, each wave
+factorises as exp(-i k . X) = z_x**m1 * z_p**m2 with z = exp(-2*pi*i*coord):
+two `exp` calls per row serve every mode, positive powers come from repeated
 multiplication and negative ones are conjugates.
 The rounding error of z**m grows about linearly in |m|.
 
@@ -39,9 +40,10 @@ which is the pass's fourth per-row sum, so the estimator forms no wave itself.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -118,29 +120,25 @@ def _waves(points: np.ndarray, modes: Sequence[ModeIndex]) -> Iterator[np.ndarra
 
 
 def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
-                 executor: Executor | None = None) -> list[SpectrumSeries]:
+                 threads: int = 1) -> list[SpectrumSeries]:
     """Per-step perturbation of every mode, tangent-linear and (when possible) exact.
 
     `states` are one run's states at t = 0, 1, ..., each read once; the exact
-    route uses the run's embedded twin, when it has one.  Rows are
-    independent; with an `executor` each state's row is submitted as the
-    states are drawn, and the rows are reassembled in order, so the result
-    does not depend on the worker count.
+    route uses the run's embedded twin, when it has one.  The calling thread
+    draws each state and submits its row to a pool of `threads` workers;
+    once more than 2*threads rows are waiting it waits for the oldest, so
+    at most 2*threads + 1 states are alive.  Rows are kept in the order
+    drawn, so the result does not depend on the worker count.
     """
     if (0, 0) in modes:
         raise ValueError("the zero mode is the conserved normalization; pick a nonzero mode")
-    states = iter(states)
-    first = next(states, None)
-    if first is None:
-        raise ValueError("mode analysis needs at least one gas state")
-    n, has_twin = first.n_particles, first.twin_points is not None
 
     def row(state: GasState) -> np.ndarray:
         """Unnormalised (values, linear, twin, phase) sums of one state, one column per mode."""
         affected = np.flatnonzero(state.affected)
         tangents = np.take(state.tangents, affected, axis=0)
         twin_waves = (_waves(np.take(state.twin_points, affected, axis=0), modes)
-                      if has_twin else repeat(None))
+                      if state.twin_points is not None else repeat(None))
         sums = np.zeros((4, len(modes)), dtype=complex)
         waves = _waves(state.points, modes)
         for j, (mode, wave, twin_wave) in enumerate(zip(modes, waves, twin_waves)):
@@ -152,8 +150,17 @@ def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
             sums[3, j] = affected_wave.sum()
         return sums
 
-    rows = (executor.map if executor is not None else map)(row, chain([first], states))
-    values, linear, twin, phase = np.stack(list(rows), axis=2)  # each (modes, steps+1)
+    rows, pending, state = [], deque(), None
+    with ThreadPoolExecutor(threads) as pool:
+        for state in states:
+            pending.append(pool.submit(row, state))
+            if len(pending) > 2 * threads:
+                rows.append(pending.popleft().result())
+        rows.extend(future.result() for future in pending)
+    if state is None:
+        raise ValueError("mode analysis needs at least one gas state")
+    n, has_twin = state.n_particles, state.twin_points is not None
+    values, linear, twin, phase = np.stack(rows, axis=2)  # each (modes, steps+1)
     values = values / n
     linear = (-1j / n) * linear
     phase = phase / n

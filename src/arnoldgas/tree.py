@@ -45,9 +45,9 @@ class TreeRun:
     """The 2^n leaves of an n-stage collision tree, stored by distinct value.
 
     `distinct` holds each distinct leaf displacement once, with its n1 count
-    in `distinct_n1`, and `leaf[i]` is the row of leaf i in `distinct`.
-    `displacements`, `n1` and `n2` are the per-leaf views, gathered through
-    `leaf` on each access.
+    in `distinct_n1`, and `leaf[i]` is the row of leaf i in `distinct`, so
+    leaf i's displacement is `distinct[leaf[i]]`.  `n1` is the per-leaf view
+    of `distinct_n1`, gathered through `leaf` on each access.
     """
 
     stages: int
@@ -57,20 +57,8 @@ class TreeRun:
     leaf: np.ndarray = field(repr=False)  # (2^n,) row of each leaf in `distinct`
 
     @property
-    def n_leaves(self) -> int:
-        return self.leaf.shape[0]
-
-    @property
-    def displacements(self) -> np.ndarray:
-        return self.distinct[self.leaf]
-
-    @property
     def n1(self) -> np.ndarray:
         return self.distinct_n1[self.leaf]
-
-    @property
-    def n2(self) -> np.ndarray:
-        return self.stages - self.n1
 
 
 def _distinct_rows(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -344,16 +344,22 @@ class TestSpectrum:
         assert run(["spectrum", "--in", str(bad)]) == 1
 
     @pytest.mark.parametrize("text,message", [
-        ("# {}\n", "no column line"),
+        ("# {}\n", "has no column line"),
         ("# {}\nt,m1,m2,delta_twin,delta_linear\n0,1\n", "line 3 has 2 cells, expected 5"),
-    ], ids=["cut-after-manifest", "short-row"])
+        ("# {}\nt,m1,m2,delta_twin,delta_linear\n0,1,0,nan,1\n1,1,0,nan,x\n",
+         "line 4: could not convert string to float: 'x'"),
+        ("# {}\nt,m1,m2,delta_twin,delta_linear\n0,1.5,0,nan,1\n",
+         "line 3: invalid literal for int()"),
+        ("# {not json\nt,m1,m2,delta_twin,delta_linear\n0,1,0,nan,1\n",
+         "line 1: Expecting property name"),
+    ], ids=["cut-after-manifest", "short-row", "bad-float", "bad-int", "bad-manifest"])
     def test_truncated_file_is_usage_error(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         assert run(["spectrum", "--in", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert message in err
+        assert f"{bad} {message}" in err
 
     @pytest.mark.parametrize("rows,message", [
         ("0,1,0,nan,1\n1,1,0,nan,2\n-1,1,0,nan,1e-30\n",
@@ -427,9 +433,10 @@ class TestCellFormat:
         out = tmp_path / "t.csv"
         assert run(["tree", "--stages", "3", "--out", str(out)]) == 0
         leaves = tree.run_tree(model, 3, 1e-9)
-        norms = np.linalg.norm(leaves.displacements, axis=1)
-        rows = [(3, leaves.n1[i], 3 - leaves.n1[i], *leaves.displacements[i], norms[i])
-                for i in range(leaves.n_leaves)]
+        displacements = leaves.distinct[leaves.leaf]
+        norms = np.linalg.norm(displacements, axis=1)
+        rows = [(3, leaves.n1[i], 3 - leaves.n1[i], *displacements[i], norms[i])
+                for i in range(leaves.leaf.size)]
         assert out.read_text().endswith("\n")
         assert csv_body(out) == expected_body(cli.TREE_CSV_COLUMNS, 3, rows)
 

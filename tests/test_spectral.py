@@ -1,5 +1,5 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 
 import numpy as np
 import pytest
@@ -137,23 +137,35 @@ class TestModeSeries:
         states = list(gas.evolve(RunConfig(n_particles=128, steps=6, seed=2, twin=True), model))
         modes = spectral.enumerate_modes(2)
         serial = spectral.delta_series(states, modes)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            pooled = spectral.delta_series(states, modes, executor=pool)
+        pooled = spectral.delta_series(states, modes, threads=4)
         assert_same_series(serial, pooled)
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_one_shot_generator_equals_list(self, model, workers):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_shot_generator_equals_list(self, model, threads):
         # the gas advances while pool workers still read earlier states
         config = RunConfig(n_particles=255, steps=9, seed=4, pairing="tree", twin=True)
         modes = spectral.enumerate_modes(2)
         from_list = spectral.delta_series(list(gas.evolve(config, model)), modes)
-        if workers is None:
-            streamed = spectral.delta_series(gas.evolve(config, model), modes)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                streamed = spectral.delta_series(gas.evolve(config, model), modes,
-                                                executor=pool)
+        streamed = spectral.delta_series(gas.evolve(config, model), modes, threads)
         assert_same_series(from_list, streamed)
+
+    @pytest.mark.parametrize("threads", [1, 2], ids=["threads=1", "threads=2"])
+    def test_pass_holds_few_states(self, model, threads):
+        # GasState cannot be hashed, so each drawn state gets a finalizer, which
+        # stays alive as long as its state does
+        config = RunConfig(n_particles=4096, steps=24, seed=1, pairing="tree", twin=True)
+        finalizers, peak = [], 0
+
+        def counted_states():
+            nonlocal peak
+            for state in gas.evolve(config, model):
+                finalizers.append(weakref.finalize(state, lambda: None))
+                peak = max(peak, sum(f.alive for f in finalizers))
+                yield state
+
+        series = spectral.delta_series(counted_states(), spectral.enumerate_modes(4), threads)
+        assert len(series[0].values) == 25
+        assert peak <= 2 * threads + 1
 
 
 def assert_same_series(expected, got):

@@ -11,12 +11,12 @@ from arnoldgas import gas, maps, tree
 class TestRunTree:
     def test_zero_stages_single_leaf(self, model):
         run = tree.run_tree(model, 0, 1e-9)
-        assert run.n_leaves == 1
-        assert run.displacements[0] == pytest.approx(1e-9 * model.xi_plus, rel=1e-12)
+        assert run.leaf.size == 1
+        assert run.distinct[run.leaf][0] == pytest.approx(1e-9 * model.xi_plus, rel=1e-12)
 
     def test_two_stage_multipliers(self, model):
         run = tree.run_tree(model, 2, 1.0)
-        mults = sorted(run.displacements @ model.xi_plus)
+        mults = sorted(run.distinct[run.leaf] @ model.xi_plus)
         expected = sorted([model.kp**2, model.kp * model.km,
                            model.km * model.kp, model.km**2])
         assert mults == pytest.approx(expected, rel=1e-12)
@@ -39,11 +39,12 @@ class TestRunTree:
         # each leaf equals kp^n1 * km^n2 * eps along xi_plus, sign (-1)^n2
         eps = 1e-9
         run = tree.run_tree(model, n, eps)
-        along = run.displacements @ model.xi_plus
-        expected = (model.kp ** run.n1.astype(float)) * (model.km ** run.n2.astype(float)) * eps
+        along = run.distinct[run.leaf] @ model.xi_plus
+        n2 = run.stages - run.n1
+        expected = (model.kp ** run.n1.astype(float)) * (model.km ** n2.astype(float)) * eps
         assert along == pytest.approx(expected, rel=1e-12)
         signs = np.sign(along)
-        assert np.array_equal(signs, (-1.0) ** run.n2)
+        assert np.array_equal(signs, (-1.0) ** n2)
 
     def test_memory_budget_refusal(self, model):
         with pytest.raises(tree.MemoryBudgetError, match="budget"):
@@ -81,8 +82,9 @@ class TestDistinctLeaves:
         for stages in range(15):
             run = tree.run_tree(model, stages, eps)
             d, n1 = full_expansion(model, stages, eps)
-            assert run.n_leaves == 2**stages
-            assert np.array_equal(run.displacements.view(np.uint64), d.view(np.uint64)), stages
+            assert run.leaf.size == 2**stages
+            leaves = run.distinct[run.leaf]
+            assert np.array_equal(leaves.view(np.uint64), d.view(np.uint64)), stages
             assert np.array_equal(run.n1, n1), stages
             assert len(run.distinct) <= 2 * stages**2 + 1, stages
 
@@ -107,7 +109,7 @@ class TestPathDilation:
     @staticmethod
     def leaf_dilations(model, stages, n1):
         run = tree.run_tree(model, stages, 1.0)
-        return np.linalg.norm(run.displacements[run.n1 == n1], axis=1)
+        return np.linalg.norm(run.distinct[run.leaf][run.n1 == n1], axis=1)
 
     def test_two_direct(self, model):
         assert self.leaf_dilations(model, 2, 2) == pytest.approx([3.2725424859], abs=1e-9)
@@ -117,7 +119,7 @@ class TestPathDilation:
 
     def test_empty_product(self, model):
         run = tree.run_tree(model, 0, 1.0)
-        assert np.linalg.norm(run.displacements[0]) == pytest.approx(1.0)
+        assert np.linalg.norm(run.distinct[run.leaf][0]) == pytest.approx(1.0)
 
 
 class TestMeanDilations:
@@ -218,5 +220,6 @@ def test_tree_matches_full_twin_simulation(seed):
 
     run = tree.run_tree(model, stages, eps)
     measured = maps.torus_diff_arrays(twin, ref)
-    rel = np.linalg.norm(measured - run.displacements) / np.linalg.norm(run.displacements)
+    leaves = run.distinct[run.leaf]
+    rel = np.linalg.norm(measured - leaves) / np.linalg.norm(leaves)
     assert rel < 1e-4
