@@ -65,35 +65,15 @@ def _resolve_out(path_str: str) -> Path:
     return path
 
 
-def _manifest(command: str, params: dict, seed=None, matrix=None) -> dict:
-    manifest = {
+def _manifest(command: str, params: dict, seed: int, matrix: list[list[int]]) -> dict:
+    return {
         "command": command,
         "version": __version__,
         "params": params,
         "generator": gas.RNG_NAME,
+        "seed": seed,
+        "model": matrix,
     }
-    if seed is not None:
-        manifest["seed"] = seed
-    if matrix is not None:
-        manifest["model"] = matrix
-    return manifest
-
-
-def _write_atomic(path: Path, chunks) -> None:
-    """Write the byte chunks to a temporary sibling file, then rename it over `path`.
-
-    The parent directory is made first.  A failed write leaves no partial
-    file at `path`.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _write_csv(path: Path, manifest: dict, columns: list[str], rows, order) -> str:
@@ -115,40 +95,51 @@ def _write_csv(path: Path, manifest: dict, columns: list[str], rows, order) -> s
         digest.update(data)
         return data
 
-    def chunks():
-        yield ("# " + json.dumps(manifest, sort_keys=True) + "\n").encode()
-        yield hashed(",".join(columns) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("# " + json.dumps(manifest, sort_keys=True) + "\n").encode())
+        fh.write(hashed(",".join(columns) + "\n"))
         for start in range(0, len(order), CSV_CHUNK_ROWS):
-            yield hashed("".join([lines[k] for k in order[start:start + CSV_CHUNK_ROWS]]))
-
-    _write_atomic(path, chunks())
+            fh.write(hashed("".join([lines[k] for k in order[start:start + CSV_CHUNK_ROWS]])))
     return digest.hexdigest()
 
 
 def _write_summary(path: Path, manifest: dict, summary: dict,
                    digests: dict[str, str]) -> None:
     payload = {"manifest": manifest, "summary": summary, "output_digests": digests}
-    _write_atomic(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
+    path.write_bytes((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _write_files(files) -> None:
-    """Call each (path, write) pair in order; write() puts the file at path.
+    """Write every (path, write) pair of a run, then rename them all into place.
 
-    The `wrote` lines are printed once every file is in place.  An OSError
-    removes the files already written and is raised as a ValueError naming
-    the path that failed, so the run exits 1 with nothing left behind.
+    Each write(tmp) writes its file to a temporary sibling of its path.  Only
+    once all are complete is each renamed over its path and a `wrote` line
+    printed.  An OSError removes the temporaries alone, so every output path
+    keeps what it held, and is raised as a ValueError naming the path that
+    failed.  A path that is a directory is refused before anything is
+    written, since renaming over it would fail after earlier files had
+    replaced theirs; a run's files share one directory, so any other rename
+    failure strikes the first rename.
     """
-    written: list[Path] = []
+    for path, _ in files:
+        if path.is_dir():
+            raise ValueError(f"cannot write {path}: Is a directory")
+    staged: list[tuple[Path, Path]] = []
     try:
         for path, write in files:
-            write()
-            written.append(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            staged.append((tmp, path))  # its directory exists, so unlinking it is safe
+            write(tmp)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except OSError as exc:
-        for done in written:
-            done.unlink(missing_ok=True)
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    for done in written:
-        print(f"wrote {done}")
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+    for _, path in staged:
+        print(f"wrote {path}")
 
 
 def _write_results(out: Path, manifest: dict, summary: dict, tables) -> None:
@@ -156,13 +147,13 @@ def _write_results(out: Path, manifest: dict, summary: dict, tables) -> None:
     with their digests, through _write_files."""
     digests: dict[str, str] = {}
 
-    def write_table(path, columns, rows, order):
-        digests[path.name] = _write_csv(path, manifest, columns, rows, order)
+    def write_table(path, columns, rows, order, tmp):
+        digests[path.name] = _write_csv(tmp, manifest, columns, rows, order)
 
-    summary_path = out.with_suffix(".summary.json")
     _write_files([(table[0], partial(write_table, *table)) for table in tables]
-                 + [(summary_path, partial(_write_summary, summary_path, manifest,
-                                           summary, digests))])
+                 + [(out.with_suffix(".summary.json"),
+                     partial(_write_summary, manifest=manifest, summary=summary,
+                             digests=digests))])
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
@@ -432,7 +423,7 @@ def cmd_spectrum(args) -> int:
     if args.out:
         out = _resolve_out(args.out)
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        _write_files([(out, partial(_write_atomic, out, [text.encode()]))])
+        _write_files([(out, lambda tmp: tmp.write_bytes(text.encode()))])
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
@@ -445,10 +436,10 @@ def cmd_verify(args) -> int:
     results = verify.run_checks()
     for result in results:
         print(result.line())
-    if verify.all_passed(results):
+    failed = [r.name for r in results if not r.passed]
+    if not failed:
         print(f"all {len(results)} checks passed")
         return EXIT_OK
-    failed = [r.name for r in results if not r.passed]
     print(f"FAILED: {', '.join(failed)}")
     return EXIT_VERIFY_FAILED
 

@@ -98,8 +98,7 @@ class Trajectory:
     @property
     def saturation_step(self) -> int | float:
         """First step with every particle affected, or inf."""
-        hits = np.nonzero(self.affected_count >= self.n_particles)[0]
-        return int(hits[0]) if hits.size else math.inf
+        return _first_step(self.affected_count >= self.n_particles)
 
 
 def init_gas(config: RunConfig, model: CollisionModel,
@@ -300,6 +299,10 @@ def significance_time(trajectory: Trajectory) -> int | float:
 
     Returns inf when the run never gets there (e.g. all-zero tangents).
     """
-    eps = trajectory.config.epsilon
-    hits = np.nonzero(trajectory.median_disp >= eps)[0]
+    return _first_step(trajectory.median_disp >= trajectory.config.epsilon)
+
+
+def _first_step(reached: np.ndarray) -> int | float:
+    """First step at which `reached` is true, or inf."""
+    hits = np.nonzero(reached)[0]
     return int(hits[0]) if hits.size else math.inf

@@ -171,7 +171,3 @@ def run_checks() -> list[CheckResult]:
                           10.0, 0.0, detail="N=1024 saturates at step 10"))
 
     return results
-
-
-def all_passed(results: list[CheckResult]) -> bool:
-    return all(r.passed for r in results)

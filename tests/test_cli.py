@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -5,10 +6,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arnoldgas import cli, gas, spectral, tree
 
@@ -22,6 +28,12 @@ def run(args):
 
 def read_summary(path):
     return json.loads(path.read_text())
+
+
+def snapshot(root):
+    """{relative path: bytes} of every file under root; a directory maps to None."""
+    return {path.relative_to(root).as_posix(): path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
 
 
 def csv_body(path):
@@ -268,16 +280,17 @@ class TestGas:
 
 
 class TestUnwritableOutput:
-    """A write that fails exits 1, names the output path and leaves no file behind."""
+    """A write that fails exits 1, names the output path and leaves every
+    output path as it was."""
 
     def refused(self, tmp_path, capsys, argv, path):
-        before = sorted(tmp_path.rglob("*"))
+        before = snapshot(tmp_path)
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot write {path}: ")
         assert ".tmp" not in captured.err
         assert "wrote" not in captured.out
-        assert sorted(tmp_path.rglob("*")) == before
+        assert snapshot(tmp_path) == before
 
     def test_gas_out_is_a_directory(self, tmp_path, capsys):
         out = tmp_path / "D"
@@ -288,10 +301,31 @@ class TestUnwritableOutput:
     def test_gas_spectrum_path_is_a_directory(self, tmp_path, capsys):
         spectrum = tmp_path / "spec" / "x.spectrum.csv"
         spectrum.mkdir(parents=True)
-        # the trajectory CSV is written first and must be removed again
         self.refused(tmp_path, capsys, ["gas", "--particles", "16", "--steps", "2",
                                         "--modes", "1", "--out",
                                         str(tmp_path / "spec" / "x.csv")], spectrum)
+
+    def test_failed_rerun_keeps_previous_outputs(self, tmp_path, capsys):
+        out = tmp_path / "spec" / "x.csv"
+        argv = ["gas", "--particles", "16", "--steps", "2", "--out", str(out)]
+        assert run(argv + ["--modes", "0"]) == 0
+        spectrum = tmp_path / "spec" / "x.spectrum.csv"
+        spectrum.mkdir()
+        capsys.readouterr()
+        # the rerun's trajectory CSV and summary are complete before its
+        # spectrum CSV fails, and must not replace the first run's files
+        self.refused(tmp_path, capsys, argv + ["--modes", "1"], spectrum)
+
+    def test_failed_write_removes_the_temporaries(self, tmp_path, capsys, monkeypatch):
+        def full_disk(path, *args, **kwargs):
+            path.write_bytes(b"partial")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        # the trajectory and spectrum CSVs are complete when the summary fails
+        monkeypatch.setattr(cli, "_write_summary", full_disk)
+        self.refused(tmp_path, capsys, ["gas", "--particles", "16", "--steps", "2",
+                                        "--modes", "1", "--out", str(tmp_path / "x.csv")],
+                     tmp_path / "x.summary.json")
 
     def test_tree_out_parent_is_a_file(self, tmp_path, capsys):
         (tmp_path / "F").write_text("")
@@ -306,6 +340,95 @@ class TestUnwritableOutput:
         out.mkdir()
         self.refused(tmp_path, capsys, ["spectrum", "--in", str(tmp_path / "g.spectrum.csv"),
                                         "--out", str(out)], out)
+
+
+# Edge inputs for the all-or-nothing property.  Sizes stay small, and
+# --threads stays at 0..2 so that no example starts many threads.  Each value
+# comes from its valid range about half the time (the first branch of each
+# one_of), so that many runs succeed.
+EDGE_EPSILONS = st.one_of(st.just("1e-9"), st.sampled_from(["1e-9", "0", "-1", "nan", "inf"]))
+EDGE_GAS_ARGV = st.builds(
+    lambda n, steps, modes, eps, threads, pairing, twin: [
+        "gas", f"--particles={n}", f"--steps={steps}", f"--modes={modes}",
+        f"--epsilon={eps}", f"--threads={threads}", f"--pairing={pairing}", f"--twin={twin}"],
+    st.one_of(st.integers(2, 64), st.integers(-1, 64)),
+    st.one_of(st.integers(1, 6), st.integers(-1, 6)),
+    st.one_of(st.integers(0, 2), st.integers(-1, 2)), EDGE_EPSILONS, st.integers(0, 2),
+    st.sampled_from(["random", "tree"]), st.sampled_from(["on", "off"]))
+EDGE_TREE_ARGV = st.builds(
+    lambda stages, eps, aggregate: ["tree", f"--stages={stages}", f"--epsilon={eps}"]
+    + ["--aggregate-only"] * aggregate,
+    # 25 stages is over the leaf budget: exit 2 unless --aggregate-only
+    st.one_of(st.integers(0, 10), st.sampled_from([-1, 25])), EDGE_EPSILONS, st.booleans())
+
+
+def quiet_run(argv):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def previous_run(root, modes="1"):
+    out = root / "r.csv"
+    assert quiet_run(["gas", "--particles", "8", "--steps", "2", "--modes", modes,
+                      "--out", str(out)])[0] == 0
+    return out
+
+
+def make_dir(path):
+    path.mkdir()
+    return path
+
+
+def under_a_file(root):
+    (root / "F").write_text("")
+    return root / "F" / "r.csv"
+
+
+def spectrum_sibling_is_a_directory(root):
+    out = previous_run(root, modes="0")  # a failed rerun must keep these files
+    make_dir(root / "r.spectrum.csv")
+    return out
+
+
+# each prepares a fresh directory and returns the --out path
+OUT_TARGETS = {
+    "fresh": lambda root: root / "sub" / "r.csv",
+    "existing directory": lambda root: make_dir(root / "r.csv"),
+    "under a file": under_a_file,
+    "spectrum sibling is a directory": spectrum_sibling_is_a_directory,
+    "previous run": previous_run,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=st.one_of(EDGE_GAS_ARGV, EDGE_TREE_ARGV), target=st.sampled_from(sorted(OUT_TARGETS)))
+def test_edge_inputs_write_complete_outputs_or_nothing(argv, target):
+    """Any argv exits 0 with every output complete, or exits 1 or 2 with its
+    output directory unchanged."""
+    with tempfile.TemporaryDirectory() as name:
+        root = Path(name)
+        out = OUT_TARGETS[target](root)
+        before = snapshot(root)
+        code, stdout, stderr = quiet_run(argv + ["--out", str(out)])
+        if code != 0:
+            assert code in (1, 2), stderr
+            assert "wrote" not in stdout
+            assert snapshot(root) == before
+            return
+        wrote = [Path(line.removeprefix("wrote ")) for line in stdout.splitlines()
+                 if line.startswith("wrote ")]
+        assert all(path.is_file() for path in wrote)
+        summary = out.with_suffix(".summary.json")
+        assert summary in wrote
+        digests = read_summary(summary)["output_digests"]
+        assert sorted(digests) == sorted(path.name for path in wrote if path != summary)
+        for csv_name, digest in digests.items():
+            data = (summary.parent / csv_name).read_bytes()
+            assert hashlib.sha256(data[data.index(b"\n") + 1:]).hexdigest() == digest
+        assert not any(".tmp" in path for path in snapshot(root))
 
 
 class TestSpectrum:

@@ -64,3 +64,6 @@ def test_traced_tiny_run(name, tmp_path):
     assert report["exit_code"] == 0
     names = {span[1] for span in report["trace"]["spans"]}
     assert TRACED_SPANS[name] <= names, sorted(names)
+    # the writers' counter sees every byte the run left, each file once
+    left = sum(path.stat().st_size for path in tmp_path.rglob("*") if path.is_file())
+    assert report["trace"]["counters"]["cli.bytes_written"] == left
