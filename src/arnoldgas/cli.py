@@ -109,17 +109,19 @@ def _write_summary(path: Path, manifest: dict, summary: dict,
     path.write_bytes((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _write_files(files) -> None:
+def _write_files(files, stale=()) -> None:
     """Write every (path, write) pair of a run, then rename them all into place.
 
     Each write(tmp) writes its file to a temporary sibling of its path.  Only
     once all are complete is each renamed over its path and a `wrote` line
-    printed.  An OSError removes the temporaries alone, so every output path
-    keeps what it held, and is raised as a ValueError naming the path that
-    failed.  A path that is a directory is refused before anything is
-    written, since renaming over it would fail after earlier files had
-    replaced theirs; a run's files share one directory, so any other rename
-    failure strikes the first rename.
+    printed, and each path in `stale` that is a regular file removed: it
+    belongs to the run's output set, but an earlier run wrote it.  An
+    OSError removes the temporaries alone, so every output path keeps what
+    it held, and is raised as a ValueError naming the path that failed.  A
+    path that is a directory is refused before anything is written, since
+    renaming over it would fail after earlier files had replaced theirs; a
+    run's files share one directory, so any other rename failure strikes
+    the first rename.
     """
     for path, _ in files:
         if path.is_dir():
@@ -133,6 +135,10 @@ def _write_files(files) -> None:
             write(tmp)
         for tmp, path in staged:
             os.replace(tmp, path)
+        for path in stale:
+            if path.is_file():
+                path.unlink()
+                print(f"removed {path}")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
@@ -144,16 +150,21 @@ def _write_files(files) -> None:
 
 def _write_results(out: Path, manifest: dict, summary: dict, tables) -> None:
     """Write each (path, columns, rows, order) CSV table, then out's summary
-    with their digests, through _write_files."""
+    with their digests, through _write_files.  The run's output set is out,
+    its .spectrum.csv and its .summary.json; a file of that set left by an
+    earlier run is removed once this run's files are in place."""
     digests: dict[str, str] = {}
 
     def write_table(path, columns, rows, order, tmp):
         digests[path.name] = _write_csv(tmp, manifest, columns, rows, order)
 
+    written = [table[0] for table in tables]
     _write_files([(table[0], partial(write_table, *table)) for table in tables]
                  + [(out.with_suffix(".summary.json"),
                      partial(_write_summary, manifest=manifest, summary=summary,
-                             digests=digests))])
+                             digests=digests))],
+                 stale=[path for path in (out, out.with_suffix(".spectrum.csv"))
+                        if path not in written])
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
@@ -276,10 +287,6 @@ def cmd_gas(args) -> int:
         raise ValueError(f"--threads must be >= 0, got {args.threads}")
     if args.modes > 0 and args.steps == 0:
         raise ValueError("mode analysis needs --steps >= 1; use --modes 0 for a zero-step run")
-    if args.particles % 2:
-        print(f"warning: odd particle count {args.particles}; one particle "
-              "idles each step", file=sys.stderr)
-
     config = gas.RunConfig(
         n_particles=args.particles,
         steps=args.steps,
@@ -288,6 +295,9 @@ def cmd_gas(args) -> int:
         pairing=args.pairing,
         twin=args.twin == "on",
     )
+    if args.particles % 2:
+        print(f"warning: odd particle count {args.particles}; one particle "
+              "idles each step", file=sys.stderr)
     params = {
         "particles": args.particles,
         "steps": args.steps,

@@ -22,6 +22,19 @@ two `exp` calls per row serve every mode, positive powers come from repeated
 multiplication and negative ones are conjugates.
 The rounding error of z**m grows about linearly in |m|.
 
+Only one mode of each +-k pair is summed: the canonical one, with m1 > 0, or
+m1 = 0 and m2 > 0.  The other follows bit for bit, because its wave is the
+conjugate and k . v(-m) = -(k . v(m)) exactly: its value, twin and phase sums
+are (re, 0.0 - im) of the canonical mode's and its linear sum is
+(0.0 - re, im).  The fill writes 0.0 - x, never -x, so that an exact zero
+stays +0, as the direct sum gives it.  Each pool worker owns the N-sized
+arrays of a row for the whole pass (coordinate column, powers of z and their
+conjugates, wave product, gathered wave, one temporary, and the twin's
+copies), writes every one with `out=` and slices them to the affected count,
+so a row allocates no N-sized array.  On a saturated row, where every
+particle is affected, the state's own tangents and twin points and the wave
+itself stand in for the gathers, and the phase sum is the value sum.
+
 Off the affected set of a row the tangents are exactly zero and the embedded
 twin's points are bitwise equal to the reference points, so the tangent-linear
 sum and the twin difference run over affected particles only.  The twin delta
@@ -40,11 +53,11 @@ which is the pass's fourth per-row sum, so the estimator forms no wave itself.
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,9 +73,12 @@ class ModeIndex(NamedTuple):
     m1: int
     m2: int
 
-    def k_dot(self, v) -> np.ndarray:
-        """k . v over the last axis of v, as multiply-adds."""
-        return TWO_PI * (self.m1 * v[..., 0] + self.m2 * v[..., 1])
+    def k_dot(self, v, out=None, scratch=None) -> np.ndarray:
+        """k . v over the last axis of v, as multiply-adds; written to `out`,
+        with `scratch` for m2 * v[..., 1], when they are given."""
+        total = np.add(np.multiply(self.m1, v[..., 0], out=out),
+                       np.multiply(self.m2, v[..., 1], out=scratch), out=out)
+        return np.multiply(TWO_PI, total, out=out)
 
 
 def enumerate_modes(max_order: int) -> list[ModeIndex]:
@@ -94,29 +110,98 @@ class SpectrumSeries:
     deltas_twin: np.ndarray | None = None  # exact twin difference when available
 
 
-def _powers(z: np.ndarray, exponents) -> dict[int, np.ndarray]:
-    """z**m for each nonzero m in `exponents`; |z| = 1, so z**-m = conj(z**m)."""
-    top = max(abs(m) for m in exponents)
-    positive = [None, z]
-    for _ in range(2, top + 1):
-        positive.append(positive[-1] * z)
-    return {m: positive[m] if m > 0 else np.conj(positive[-m])
-            for m in exponents if m != 0}
+def _canonical(mode: ModeIndex) -> ModeIndex:
+    """The mode of mode's +-k pair with m1 > 0, or m1 = 0 and m2 > 0."""
+    return mode if (mode.m1, mode.m2) > (0, 0) else ModeIndex(-mode.m1, -mode.m2)
 
 
-def _waves(points: np.ndarray, modes: Sequence[ModeIndex]) -> Iterator[np.ndarray]:
-    """exp(-2*pi*i (m1 x + m2 p)) of every point, one array per mode, in order."""
-    m1s = {mode.m1 for mode in modes} - {0}
-    m2s = {mode.m2 for mode in modes} - {0}
-    zx = _powers(np.exp(-1j * (TWO_PI * points[:, 0])), m1s) if m1s else {}
-    zp = _powers(np.exp(-1j * (TWO_PI * points[:, 1])), m2s) if m2s else {}
-    for mode in modes:
+class _Waves:
+    """exp(-2*pi*i (m1 x + m2 p)) of up to n points, for canonical modes.
+
+    Its arrays are sized at n once and sliced to the count of points loaded.
+    For each axis, z**m with m > 0 comes by repeated multiplication, and
+    z**m with m < 0 (only m2 of a canonical mode) is conj(z**-m).
+    """
+
+    def __init__(self, n: int, modes: Sequence[ModeIndex]):
+        self.column = np.empty(n)
+        self.product = np.empty(n, complex)
+        self.powers = []  # per axis, {m: z**m}
+        for exponents in ({m.m1 for m in modes}, {m.m2 for m in modes}):
+            top = max(map(abs, exponents), default=0)
+            needed = [*range(1, top + 1), *(m for m in exponents if m < 0)]
+            self.powers.append({m: np.empty(n, complex) for m in needed})
+        self.count = 0
+
+    def load(self, points: np.ndarray) -> None:
+        n = self.count = len(points)
+        for axis, powers in enumerate(self.powers):
+            if powers:
+                scaled = np.multiply(TWO_PI, points[:, axis], out=self.column[:n])
+                z = np.multiply(-1j, scaled, out=powers[1][:n])
+                np.exp(z, out=z)
+            for m, power in powers.items():
+                if m > 1:
+                    np.multiply(powers[m - 1][:n], z, out=power[:n])
+                elif m < 0:
+                    np.conjugate(powers[-m][:n], out=power[:n])
+
+    def wave(self, mode: ModeIndex) -> np.ndarray:
+        n = self.count
+        zx, zp = self.powers
         if mode.m1 == 0:
-            yield zp[mode.m2]
-        elif mode.m2 == 0:
-            yield zx[mode.m1]
-        else:
-            yield zx[mode.m1] * zp[mode.m2]
+            return zp[mode.m2][:n]
+        if mode.m2 == 0:
+            return zx[mode.m1][:n]
+        return np.multiply(zx[mode.m1][:n], zp[mode.m2][:n], out=self.product[:n])
+
+
+class _RowArrays:
+    """The N-sized arrays that one worker thread reuses for every row."""
+
+    def __init__(self, n: int, modes: Sequence[ModeIndex], twin: bool):
+        self.points = _Waves(n, modes)
+        self.twin = _Waves(n, modes) if twin else None
+        self.tangents = np.empty((n, 2))
+        self.twin_points = np.empty((n, 2)) if twin else None
+        self.gathered = np.empty(n, complex)
+        self.temp = np.empty(n, complex)
+        self.k_dot = np.empty((2, n))
+
+    def sums(self, state: GasState, modes: Sequence[ModeIndex]) -> np.ndarray:
+        """Unnormalised (values, linear, twin, phase) sums of one state, one column per mode.
+
+        On a saturated row every particle is affected, so the state's own
+        arrays and the wave itself stand in for the gathers, and the phase
+        sum is the value sum.
+        """
+        n_affected = int(np.count_nonzero(state.affected))
+        saturated = n_affected == state.n_particles
+        tangents, twin_points = state.tangents, state.twin_points
+        if not saturated:  # mode="clip" takes straight into out; "raise" buffers a copy
+            affected = np.flatnonzero(state.affected)
+            tangents = np.take(tangents, affected, axis=0, mode="clip",
+                               out=self.tangents[:n_affected])
+            if self.twin is not None:
+                twin_points = np.take(twin_points, affected, axis=0, mode="clip",
+                                      out=self.twin_points[:n_affected])
+        self.points.load(state.points)
+        if self.twin is not None:
+            self.twin.load(twin_points)
+        temp = self.temp[:n_affected]
+        sums = np.zeros((4, len(modes)), dtype=complex)
+        for j, mode in enumerate(modes):
+            wave = self.points.wave(mode)
+            affected_wave = (wave if saturated else
+                             np.take(wave, affected, mode="clip", out=self.gathered[:n_affected]))
+            k_dot = mode.k_dot(tangents, out=self.k_dot[0, :n_affected],
+                               scratch=self.k_dot[1, :n_affected])
+            sums[0, j] = wave.sum()
+            sums[1, j] = np.multiply(affected_wave, k_dot, out=temp).sum()
+            if self.twin is not None:
+                sums[2, j] = np.subtract(self.twin.wave(mode), affected_wave, out=temp).sum()
+            sums[3, j] = sums[0, j] if saturated else affected_wave.sum()
+        return sums
 
 
 def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
@@ -128,27 +213,20 @@ def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
     draws each state and submits its row to a pool of `threads` workers;
     once more than 2*threads rows are waiting it waits for the oldest, so
     at most 2*threads + 1 states are alive.  Rows are kept in the order
-    drawn, so the result does not depend on the worker count.
+    drawn, so the result does not depend on the worker count.  Each worker
+    sums the canonical mode of every +-k pair in arrays it owns for the
+    call; the other mode of the pair is filled in from it.
     """
     if (0, 0) in modes:
         raise ValueError("the zero mode is the conserved normalization; pick a nonzero mode")
+    canonical = list(dict.fromkeys(map(_canonical, modes)))
+    workspace = threading.local()
 
     def row(state: GasState) -> np.ndarray:
-        """Unnormalised (values, linear, twin, phase) sums of one state, one column per mode."""
-        affected = np.flatnonzero(state.affected)
-        tangents = np.take(state.tangents, affected, axis=0)
-        twin_waves = (_waves(np.take(state.twin_points, affected, axis=0), modes)
-                      if state.twin_points is not None else repeat(None))
-        sums = np.zeros((4, len(modes)), dtype=complex)
-        waves = _waves(state.points, modes)
-        for j, (mode, wave, twin_wave) in enumerate(zip(modes, waves, twin_waves)):
-            affected_wave = wave[affected]
-            sums[0, j] = wave.sum()
-            sums[1, j] = (affected_wave * mode.k_dot(tangents)).sum()
-            if twin_wave is not None:
-                sums[2, j] = (twin_wave - affected_wave).sum()
-            sums[3, j] = affected_wave.sum()
-        return sums
+        if not hasattr(workspace, "arrays"):  # one run's states share N and the twin
+            workspace.arrays = _RowArrays(state.n_particles, canonical,
+                                          state.twin_points is not None)
+        return workspace.arrays.sums(state, canonical)
 
     rows, pending, state = [], deque(), None
     with ThreadPoolExecutor(threads) as pool:
@@ -160,7 +238,16 @@ def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
     if state is None:
         raise ValueError("mode analysis needs at least one gas state")
     n, has_twin = state.n_particles, state.twin_points is not None
-    values, linear, twin, phase = np.stack(rows, axis=2)  # each (modes, steps+1)
+    column = {mode: j for j, mode in enumerate(canonical)}
+    sums = np.stack(rows, axis=2)[:, [column[_canonical(mode)] for mode in modes]]
+    # -k from k: k_dot(-m) = -k_dot(m) exactly, so the linear sum is (-re, im)
+    # and the other three are conjugates.  0.0 - x gives +0 for an exact zero.
+    mirrored = [j for j, mode in enumerate(modes) if _canonical(mode) != mode]
+    fill = sums[:, mirrored]
+    fill.imag[[0, 2, 3]] = 0.0 - fill.imag[[0, 2, 3]]
+    fill.real[1] = 0.0 - fill.real[1]
+    sums[:, mirrored] = fill
+    values, linear, twin, phase = sums  # each (modes, steps+1)
     values = values / n
     linear = (-1j / n) * linear
     phase = phase / n

@@ -192,6 +192,13 @@ class TestGas:
                     "--out", str(tmp_path / "o.csv")]) == 0
         assert "odd particle count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("particles,code,warned", [("3", 0, True), ("-1", 1, False)])
+    def test_odd_count_warns_only_for_a_valid_run(self, tmp_path, capsys, particles, code,
+                                                  warned):
+        assert run(["gas", f"--particles={particles}", "--steps", "2", "--modes", "0",
+                    "--out", str(tmp_path / "o.csv")]) == code
+        assert ("warning" in capsys.readouterr().err) == warned
+
     def test_trajectory_columns(self, tmp_path):
         out = tmp_path / "c.csv"
         run(["gas", "--particles", "16", "--steps", "3", "--modes", "0", "--out", str(out)])
@@ -277,6 +284,48 @@ class TestGas:
                     "--out", str(tmp_path / "f.csv")]) == 2
         assert "refused" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputSet:
+    """A run owns out, its .spectrum.csv and its .summary.json: a successful
+    rerun removes the files of that set it did not write."""
+
+    def test_rerun_without_modes_removes_the_old_spectrum(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["gas", "--particles", "16", "--steps", "2", "--modes", "1",
+                    "--out", str(out)]) == 0
+        assert run(["gas", "--particles", "16", "--steps", "2", "--modes", "0",
+                    "--seed", "4", "--out", str(out)]) == 0
+        assert f"removed {tmp_path / 's.spectrum.csv'}" in capsys.readouterr().out
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["s.csv", "s.summary.json"]
+        assert list(read_summary(tmp_path / "s.summary.json")["output_digests"]) == ["s.csv"]
+
+    def test_aggregate_only_rerun_removes_the_old_leaves(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert run(["tree", "--stages", "3", "--out", str(out)]) == 0
+        assert run(["tree", "--stages", "3", "--aggregate-only", "--out", str(out)]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["t.summary.json"]
+
+    def test_a_directory_in_the_set_is_left_alone(self, tmp_path):
+        (tmp_path / "s.spectrum.csv").mkdir()
+        assert run(["gas", "--particles", "16", "--steps", "2", "--modes", "0",
+                    "--out", str(tmp_path / "s.csv")]) == 0
+        assert (tmp_path / "s.spectrum.csv").is_dir()
+
+    def test_failed_rerun_removes_nothing(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "s.csv"
+        assert run(["gas", "--particles", "16", "--steps", "2", "--modes", "1",
+                    "--out", str(out)]) == 0
+        before = snapshot(tmp_path)
+
+        def full_disk(path, *args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "_write_summary", full_disk)
+        assert run(["gas", "--particles", "16", "--steps", "2", "--modes", "0",
+                    "--out", str(out)]) == 1
+        assert "removed" not in capsys.readouterr().out
+        assert snapshot(tmp_path) == before
 
 
 class TestUnwritableOutput:
@@ -428,6 +477,9 @@ def test_edge_inputs_write_complete_outputs_or_nothing(argv, target):
         for csv_name, digest in digests.items():
             data = (summary.parent / csv_name).read_bytes()
             assert hashlib.sha256(data[data.index(b"\n") + 1:]).hexdigest() == digest
+        # no file of an earlier run is left beside this run's outputs
+        outputs = {path.name for path in out.parent.glob(f"{out.stem}.*") if path.is_file()}
+        assert outputs == set(digests) | {summary.name}
         assert not any(".tmp" in path for path in snapshot(root))
 
 

@@ -169,11 +169,119 @@ class TestModeSeries:
 
 
 def assert_same_series(expected, got):
+    """Bit for bit, so that +0 and -0 differ."""
     assert len(expected) == len(got)
     for a, b in zip(expected, got):
         assert a.mode == b.mode
         for name in ("values", "deltas_linear", "phase_sums", "deltas_twin"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+            want, have = getattr(a, name), getattr(b, name)
+            assert (want is None) == (have is None), (a.mode, name)
+            if want is not None:
+                assert want.tobytes() == have.tobytes(), (a.mode, name)
+
+
+def _reference_powers(z, exponents):
+    top = max(abs(m) for m in exponents)
+    positive = [None, z]
+    for _ in range(2, top + 1):
+        positive.append(positive[-1] * z)
+    return {m: positive[m] if m > 0 else np.conj(positive[-m])
+            for m in exponents if m != 0}
+
+
+def _reference_waves(points, modes):
+    m1s = {mode.m1 for mode in modes} - {0}
+    m2s = {mode.m2 for mode in modes} - {0}
+    two_pi = 2.0 * math.pi
+    zx = _reference_powers(np.exp(-1j * (two_pi * points[:, 0])), m1s) if m1s else {}
+    zp = _reference_powers(np.exp(-1j * (two_pi * points[:, 1])), m2s) if m2s else {}
+    for mode in modes:
+        if mode.m1 == 0:
+            yield zp[mode.m2]
+        elif mode.m2 == 0:
+            yield zx[mode.m1]
+        else:
+            yield zx[mode.m1] * zp[mode.m2]
+
+
+def reference_series(states, modes):
+    """Every mode summed on its own, with fresh arrays and full gathers: the
+    reference that the +-k fill and the reused arrays must match bit for bit."""
+    rows = []
+    for state in states:
+        affected = np.flatnonzero(state.affected)
+        tangents = np.take(state.tangents, affected, axis=0)
+        has_twin = state.twin_points is not None
+        twin_waves = (list(_reference_waves(np.take(state.twin_points, affected, axis=0), modes))
+                      if has_twin else [None] * len(modes))
+        sums = np.zeros((4, len(modes)), dtype=complex)
+        for j, (mode, wave, twin_wave) in enumerate(
+                zip(modes, _reference_waves(state.points, modes), twin_waves)):
+            affected_wave = wave[affected]
+            k_dot = 2.0 * math.pi * (mode.m1 * tangents[..., 0] + mode.m2 * tangents[..., 1])
+            sums[0, j] = wave.sum()
+            sums[1, j] = (affected_wave * k_dot).sum()
+            if twin_wave is not None:
+                sums[2, j] = (twin_wave - affected_wave).sum()
+            sums[3, j] = affected_wave.sum()
+        rows.append(sums)
+    n = states[-1].n_particles
+    values, linear, twin, phase = np.stack(rows, axis=2)
+    return [spectral.SpectrumSeries(
+        mode=mode, values=(values / n)[j], deltas_linear=((-1j / n) * linear)[j],
+        phase_sums=(phase / n)[j], deltas_twin=(twin / n)[j] if has_twin else None)
+        for j, mode in enumerate(modes)]
+
+
+MODE_LISTS = {
+    "order 4": spectral.enumerate_modes(4),
+    "(-1,0) alone": [ModeIndex(-1, 0)],
+    "mirrored only": [ModeIndex(0, -2), ModeIndex(1, -1)],
+    "pair": [ModeIndex(2, 1), ModeIndex(-2, -1)],
+    "order 2 reversed": spectral.enumerate_modes(2)[::-1],
+}
+
+
+class TestConjugateFill:
+    """One mode of each +-k pair is summed and the other filled in; the
+    per-worker arrays are reused across rows.  Neither may change a bit."""
+
+    @pytest.mark.parametrize("modes", MODE_LISTS.values(), ids=MODE_LISTS.keys())
+    @pytest.mark.parametrize("n", [255, 256, 4096])
+    @pytest.mark.parametrize("pairing,twin", [("random", True), ("tree", True),
+                                              ("tree", False)])
+    def test_bitwise_equal_to_per_mode_sums(self, model, modes, n, pairing, twin):
+        # tree pairing saturates by step log2(n) + 1, so later rows are saturated
+        config = RunConfig(n_particles=n, steps=14, seed=n, pairing=pairing, twin=twin)
+        states = list(gas.evolve(config, model))
+        assert_same_series(reference_series(states, modes),
+                          spectral.delta_series(states, modes, threads=2))
+
+    def test_lattice_states_keep_exact_zeros_positive(self):
+        # On the quarter grid every wave is one of 1, -i, -1, i, so many sums
+        # are exact zeros; filling -x in place of 0.0 - x would give -0.
+        rng = np.random.default_rng(16)
+        modes = spectral.enumerate_modes(3)
+        for _ in range(20):
+            n = int(rng.integers(1, 12))
+            states = []
+            for t in range(15):
+                affected = rng.random(n) < rng.choice([0.0, 0.5, 1.0])
+                points = rng.integers(0, 4, (n, 2)) / 4
+                tangents = np.where(affected[:, None], rng.integers(-4, 5, (n, 2)) / 4, 0.0)
+                twin = np.where(affected[:, None], rng.integers(0, 4, (n, 2)) / 4, points)
+                states.append(gas.GasState(points=points, tangents=tangents,
+                                           affected=affected, t=t, twin_points=twin))
+            assert_same_series(reference_series(states, modes),
+                              spectral.delta_series(states, modes))
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_no_stale_arrays_between_calls(self, model, threads):
+        modes = spectral.enumerate_modes(2)
+        for n in (64, 33, 64):
+            config = RunConfig(n_particles=n, steps=8, seed=n, pairing="tree", twin=True)
+            assert_same_series(spectral.delta_series(gas.evolve(config, model), modes),
+                              spectral.delta_series(gas.evolve(config, model), modes, threads))
 
 
 class TestExponentEstimate:
