@@ -26,12 +26,11 @@ def main() -> None:
     model = maps.default_model()
     mode = spectral.ModeIndex(*args.mode)
     slopes, r2s, lams = [], [], []
+    window = spectral.fit_window(args.particles, args.steps)
     for seed in range(args.seeds):
         config = gas.RunConfig(n_particles=args.particles, steps=args.steps,
                                seed=seed, pairing=args.pairing)
-        traj, states = gas.with_diagnostics(config, gas.evolve(config, model))
-        series = spectral.delta_series(states, [mode])[0]
-        window = spectral.default_fit_window(traj)
+        series = spectral.delta_series(gas.evolve(config, model), [mode])[0]
         fit = spectral.fit_growth(series.deltas_linear, window)
         est = spectral.exponent_estimate(series, model, window[1])
         slopes.append(fit.slope)

@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Compute the golden output digests; with --write, regenerate their file.
+
+`tests/golden_digests.json` records the package version and, for each
+command in COMMANDS, the SHA-256 of the CSV body it writes to `--out` (the
+file without its manifest line): a gas trajectory or the tree leaves.  These
+bodies do not depend on numpy's CPU dispatch.  The spectrum CSV and the gas
+summary's fits still do (ROADMAP item 6), so they are left out.
+
+A change that alters any of these bytes bumps `__version__` and reruns this
+script with --write.  Without --write it prints the file it would write;
+`tests/test_golden_digests.py` reruns the commands and compares.
+
+    PYTHONPATH=src python3 scripts/golden_digests.py [--write]
+"""
+
+import argparse
+import hashlib
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+from arnoldgas import __version__, cli
+
+GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden_digests.json"
+
+# The benchmark's gas-spectral run at its full size, at two thread counts.
+GAS_SPECTRAL = "gas --particles 32768 --steps 16 --pairing tree --twin on --modes 2"
+COMMANDS = [
+    f"{GAS_SPECTRAL} --threads 1",
+    f"{GAS_SPECTRAL} --threads 2",
+    "gas --particles 513 --steps 12 --twin on --modes 3",
+    "gas --particles 1000 --steps 5 --modes 0",
+    "gas --particles 1024 --steps 20 --twin on --modes 1 --matrix 2,-1,-1,1 --seed 4",
+    "tree --stages 18",
+    # subnormal leaves: their rounding makes 407 distinct rows, not 69
+    "tree --stages 12 --epsilon 1e-320",
+    # leaves underflow to zero, so rows of equal bits are kept apart by
+    # their n1 label alone (keying on bits only changes this body)
+    "tree --stages 12 --epsilon 5e-324",
+]
+
+
+def body_digest(command: str) -> str:
+    """Run `command` in process into a fresh directory; the SHA-256 of its CSV body."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        stderr = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(stderr):
+            code = cli.main([*command.split(), "--out", str(out)])
+        if code != 0:
+            raise RuntimeError(f"{command} exited {code}: {stderr.getvalue()}")
+        data = out.read_bytes()
+    return hashlib.sha256(data[data.index(b"\n") + 1:]).hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--write", action="store_true",
+                        help=f"write {GOLDEN.name} instead of printing it")
+    args = parser.parse_args()
+
+    text = json.dumps({"__version__": __version__,
+                       "commands": {command: body_digest(command) for command in COMMANDS}},
+                      indent=2) + "\n"
+    if args.write:
+        GOLDEN.write_text(text)
+        print(f"wrote {GOLDEN}")
+    else:
+        print(text, end="")
+
+
+if __name__ == "__main__":
+    main()

@@ -332,7 +332,7 @@ def cmd_gas(args) -> int:
 
     outputs = [(out, GAS_CSV_COLUMNS, rows, range(len(rows)))]
     if all_series:
-        window = spectral.default_fit_window(traj)
+        window = spectral.fit_window(args.particles, args.steps)
         summary["fit_window"] = list(window)
         summary["modes"] = [_mode_report(series, model, window)
                             for series in all_series]

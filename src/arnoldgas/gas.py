@@ -92,10 +92,6 @@ class Trajectory:
         return self.config.n_particles
 
     @property
-    def steps(self) -> int:
-        return self.config.steps
-
-    @property
     def saturation_step(self) -> int | float:
         """First step with every particle affected, or inf."""
         return _first_step(self.affected_count >= self.n_particles)

@@ -53,7 +53,6 @@ class CollisionModel:
       k_plus        (I + M)/2, the direct matrix
       k_minus       (I - M)/2, the switch matrix
       lambda_plus   larger eigenvalue of M
-      lambda_minus  smaller eigenvalue of M (= 1/lambda_plus)
       xi_plus       unit eigenvector for lambda_plus, first component > 0
       kp            eigenvalue of K+ on xi_plus, (1 + lambda_plus)/2
       km            eigenvalue of K- on xi_plus, (1 - lambda_plus)/2
@@ -63,7 +62,6 @@ class CollisionModel:
     k_plus: np.ndarray
     k_minus: np.ndarray
     lambda_plus: float
-    lambda_minus: float
     xi_plus: np.ndarray
     kp: float
     km: float
@@ -75,15 +73,12 @@ class CollisionModel:
 
 
 def _unit_eigenvector(m: np.ndarray, eigenvalue: float) -> np.ndarray:
-    # (M - lam I) v = 0; pick the nonzero row construction.
-    if m[0, 1] != 0:
-        v = np.array([m[0, 1], eigenvalue - m[0, 0]])
-    else:
-        v = np.array([eigenvalue - m[1, 1], m[1, 0]])
+    # (M - lam I) v = 0 from its first row.  m01 = 0 with det 1 would force
+    # m00 = m11 = +-1 and trace +-2, which spectral_decompose refuses first,
+    # so v[0] = m01 / |v| is never zero and its sign alone picks the vector.
+    v = np.array([m[0, 1], eigenvalue - m[0, 0]])
     v = v / math.sqrt(v[0] * v[0] + v[1] * v[1])
-    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
-        v = -v
-    return v
+    return -v if v[0] < 0 else v
 
 
 def spectral_decompose(m) -> CollisionModel:
@@ -111,7 +106,6 @@ def spectral_decompose(m) -> CollisionModel:
 
     root = math.sqrt(trace * trace - 4)
     lambda_plus = (trace + root) / 2.0
-    lambda_minus = (trace - root) / 2.0
 
     mf = m.astype(float)
     identity = np.eye(2)
@@ -131,7 +125,6 @@ def spectral_decompose(m) -> CollisionModel:
         k_plus=k_plus,
         k_minus=k_minus,
         lambda_plus=lambda_plus,
-        lambda_minus=lambda_minus,
         xi_plus=xi_plus,
         kp=kp,
         km=km,

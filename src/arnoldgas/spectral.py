@@ -43,11 +43,13 @@ full N-particle sums, which avoids cancelling two O(1) sums to get an O(eps)
 result.
 
 The per-collision growth exponent of |Delta ntilde_k| is estimated either by
-a least-squares fit of ln|Delta ntilde_k(t)| or by the two-term closed-form
-estimator whose state-independent part equals ln sqrt|kp*km| ~= 0.190424 for
-the default collision matrix (often quoted rounded as ln 1.2 ~= 0.18).  Its
-state-dependent part needs the phase sum sum_{i affected} exp(-i k . X_i(t)) / N,
-which is the pass's fourth per-row sum, so the estimator forms no wave itself.
+a least-squares fit of ln|Delta ntilde_k(t)| over the fit window
+[2, min(steps, floor(log2 N))], widened to 5 steps (`fit_window`), or by the
+two-term closed-form estimator whose state-independent part equals
+ln sqrt|kp*km| ~= 0.190424 for the default collision matrix (often quoted
+rounded as ln 1.2 ~= 0.18).  Its state-dependent part needs the phase sum
+sum_{i affected} exp(-i k . X_i(t)) / N, which is the pass's fourth per-row
+sum, so the estimator forms no wave itself.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .gas import GasState, Trajectory
+from .gas import GasState
 from .maps import CollisionModel
 
 TWO_PI = 2.0 * math.pi
@@ -331,12 +333,11 @@ def fit_growth(deltas: Sequence[complex] | np.ndarray,
     return GrowthFit(slope=slope, intercept=intercept, r2=r2)
 
 
-def default_fit_window(trajectory: Trajectory) -> tuple[int, int]:
-    """[2, min(saturation step, log2 N)]: the pre-saturation exponential regime."""
-    log2n = int(math.floor(math.log2(trajectory.n_particles)))
-    t_sat = trajectory.saturation_step
-    upper = min(trajectory.steps, log2n)
-    if not math.isinf(t_sat):
-        upper = min(upper, int(t_sat))
-    upper = max(upper, min(5, trajectory.steps))
-    return (2, upper)
+def fit_window(n_particles: int, steps: int) -> tuple[int, int]:
+    """[2, min(steps, log2 N)], the pre-saturation regime, widened to 5 steps.
+
+    The affected set at most doubles per step, so no run of N particles
+    saturates before step floor(log2 N), whatever its pairing.
+    """
+    upper = min(steps, int(math.floor(math.log2(n_particles))))
+    return (2, max(upper, min(5, steps)))

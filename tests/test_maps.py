@@ -14,6 +14,18 @@ unit_coord = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
 phase_points = st.tuples(unit_coord, unit_coord).map(np.array)
 
 
+@st.composite
+def hyperbolic_unimodular(draw):
+    """An integer [[a, b], [c, d]] with det 1 and trace > 2, off-diagonal entries
+    of either sign: b runs over the divisors of a d - 1 and c = (a d - 1) / b."""
+    a, d = draw(st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+                .filter(lambda ad: sum(ad) > 2))
+    n = a * d - 1  # nonzero, since a d = 1 would force trace +-2
+    b = draw(st.sampled_from([b for b in range(1, abs(n) + 1) if n % b == 0]))
+    b *= draw(st.sampled_from([1, -1]))
+    return np.array([[a, b], [n // b, d]])
+
+
 def pair(x0, x1):
     """One pair as two (1, 2) arrays."""
     return np.array([x0], dtype=float), np.array([x1], dtype=float)
@@ -28,7 +40,6 @@ def relative_after_collision(model, x0, x1):
 class TestDefaultModelConstants:
     def test_eigenvalues_closed_form(self, model):
         assert model.lambda_plus == pytest.approx((3 + SQRT5) / 2, abs=1e-12)
-        assert model.lambda_minus == pytest.approx((3 - SQRT5) / 2, abs=1e-12)
 
     def test_k_eigenvalues_closed_form(self, model):
         assert model.kp == pytest.approx((5 + SQRT5) / 4, abs=1e-12)
@@ -72,6 +83,24 @@ class TestSpectralDecompose:
         m = maps.spectral_decompose([[2, 1], [1, 1]])
         assert m.lambda_plus == pytest.approx((3 + SQRT5) / 2, abs=1e-12)
         assert np.linalg.norm(m.m @ m.xi_plus - m.lambda_plus * m.xi_plus) < 1e-12
+
+    @given(hyperbolic_unimodular())
+    @example(np.array([[1, 1], [1, 2]]))
+    @example(np.array([[2, -1], [-1, 1]]))
+    @example(np.array([[20, -1], [1, 0]]))
+    def test_xi_plus_is_a_unit_eigenvector_with_positive_first_component(self, m):
+        model = maps.spectral_decompose(m)
+        xi = model.xi_plus
+        assert np.linalg.norm(model.m @ xi - model.lambda_plus * xi) < 1e-12
+        assert abs(math.hypot(*xi) - 1.0) < 1e-12
+        assert xi[0] > 0
+
+    @given(st.sampled_from([1, -1]), st.integers(-10**6, 10**6))
+    def test_det_one_with_zero_m01_is_non_hyperbolic(self, diagonal, c):
+        # with m01 = 0, det 1 is m00 m11 = 1, so m00 = m11 = +-1 and trace +-2:
+        # the first-row eigenvector construction never meets m01 = 0
+        with pytest.raises(ValueError, match="must be hyperbolic: trace = "):
+            maps.spectral_decompose([[diagonal, 0], [c, diagonal]])
 
 
 class TestCatApply:

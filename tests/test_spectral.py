@@ -1,3 +1,4 @@
+import itertools
 import math
 import weakref
 
@@ -387,13 +388,24 @@ class TestFitGrowth:
     def test_tree_faithful_ensemble_slope(self, model):
         # pre-saturation growth of |delta ntilde_(1,0)| across seeds
         slopes = []
+        window = spectral.fit_window(2**10, 10)
         for seed in range(40):
             config = RunConfig(n_particles=2**10, steps=10, seed=seed, pairing="tree")
-            traj, states = gas.with_diagnostics(config, gas.evolve(config, model))
-            series = spectral.delta_series(states, [ModeIndex(1, 0)])[0]
-            window = spectral.default_fit_window(traj)
+            series = spectral.delta_series(gas.evolve(config, model), [ModeIndex(1, 0)])[0]
             slopes.append(spectral.fit_growth(series.deltas_linear, window).slope)
         assert np.median(slopes) >= math.log(1.2) - 0.05
+
+    @pytest.mark.parametrize("pairing", ["random", "tree"])
+    def test_fit_window_needs_no_trajectory(self, model, pairing):
+        # The window once also took min with the run's saturation step.  The
+        # affected set at most doubles per step, so no run saturates before
+        # step floor(log2 N) and that clause never binds; it is the oracle here.
+        for n, steps in itertools.product([2, 3, 8, 255, 256, 1000, 1024], [0, 1, 4, 12, 30]):
+            traj = gas.run_paired(RunConfig(n_particles=n, steps=steps, pairing=pairing),
+                                  model)
+            upper = max(min(steps, math.floor(math.log2(n)), traj.saturation_step),
+                        min(5, steps))
+            assert spectral.fit_window(n, steps) == (2, upper)
 
 
 def test_every_low_mode_grows_in_tree_mode(model):
