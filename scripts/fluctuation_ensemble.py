@@ -22,6 +22,8 @@ def main() -> None:
     parser.add_argument("--mode", type=int, nargs=2, default=(1, 0), metavar=("M1", "M2"))
     parser.add_argument("--pairing", choices=["random", "tree"], default="tree")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     model = maps.default_model()
     mode = spectral.ModeIndex(*args.mode)

@@ -18,22 +18,43 @@ alive, not the whole run; perfbench traces it under that name.  k . v is
 written once, in `ModeIndex.k_dot`, as multiply-adds, so no output byte
 depends on BLAS.  Because k = 2*pi*(m1, m2) with integer m, each wave
 factorises as exp(-i k . X) = z_x**m1 * z_p**m2 with z = exp(-2*pi*i*coord):
-two `exp` calls per row serve every mode, positive powers come from repeated
-multiplication and negative ones are conjugates.
+one kernel call gives z on both axes of every point set loaded, for every
+mode; positive powers come from repeated multiplication and negative ones
+are conjugates.
 The rounding error of z**m grows about linearly in |m|.
+
+The kernel (`_TurnKernel`, and `unit_wave` for a whole array) takes
+exp(-2*pi*i*x) from a table of exp(-2*pi*i*j/M), M = 4096, kept in two parts,
+and two short Taylor polynomials in the exact remainder of M x, after Tang,
+ACM TOMS 15:144 (1989).  It uses real multiply, add, rint and a gather only,
+errs by at most 2**-54 + 3e-18 in each component, and gives the same bits
+whichever SIMD loops numpy picks.  `fourier_component` keeps `np.exp`: it is
+the independent oracle of the tests.
+
+A row is summed in blocks of BLOCK = 8192 particles, all modes for each
+block, and its partial sums are added in block order: the value sum over the
+state's points, the other three over its affected particles, gathered BLOCK
+at a time.  BLOCK is a constant, so no sum depends on the worker count.
+A worker's waves hold SETS = 2 point sets of one block size at once: the
+points and the twin's points of a block, or two consecutive blocks of points
+for the value sum.  So each numpy call spans up to 2 * BLOCK particles: with
+two or more workers, shorter calls spend more time handing over the
+interpreter lock than working.  Each pool worker owns these block-sized
+arrays for the whole pass (powers of z and their conjugates, wave product,
+the kernel's scratch, the gathered points, tangents and twin points, and one
+temporary), writes every one with `out=` and slices them to the block, so
+its memory is O(BLOCK * modes) whatever N is, and a row allocates no array
+that grows with N but the index of its affected particles.  On a saturated
+row, where every particle is affected, the value and affected blocks
+coincide: slices of the state's own arrays stand in for the gathers, each
+block's waves serve all four sums, and the phase sum is the value sum.
 
 Only one mode of each +-k pair is summed: the canonical one, with m1 > 0, or
 m1 = 0 and m2 > 0.  The other follows bit for bit, because its wave is the
 conjugate and k . v(-m) = -(k . v(m)) exactly: its value, twin and phase sums
 are (re, 0.0 - im) of the canonical mode's and its linear sum is
 (0.0 - re, im).  The fill writes 0.0 - x, never -x, so that an exact zero
-stays +0, as the direct sum gives it.  Each pool worker owns the N-sized
-arrays of a row for the whole pass (coordinate column, powers of z and their
-conjugates, wave product, gathered wave, one temporary, and the twin's
-copies), writes every one with `out=` and slices them to the affected count,
-so a row allocates no N-sized array.  On a saturated row, where every
-particle is affected, the state's own tangents and twin points and the wave
-itself stand in for the gathers, and the phase sum is the value sum.
+stays +0, as the direct sum gives it.
 
 Off the affected set of a row the tangents are exactly zero and the embedded
 twin's points are bitwise equal to the reference points, so the tangent-linear
@@ -54,6 +75,7 @@ sum, so the estimator forms no wave itself.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import deque
@@ -67,6 +89,59 @@ from .gas import GasState
 from .maps import CollisionModel
 
 TWO_PI = 2.0 * math.pi
+BLOCK = 8192  # particles per block of a mode row; a constant, so no sum depends on --threads
+SETS = 2  # point sets of BLOCK particles a worker's waves hold at once
+TABLE_SIZE = 4096  # M: exp(-2*pi*i j/M) is tabulated for j = 0 .. M-1
+# Taylor polynomials in u = M x - rint(M x), |u| <= 1/2, for theta = 2*pi*u/M:
+# sin(theta) = u (S1 + S3 u^2) and 1 - cos(theta) = u^2 (C2 + C4 u^2).  With
+# |theta| <= pi/M the first omitted terms are below 2.3e-18 and 3e-22.
+_SIN1 = TWO_PI / TABLE_SIZE
+_SIN3 = -_SIN1**3 / 6
+_COS2 = _SIN1**2 / 2
+_COS4 = -_SIN1**4 / 24
+_PI = "3.14159265358979323846264338327950288419716939937510582097494459"
+_TABLE_BITS = 170  # fixed-point fraction bits the table is computed with
+
+
+@functools.cache
+def _turn_table() -> np.ndarray:
+    """Rows cos(2*pi*j/M), -sin(2*pi*j/M), each correctly rounded, then what
+    each leaves over, correctly rounded: a (4, M) read-only array.
+
+    Only the octant j <= M/8 is computed, in integers scaled by 2**170, by
+    repeated rotation by exp(2*pi*i/M); its error stays below 2**-160, and an
+    int / int quotient is correctly rounded.  The rest of the circle swaps and
+    negates the octant, which is exact, so the quarter turns are exactly 1,
+    -i, -1 and i.
+    """
+    one = 1 << _TABLE_BITS
+    step = 2 * int(_PI.replace(".", "")) * one // 10 ** (len(_PI) - 2) // TABLE_SIZE
+    rotate_c, rotate_s, term, k = one, 0, one, 0
+    while term:  # Taylor series of exp(i step)
+        k += 1
+        term = term * step // one // k
+        if k % 2:
+            rotate_s += term if k % 4 == 1 else -term
+        else:
+            rotate_c += term if k % 4 == 0 else -term
+    octant = TABLE_SIZE // 8
+    rows = []  # cos hi, sin hi, cos lo, sin lo of each j
+    c, s = one, 0
+    for _ in range(octant + 1):
+        hi_c, hi_s = c / one, s / one
+        rows.append((hi_c, hi_s, (c - int(hi_c * one)) / one, (s - int(hi_s * one)) / one))
+        c, s = ((c * rotate_c - s * rotate_s) >> _TABLE_BITS,
+                (c * rotate_s + s * rotate_c) >> _TABLE_BITS)
+    parts = np.array(rows).T
+    # first quadrant: cos(pi/2 - a) = sin(a); then a quarter turn at a time.
+    # 0.0 - x negates, so that every zero in the table is +0.
+    cos_q = np.concatenate([parts[[0, 2]], parts[[1, 3], octant - 1:0:-1]], axis=1)
+    sin_q = np.concatenate([parts[[1, 3]], parts[[0, 2], octant - 1:0:-1]], axis=1)
+    cos = np.concatenate([cos_q, 0.0 - sin_q, 0.0 - cos_q, sin_q], axis=1)
+    minus_sin = np.concatenate([0.0 - sin_q, 0.0 - cos_q, sin_q, cos_q], axis=1)
+    table = np.stack([cos[0], minus_sin[0], cos[1], minus_sin[1]])
+    table.flags.writeable = False
+    return table
 
 
 class ModeIndex(NamedTuple):
@@ -117,93 +192,180 @@ def _canonical(mode: ModeIndex) -> ModeIndex:
     return mode if (mode.m1, mode.m2) > (0, 0) else ModeIndex(-mode.m1, -mode.m2)
 
 
-class _Waves:
-    """exp(-2*pi*i (m1 x + m2 p)) of up to n points, for canonical modes.
+class _TurnKernel:
+    """exp(-2*pi*i*x) for up to `size` values of x at a time, in scratch arrays it owns.
 
-    Its arrays are sized at n once and sliced to the count of points loaded.
-    For each axis, z**m with m > 0 comes by repeated multiplication, and
-    z**m with m < 0 (only m2 of a canonical mode) is conj(z**-m).
+    With M = TABLE_SIZE, j = rint(M x) and u = M x - j in [-1/2, 1/2] are exact,
+    so exp(-2*pi*i*x) = T[j mod M] * exp(-i theta) with theta = 2*pi*u/M.  The
+    table gives T and Taylor polynomials in u give s = sin(theta) and
+    c = 1 - cos(theta); the product T * ((1 - c) - i s) is written out as
+
+        re = Tr + ((tr + Ti s) - Tr c),    im = Ti + ((ti - Ti c) - Tr s),
+
+    with T = (Tr + tr) + i (Ti + ti) in two parts, so each component is
+    rounded once after its table value and errs by at most 2**-54 + 3e-18.
+    Only real multiply, add, rint and a gather are used, so the bits do not
+    depend on numpy's choice of SIMD loop.  x must be finite with
+    |x| < 2**50, so that j fits the index array.
     """
 
-    def __init__(self, n: int, modes: Sequence[ModeIndex]):
-        self.column = np.empty(n)
-        self.product = np.empty(n, complex)
-        self.powers = []  # per axis, {m: z**m}
-        for exponents in ({m.m1 for m in modes}, {m.m2 for m in modes}):
-            top = max(map(abs, exponents), default=0)
-            needed = [*range(1, top + 1), *(m for m in exponents if m < 0)]
-            self.powers.append({m: np.empty(n, complex) for m in needed})
-        self.count = 0
+    def __init__(self, size: int):
+        self.table = _turn_table()
+        self.scratch = np.empty((6, size))
+        self.index = np.empty(size, np.intp)
 
-    def load(self, points: np.ndarray) -> None:
-        n = self.count = len(points)
-        for axis, powers in enumerate(self.powers):
-            if powers:
-                scaled = np.multiply(TWO_PI, points[:, axis], out=self.column[:n])
-                z = np.multiply(-1j, scaled, out=powers[1][:n])
-                np.exp(z, out=z)
-            for m, power in powers.items():
-                if m > 1:
-                    np.multiply(powers[m - 1][:n], z, out=power[:n])
-                elif m < 0:
-                    np.conjugate(powers[-m][:n], out=power[:n])
+    def __call__(self, xs: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+        """Write exp(-2*pi*i*xs[k]) to out[k] for each k; out is complex and
+        each xs[k] has the shape of out[k]."""
+        shape, size = out.shape, out.size
+        turns, j, sin, t_re, t_im, rest = (row[:size].reshape(shape) for row in self.scratch)
+        index = self.index[:size].reshape(shape)
+        for x, part in zip(xs, turns):
+            np.multiply(x, TABLE_SIZE, out=part)
+        np.rint(turns, out=j)
+        u = np.subtract(turns, j, out=turns)
+        np.copyto(index, j, casting="unsafe")
+        np.bitwise_and(index, TABLE_SIZE - 1, out=index)
+        u2 = np.multiply(u, u, out=j)
+        np.multiply(u2, _SIN3, out=sin)
+        np.add(sin, _SIN1, out=sin)
+        np.multiply(sin, u, out=sin)
+        one_minus_cos = np.multiply(u2, _COS4, out=turns)
+        np.add(one_minus_cos, _COS2, out=one_minus_cos)
+        np.multiply(one_minus_cos, u2, out=one_minus_cos)
+        temp = j
+        hi_re, hi_im, lo_re, lo_im = self.table
+        # mode="clip" takes straight into out; "raise" buffers a copy
+        np.take(hi_re, index, mode="clip", out=t_re)
+        np.take(hi_im, index, mode="clip", out=t_im)
+        np.take(lo_re, index, mode="clip", out=rest)
+        np.add(rest, np.multiply(t_im, sin, out=temp), out=rest)
+        np.subtract(rest, np.multiply(t_re, one_minus_cos, out=temp), out=rest)
+        np.add(t_re, rest, out=out.real)
+        np.take(lo_im, index, mode="clip", out=rest)
+        np.subtract(rest, np.multiply(t_im, one_minus_cos, out=temp), out=rest)
+        np.subtract(rest, np.multiply(t_re, sin, out=temp), out=rest)
+        np.add(t_im, rest, out=out.imag)
+        return out
+
+
+def unit_wave(x) -> np.ndarray:
+    """exp(-2*pi*i*x) of a float array, by the table kernel of the mode pass."""
+    x = np.asarray(x, dtype=float)
+    return _TurnKernel(x.size)([x], np.empty((1, *x.shape), complex))[0]
+
+
+class _Waves:
+    """exp(-2*pi*i (m1 x + m2 p)) for canonical modes, of up to SETS point
+    sets of up to BLOCK points each: a block of points and its twin's points,
+    or consecutive blocks of points.
+
+    One kernel call gives z = exp(-2*pi*i coord) of every set on both axes;
+    z**m with m > 0 comes by repeated multiplication, and conj(z_p**m) serves
+    the negative m2 that a canonical mode can have.  The arrays are sized
+    once and sliced to the sets loaded.
+    """
+
+    def __init__(self, modes: Sequence[ModeIndex]):
+        top = max((max(mode.m1, abs(mode.m2)) for mode in modes), default=1)
+        self.kernel = _TurnKernel(SETS * 2 * BLOCK)
+        self.powers = np.empty((top, SETS, 2, BLOCK), complex)  # z**m at [m - 1, set, axis]
+        self.conjugates = {m: np.empty((SETS, BLOCK), complex)
+                           for m in sorted({-mode.m2 for mode in modes if mode.m2 < 0})}
+        self.product = np.empty((SETS, BLOCK), complex)
+        self.z = self.powers[:, :0, :, :0]
+
+    def load(self, point_sets: Sequence[np.ndarray]) -> None:
+        """Waves of each (n, 2) array of point_sets; all have the same n."""
+        sets, n = len(point_sets), len(point_sets[0])
+        z = self.z = self.powers[:, :sets, :, :n]
+        self.kernel([points.T for points in point_sets], out=z[0])
+        for m in range(1, len(z)):
+            np.multiply(z[m - 1], z[0], out=z[m])
+        for m, conjugate in self.conjugates.items():
+            np.conjugate(z[m - 1, :, 1], out=conjugate[:sets, :n])
 
     def wave(self, mode: ModeIndex) -> np.ndarray:
-        n = self.count
-        zx, zp = self.powers
+        """The wave of `mode` at every loaded set, (sets, n)."""
+        z = self.z
         if mode.m1 == 0:
-            return zp[mode.m2][:n]
+            return z[mode.m2 - 1, :, 1]
+        zx = z[mode.m1 - 1, :, 0]
         if mode.m2 == 0:
-            return zx[mode.m1][:n]
-        return np.multiply(zx[mode.m1][:n], zp[mode.m2][:n], out=self.product[:n])
+            return zx
+        sets, n = zx.shape
+        zp = z[mode.m2 - 1, :, 1] if mode.m2 > 0 else self.conjugates[-mode.m2][:sets, :n]
+        return np.multiply(zx, zp, out=self.product[:sets, :n])
+
+
+def _value_blocks(points: np.ndarray):
+    """The points BLOCK at a time, in order, SETS blocks of one size together."""
+    full = len(points) - len(points) % BLOCK
+    for start in range(0, full, SETS * BLOCK):
+        yield [points[s:s + BLOCK] for s in range(start, min(start + SETS * BLOCK, full), BLOCK)]
+    if full < len(points):
+        yield [points[full:]]
 
 
 class _RowArrays:
-    """The N-sized arrays that one worker thread reuses for every row."""
+    """The BLOCK-sized arrays that one worker thread reuses for every row."""
 
-    def __init__(self, n: int, modes: Sequence[ModeIndex], twin: bool):
-        self.points = _Waves(n, modes)
-        self.twin = _Waves(n, modes) if twin else None
-        self.tangents = np.empty((n, 2))
-        self.twin_points = np.empty((n, 2)) if twin else None
-        self.gathered = np.empty(n, complex)
-        self.temp = np.empty(n, complex)
-        self.k_dot = np.empty((2, n))
+    def __init__(self, modes: Sequence[ModeIndex], twin: bool):
+        self.modes, self.twin = modes, twin
+        self.waves = _Waves(modes)
+        self.gathered = np.empty((3, BLOCK, 2))  # affected points, twin points, tangents
+        self.temp = np.empty(BLOCK, complex)
+        self.k_dot = np.empty((2, BLOCK))
 
-    def sums(self, state: GasState, modes: Sequence[ModeIndex]) -> np.ndarray:
+    def sums(self, state: GasState) -> np.ndarray:
         """Unnormalised (values, linear, twin, phase) sums of one state, one column per mode.
 
-        On a saturated row every particle is affected, so the state's own
-        arrays and the wave itself stand in for the gathers, and the phase
-        sum is the value sum.
+        Each sum is 0 + s_0 + s_1 + ... over consecutive blocks of at most
+        BLOCK particles: the state's points for the value sum, its affected
+        particles for the other three.  On a saturated row these are the same
+        blocks, so each block's waves serve all four sums and the value sum
+        is the phase sum.
         """
-        n_affected = int(np.count_nonzero(state.affected))
-        saturated = n_affected == state.n_particles
-        tangents, twin_points = state.tangents, state.twin_points
-        if not saturated:  # mode="clip" takes straight into out; "raise" buffers a copy
-            affected = np.flatnonzero(state.affected)
-            tangents = np.take(tangents, affected, axis=0, mode="clip",
-                               out=self.tangents[:n_affected])
-            if self.twin is not None:
-                twin_points = np.take(twin_points, affected, axis=0, mode="clip",
-                                      out=self.twin_points[:n_affected])
-        self.points.load(state.points)
-        if self.twin is not None:
-            self.twin.load(twin_points)
-        temp = self.temp[:n_affected]
-        sums = np.zeros((4, len(modes)), dtype=complex)
-        for j, mode in enumerate(modes):
-            wave = self.points.wave(mode)
-            affected_wave = (wave if saturated else
-                             np.take(wave, affected, mode="clip", out=self.gathered[:n_affected]))
-            k_dot = mode.k_dot(tangents, out=self.k_dot[0, :n_affected],
-                               scratch=self.k_dot[1, :n_affected])
-            sums[0, j] = wave.sum()
-            sums[1, j] = np.multiply(affected_wave, k_dot, out=temp).sum()
-            if self.twin is not None:
-                sums[2, j] = np.subtract(self.twin.wave(mode), affected_wave, out=temp).sum()
-            sums[3, j] = sums[0, j] if saturated else affected_wave.sum()
+        sums = np.zeros((4, len(self.modes)), dtype=complex)
+        values, linear, twin, phase = sums
+        saturated = bool(state.affected.all())
+        if not saturated:
+            for blocks in _value_blocks(state.points):
+                self.waves.load(blocks)
+                for j, mode in enumerate(self.modes):
+                    for partial in self.waves.wave(mode).sum(axis=1):
+                        values[j] += partial
+        for point_sets, tangents in self._affected_blocks(state, saturated):
+            self.waves.load(point_sets)
+            n = len(tangents)
+            temp = self.temp[:n]
+            for j, mode in enumerate(self.modes):
+                waves = self.waves.wave(mode)
+                wave = waves[0]
+                k_dot = mode.k_dot(tangents, out=self.k_dot[0, :n], scratch=self.k_dot[1, :n])
+                phase[j] += wave.sum()
+                linear[j] += np.multiply(wave, k_dot, out=temp).sum()
+                if self.twin:
+                    twin[j] += np.subtract(waves[1], wave, out=temp).sum()
+        if saturated:
+            values[:] = phase
         return sums
+
+    def _affected_blocks(self, state: GasState, saturated: bool):
+        """(point sets, tangents) of the affected particles, BLOCK at a time:
+        slices of the state's arrays on a saturated row, gathers otherwise.
+        The point sets are the points and, with a twin, the twin's points."""
+        arrays = [state.points, *([state.twin_points] if self.twin else []), state.tangents]
+        affected = None if saturated else np.flatnonzero(state.affected)
+        for start in range(0, state.n_particles if saturated else len(affected), BLOCK):
+            if saturated:
+                block = [a[start:start + BLOCK] for a in arrays]
+            else:
+                index = affected[start:start + BLOCK]
+                # mode="clip" takes straight into out; "raise" buffers a copy
+                block = [np.take(a, index, axis=0, mode="clip", out=into[:len(index)])
+                         for a, into in zip(arrays, self.gathered)]
+            yield block[:-1], block[-1]
 
 
 def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
@@ -222,13 +384,13 @@ def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
     if (0, 0) in modes:
         raise ValueError("the zero mode is the conserved normalization; pick a nonzero mode")
     canonical = list(dict.fromkeys(map(_canonical, modes)))
+    _turn_table()  # build the kernel's table once, before the workers ask for it
     workspace = threading.local()
 
     def row(state: GasState) -> np.ndarray:
-        if not hasattr(workspace, "arrays"):  # one run's states share N and the twin
-            workspace.arrays = _RowArrays(state.n_particles, canonical,
-                                          state.twin_points is not None)
-        return workspace.arrays.sums(state, canonical)
+        if not hasattr(workspace, "arrays"):  # one run's states all have a twin or none
+            workspace.arrays = _RowArrays(canonical, state.twin_points is not None)
+        return workspace.arrays.sums(state)
 
     rows, pending, state = [], deque(), None
     with ThreadPoolExecutor(threads) as pool:

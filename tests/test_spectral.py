@@ -1,6 +1,12 @@
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import weakref
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +69,10 @@ class TestDeltaSeries:
         states = gas.evolve(RunConfig(n_particles=8, steps=2, seed=0), model)
         with pytest.raises(ValueError, match="zero mode"):
             spectral.delta_series(states, [ModeIndex(0, 0)])
+
+    def test_no_modes_give_no_series(self, model):
+        states = gas.evolve(RunConfig(n_particles=8, steps=2, seed=0, twin=True), model)
+        assert spectral.delta_series(states, []) == []
 
     def test_no_states_rejected(self):
         with pytest.raises(ValueError, match="at least one gas state"):
@@ -193,9 +203,8 @@ def _reference_powers(z, exponents):
 def _reference_waves(points, modes):
     m1s = {mode.m1 for mode in modes} - {0}
     m2s = {mode.m2 for mode in modes} - {0}
-    two_pi = 2.0 * math.pi
-    zx = _reference_powers(np.exp(-1j * (two_pi * points[:, 0])), m1s) if m1s else {}
-    zp = _reference_powers(np.exp(-1j * (two_pi * points[:, 1])), m2s) if m2s else {}
+    zx = _reference_powers(spectral.unit_wave(points[:, 0]), m1s) if m1s else {}
+    zp = _reference_powers(spectral.unit_wave(points[:, 1]), m2s) if m2s else {}
     for mode in modes:
         if mode.m1 == 0:
             yield zp[mode.m2]
@@ -205,9 +214,20 @@ def _reference_waves(points, modes):
             yield zx[mode.m1] * zp[mode.m2]
 
 
+def _block_sum(values):
+    """0 + s_0 + s_1 + ... over consecutive blocks of BLOCK values, in order."""
+    total = 0j
+    for start in range(0, len(values), spectral.BLOCK):
+        total += values[start:start + spectral.BLOCK].sum()
+    return total
+
+
 def reference_series(states, modes):
-    """Every mode summed on its own, with fresh arrays and full gathers: the
-    reference that the +-k fill and the reused arrays must match bit for bit."""
+    """Every mode summed on its own, over fresh whole-row arrays and full
+    gathers cut into blocks only for the sums: the reference that the +-k
+    fill, the reused block arrays and the shared saturated blocks must match
+    bit for bit.  Its waves come from the same kernel, so that the bits can
+    agree at all; the kernel has its own tests against decimal arithmetic."""
     rows = []
     for state in states:
         affected = np.flatnonzero(state.affected)
@@ -220,11 +240,11 @@ def reference_series(states, modes):
                 zip(modes, _reference_waves(state.points, modes), twin_waves)):
             affected_wave = wave[affected]
             k_dot = 2.0 * math.pi * (mode.m1 * tangents[..., 0] + mode.m2 * tangents[..., 1])
-            sums[0, j] = wave.sum()
-            sums[1, j] = (affected_wave * k_dot).sum()
+            sums[0, j] = _block_sum(wave)
+            sums[1, j] = _block_sum(affected_wave * k_dot)
             if twin_wave is not None:
-                sums[2, j] = (twin_wave - affected_wave).sum()
-            sums[3, j] = affected_wave.sum()
+                sums[2, j] = _block_sum(twin_wave - affected_wave)
+            sums[3, j] = _block_sum(affected_wave)
         rows.append(sums)
     n = states[-1].n_particles
     values, linear, twin, phase = np.stack(rows, axis=2)
@@ -283,6 +303,160 @@ class TestConjugateFill:
             config = RunConfig(n_particles=n, steps=8, seed=n, pairing="tree", twin=True)
             assert_same_series(spectral.delta_series(gas.evolve(config, model), modes),
                               spectral.delta_series(gas.evolve(config, model), modes, threads))
+
+
+B = spectral.BLOCK
+
+
+class TestBlockedRow:
+    """Rows longer than one block: value blocks, gathered affected blocks of
+    BLOCK particles and the shared blocks of a saturated row."""
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 3],
+                             ids=["B-1", "B", "B+1", "2B+3"])
+    @pytest.mark.parametrize("pairing", ["tree", "random"])
+    @pytest.mark.parametrize("twin", [True, False], ids=["twin", "no-twin"])
+    def test_bitwise_equal_to_per_mode_sums(self, model, n, pairing, twin):
+        # Tree pairing saturates by step floor(log2 n) + 1.  At 2B+3 the row
+        # before that has 2**14 = 2B affected particles, two gathered blocks,
+        # and every unsaturated row's value sum pairs two full blocks and
+        # then takes a 3-particle tail.
+        config = RunConfig(n_particles=n, steps=16, seed=n, pairing=pairing, twin=twin)
+        states = list(gas.evolve(config, model))
+        modes = MODE_LISTS["order 2 reversed"]
+        assert_same_series(reference_series(states, modes),
+                          spectral.delta_series(states, modes, threads=2))
+
+    def test_value_blocks_added_in_order(self, model):
+        # Four full blocks make two pairs of value blocks, so the order of the
+        # partial sums within a pair shows; the rows stay unsaturated.
+        config = RunConfig(n_particles=4 * B + 3, steps=4, seed=9, pairing="tree", twin=True)
+        states = list(gas.evolve(config, model))
+        modes = spectral.enumerate_modes(1)
+        assert_same_series(reference_series(states, modes), spectral.delta_series(states, modes))
+
+    def test_threads_give_identical_series(self, model):
+        config = RunConfig(n_particles=2 * B + 3, steps=16, seed=5, pairing="tree", twin=True)
+        states = list(gas.evolve(config, model))
+        modes = spectral.enumerate_modes(2)
+        serial = spectral.delta_series(states, modes, threads=1)
+        for threads in (2, 4):
+            assert_same_series(serial, spectral.delta_series(states, modes, threads))
+
+
+def _machin_pi(digits):
+    """pi = 16 atan(1/5) - 4 atan(1/239), each by its Taylor series: a value
+    that does not come from the library's own constant."""
+    def atan_inverse(x):
+        term = total = 1 / Decimal(x)
+        k = 1
+        while abs(term) > Decimal(10) ** -(digits + 4):
+            term, k = -term / (x * x), k + 2
+            total += term / k
+        return total
+
+    with localcontext() as ctx:
+        ctx.prec = digits + 8
+        return 16 * atan_inverse(5) - 4 * atan_inverse(239)
+
+
+PI = _machin_pi(60)
+SPLIT = 1024  # the decimal reference's own table: exp(2*pi*i a/SPLIT)
+
+
+def _decimal_cos_sin(phi, digits):
+    """cos and sin of each Decimal in the object array phi by Taylor series,
+    summed until the terms fall below 10**-digits."""
+    cos, sin, term, k = np.full(len(phi), Decimal(1), dtype=object), phi, phi, 1
+    while max(map(abs, term)) > Decimal(10) ** -digits:
+        k += 1
+        term = term * phi / k
+        if k % 2 == 0:
+            cos = cos + term if k % 4 == 0 else cos - term
+        else:
+            sin = sin + term if k % 4 == 1 else sin - term
+    return cos, sin
+
+
+def decimal_unit_wave(x, digits=30):
+    """cos(2*pi*x) and -sin(2*pi*x) of each float x, as Decimals to about
+    `digits` digits: x = a/SPLIT + b with a = floor(SPLIT x), and
+    exp(2*pi*i x) is the product of the series at 2*pi*a/SPLIT and 2*pi*b."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 8
+        heads = np.array([Decimal(a) for a in range(SPLIT)], dtype=object) * (2 * PI / SPLIT)
+        head_cos, head_sin = _decimal_cos_sin(heads, digits + 4)
+        a = np.floor(np.asarray(x) * SPLIT)
+        rest = np.array([Decimal(v) - Decimal(int(u)) / SPLIT for v, u in zip(x, a)],
+                        dtype=object)
+        rest_cos, rest_sin = _decimal_cos_sin(rest * (2 * PI), digits + 4)
+        index = a.astype(np.int64) % SPLIT
+        cos_a, sin_a = head_cos[index], head_sin[index]
+        return cos_a * rest_cos - sin_a * rest_sin, -(sin_a * rest_cos + cos_a * rest_sin)
+
+
+def _max_error(got, want):
+    return max(abs(Decimal(g) - w) for g, w in zip(got, want))
+
+
+class TestUnitWave:
+    """The table kernel behind every mode wave, against decimal arithmetic."""
+
+    M = spectral.TABLE_SIZE
+
+    def test_error_at_most_2_to_minus_53_against_decimal(self):
+        grid = np.arange(self.M) / self.M
+        x = np.concatenate([np.random.default_rng(18).random(10**5), [0.0, 1 - 2.0**-53],
+                            np.nextafter(grid, -1), np.nextafter(grid, 2)])
+        wave = spectral.unit_wave(x)
+        cos, minus_sin = decimal_unit_wave(x)
+        # the documented bound: one rounding after the two-part table value,
+        # plus the polynomials' truncation and the small terms' roundings
+        bound = Decimal(2) ** -54 + Decimal("3e-18")
+        assert bound < Decimal(2) ** -53
+        assert _max_error(wave.real, cos) <= bound
+        assert _max_error(wave.imag, minus_sin) <= bound
+
+    def test_quarter_turns_are_exact(self):
+        # bit for bit, so that every zero is +0
+        wave = spectral.unit_wave([0.0, 0.25, 0.5, 0.75])
+        expected = np.array([complex(1, 0), complex(0, -1), complex(-1, 0), complex(0, 1)])
+        assert wave.tobytes() == expected.tobytes()
+
+    def test_every_table_entry_is_correctly_rounded(self):
+        table = spectral._turn_table()
+        cos, minus_sin = decimal_unit_wave(np.arange(self.M) / self.M, digits=45)
+        # Only the quarter turns have exact values, 0 and +-1, where the series
+        # leaves a residue of about 1e-52: snap those to 0.
+        def snapped(v):
+            return Decimal(0) if abs(v) < Decimal(10) ** -40 else v
+
+        for hi, lo, exact in [(table[0], table[2], cos), (table[1], table[3], minus_sin)]:
+            rounded = np.array([float(snapped(v)) for v in exact])
+            with localcontext() as ctx:
+                ctx.prec = 60
+                rest = np.array([float(snapped(v - Decimal(h)))
+                                 for v, h in zip(exact, rounded.tolist())])
+            # bit for bit, so that every zero is +0
+            assert hi.tobytes() == rounded.tobytes()
+            assert lo.tobytes() == rest.tobytes()
+
+    def test_bits_independent_of_cpu_dispatch(self):
+        code = ("import hashlib, sys, numpy as np; from arnoldgas import spectral; "
+                "x = np.random.default_rng(7).random(10**5) * 4 - 2; "
+                "sys.stdout.write(hashlib.sha256(spectral.unit_wave(x).tobytes()).hexdigest())")
+        x = np.random.default_rng(7).random(10**5) * 4 - 2
+        here = hashlib.sha256(spectral.unit_wave(x).tobytes()).hexdigest()
+        src = Path(__file__).resolve().parents[1] / "src"
+        for disabled in (None, "AVX512_SPR AVX512_ICL X86_V4 X86_V3"):
+            env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+            env["PYTHONPATH"] = str(src)
+            if disabled is not None:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            result = subprocess.run([sys.executable, "-c", code], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == here, disabled
 
 
 class TestExponentEstimate:

@@ -58,6 +58,17 @@ def test_experiment_script_runs(script, args, header):
     assert result.stdout.splitlines()[0] == header
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_fluctuation_ensemble_refuses_no_seeds(seeds):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "fluctuation_ensemble.py"),
+                             "--particles", "256", "--seeds", seeds],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 2
+    assert "--seeds must be at least 1" in result.stderr
+    assert result.stdout == ""
+
+
 def test_pyproject_version_matches_package():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with (ROOT / "pyproject.toml").open("rb") as fh:
