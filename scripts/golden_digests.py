@@ -35,6 +35,9 @@ COMMANDS = [
     "gas --particles 1000 --steps 5 --modes 0",
     "gas --particles 1024 --steps 20 --twin on --modes 1 --matrix 2,-1,-1,1 --seed 4",
     "tree --stages 18",
+    # normal leaves whose squares underflow: norms and dilations are scaled
+    # by powers of two (maps.row_norms, maps.root_sum_squares)
+    "tree --stages 12 --epsilon 1e-200",
     # subnormal leaves: their rounding makes 407 distinct rows, not 69
     "tree --stages 12 --epsilon 1e-320",
     # leaves underflow to zero, so rows of equal bits are kept apart by

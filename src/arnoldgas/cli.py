@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -81,25 +82,31 @@ def _write_csv(path: Path, manifest: dict, columns: list[str], rows, order) -> s
 
     Each row is a tuple with one value per column.  Integer columns print
     with %d, the others with 17 significant digits (%.17g).  Each row is
-    formatted once, and the body lists rows[k] for each k of `order`, so a
-    row may appear many times or not at all.  The body is written and
-    hashed CSV_CHUNK_ROWS lines at a time, so it is never held whole.
+    encoded once, and the body lists rows[k] for each k of `order` (a
+    sequence or an int array), so a row may appear many times or not at all.
+
+    The body is built CSV_CHUNK_ROWS lines at a time by one gather from the
+    encoded rows, so it is never held whole.  A one-thread helper hashes
+    each chunk, in order, while this thread writes it and builds the next;
+    the next chunk is handed over only once the previous one is hashed, so
+    at most two chunks are alive.  The helper is joined before this returns
+    or raises.
     """
     template = ",".join("%d" if name in INTEGER_COLUMNS else "%.17g"
                         for name in columns) + "\n"
-    lines = [template % row for row in rows]
+    lines = np.array([(template % row).encode() for row in rows], dtype=object)
     digest = hashlib.sha256()
-
-    def hashed(text: str) -> bytes:
-        data = text.encode()
-        digest.update(data)
-        return data
-
-    with open(path, "wb") as fh:
+    head = (",".join(columns) + "\n").encode()
+    with open(path, "wb") as fh, ThreadPoolExecutor(max_workers=1) as hasher:
         fh.write(("# " + json.dumps(manifest, sort_keys=True) + "\n").encode())
-        fh.write(hashed(",".join(columns) + "\n"))
+        hashed = hasher.submit(digest.update, head)
+        fh.write(head)
         for start in range(0, len(order), CSV_CHUNK_ROWS):
-            fh.write(hashed("".join([lines[k] for k in order[start:start + CSV_CHUNK_ROWS]])))
+            chunk = b"".join(lines[order[start:start + CSV_CHUNK_ROWS]].tolist())
+            hashed.result()
+            hashed = hasher.submit(digest.update, chunk)
+            fh.write(chunk)
+        hashed.result()
     return digest.hexdigest()
 
 

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .maps import (CollisionModel, check_epsilon, collide_arrays, collide_linear,
-                   torus_diff_arrays, _wrap_unit)
+                   root_sum_squares, row_items, row_norms, torus_diff_arrays, _wrap_unit)
 
 RNG_NAME = "numpy.random.PCG64"
 
@@ -146,14 +146,15 @@ def _collide_rows(collide, model: CollisionModel, src: np.ndarray, dst: np.ndarr
                   i: np.ndarray, j: np.ndarray) -> None:
     """dst[i], dst[j] = collide(model, src[i], src[j]) for (n, 2) float arrays.
 
-    np.take, and a scatter through a view with one complex item per row, use
-    numpy's 1-D fast paths; 2-D fancy indexing is several times slower.  dst
-    must be C-ordered.
+    Rows are gathered and scattered as one complex item each (maps.row_items),
+    on numpy's 1-D fast paths.  src and dst must be C-ordered.
     """
-    out_i, out_j = collide(model, np.take(src, i, axis=0), np.take(src, j, axis=0))
-    rows = dst.view(np.complex128)[:, 0]
-    rows[i] = out_i.view(np.complex128)[:, 0]
-    rows[j] = out_j.view(np.complex128)[:, 0]
+    items = row_items(src)
+    out_i, out_j = collide(model, items[i].view(np.float64).reshape(-1, 2),
+                           items[j].view(np.float64).reshape(-1, 2))
+    rows = row_items(dst)
+    rows[i] = row_items(out_i)
+    rows[j] = row_items(out_j)
 
 
 def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
@@ -192,8 +193,7 @@ def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
     twin_points = None
     if state.twin_points is not None:
         twin_points = points.copy()
-        np.copyto(twin_points.view(np.complex128)[:, 0],
-                  state.twin_points.view(np.complex128)[:, 0], where=was)
+        np.copyto(row_items(twin_points), row_items(state.twin_points), where=was)
         _collide_rows(collide_arrays, model, state.twin_points, twin_points, ih, jh)
 
     new_state = GasState(
@@ -215,15 +215,15 @@ def _diagnostics(state: GasState) -> tuple[int, float, float, float, float]:
     """
     n = state.n_particles
     affected = state.affected
-    norms = np.linalg.norm(np.compress(affected, state.tangents, axis=0), axis=1)
+    norms = row_norms(np.compress(affected, state.tangents, axis=0))
     twin = math.nan
     if state.twin_points is not None:
         diff = torus_diff_arrays(np.compress(affected, state.twin_points, axis=0),
                                  np.compress(affected, state.points, axis=0))
-        twin = float(np.sqrt(np.sum(diff**2)))
+        twin = root_sum_squares(diff)
     return (
         norms.size,
-        float(np.sqrt(np.sum(norms**2))),
+        root_sum_squares(norms),
         float(norms.max(initial=0.0)),
         _median_with_zeros(norms, n),
         twin,

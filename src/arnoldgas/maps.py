@@ -156,6 +156,49 @@ def apply_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def row_items(rows: np.ndarray) -> np.ndarray:
+    """An (n, 2) C-ordered float array as n complex items, one per row.
+
+    A view, not a copy.  numpy gathers and scatters 1-D arrays on a fast
+    path; fancy indexing of (n, 2) rows is several times slower.
+    """
+    return rows.view(np.complex128)[:, 0]
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """|row| of each row of an (n, 2) float array, without underflow.
+
+    Each row is scaled by the power of two 2^-e that brings its larger
+    component into [0.5, 1), so its squares neither underflow nor overflow,
+    and its norm is scaled back by 2^e.  Scaling by a power of two is exact,
+    so the result equals np.linalg.norm(rows, axis=1) bit for bit wherever
+    no square underflows there, and is right where one does.
+    """
+    x, p = rows[:, 0], rows[:, 1]
+    _, e = np.frexp(np.maximum(np.abs(x), np.abs(p)))
+    x, p = np.ldexp(x, -e), np.ldexp(p, -e)
+    x *= x
+    p *= p
+    x += p
+    return np.ldexp(np.sqrt(x, out=x), e, out=x)
+
+
+def root_sum_squares(values: np.ndarray, index: np.ndarray | None = None) -> float:
+    """sqrt of the sum of squares of every entry of `values`, without underflow.
+
+    As row_norms, with one power-of-two scale for the whole array, taken from
+    its largest magnitude; the sum runs in the order of np.sum(values**2).
+    With `index`, `values` is an (n, 2) array and the sum runs over the rows
+    values[index], squared once per row of `values` and then gathered.
+    """
+    _, e = np.frexp(np.max(np.abs(values), initial=0.0))
+    squares = np.ldexp(values, -e)
+    np.square(squares, out=squares)
+    if index is not None:
+        squares = row_items(squares)[index].view(np.float64)
+    return math.ldexp(math.sqrt(np.sum(squares)), int(e))
+
+
 def collide_linear(
     model: CollisionModel, x0: np.ndarray, x1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

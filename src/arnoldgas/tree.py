@@ -31,7 +31,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .maps import CollisionModel, apply_rows, check_epsilon
+from .maps import CollisionModel, apply_rows, check_epsilon, root_sum_squares, row_norms
 
 DEFAULT_MAX_STAGES = 24
 
@@ -130,7 +130,7 @@ def mean_dilations(run: TreeRun) -> tuple[float, float]:
     Each norm and log is taken once per distinct row; the means sum the
     per-leaf values over all 2^n leaves in leaf order.
     """
-    mags = np.linalg.norm(run.distinct, axis=1) / run.epsilon
+    mags = row_norms(run.distinct) / run.epsilon
     geometric = float(np.exp(np.mean(np.log(mags)[run.leaf])))
     arithmetic = float(np.mean(mags[run.leaf]))
     return geometric, arithmetic
@@ -146,9 +146,10 @@ def mean_dilations_closed(model: CollisionModel, stages: int) -> tuple[float, fl
 def gas_dilation(run: TreeRun) -> float:
     """Whole-gas dilation sqrt(sum of squared leaf displacements) / eps.
 
-    Squares once per distinct row and sums over all leaves in leaf order.
+    Squares once per distinct row and sums over all leaves in leaf order
+    (maps.root_sum_squares).
     """
-    return float(np.sqrt(np.sum((run.distinct**2)[run.leaf])) / run.epsilon)
+    return root_sum_squares(run.distinct, run.leaf) / run.epsilon
 
 
 def gas_dilation_closed(model: CollisionModel, stages: int) -> float:
@@ -162,13 +163,13 @@ def gas_dilation_bound(stages: int) -> float:
 
 
 def leaf_records(run: TreeRun) -> tuple[list[tuple[int, int, int, float, float, float]],
-                                        list[int]]:
+                                        np.ndarray]:
     """CSV rows (stage, n1, n2, dx, dp, |d|) of the distinct leaves, and `leaf`.
 
     The CSV lists leaf i as row leaf[i], so each distinct row is formatted once.
     """
     dx, dp = run.distinct.T.tolist()
-    norms = np.linalg.norm(run.distinct, axis=1).tolist()
+    norms = row_norms(run.distinct).tolist()
     n1 = run.distinct_n1.tolist()
     n2 = (run.stages - run.distinct_n1).tolist()
-    return list(zip(repeat(run.stages), n1, n2, dx, dp, norms)), run.leaf.tolist()
+    return list(zip(repeat(run.stages), n1, n2, dx, dp, norms)), run.leaf

@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -176,6 +178,25 @@ class TestTree:
         default, no_avx2 = dispatch_outputs["gas"]
         assert default[name] == no_avx2[name]
 
+    @pytest.mark.parametrize("epsilon,rel", [("1e-160", 1e-12), ("1e-200", 1e-12),
+                                             ("1e-300", 1e-12), ("1e-320", 1e-4)])
+    def test_tiny_epsilon_dilations_match_closed_forms(self, tmp_path, capsys, epsilon, rel):
+        # squares of these leaves underflow; at 1e-320 the leaves themselves are subnormal
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["tree", "--stages", "12", "--epsilon", epsilon,
+                        "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = read_summary(tmp_path / "t.summary.json")["summary"]
+        for name in ("gas_dilation", "geometric_mean_dilation", "arithmetic_mean_dilation"):
+            assert summary[name] == pytest.approx(summary[f"{name}_closed"], rel=rel)
+        for line in csv_body(out).splitlines()[1:]:
+            dx, dp, norm = map(float, line.split(",")[3:])
+            assert norm > 0
+            if rel < 1e-4:
+                assert norm == pytest.approx(math.hypot(dx, dp), rel=1e-15, abs=0)
+
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         assert run(["tree", "--stages", "2", "--out", "rel.csv"]) == 0
@@ -227,6 +248,15 @@ class TestGas:
         for row in rows:
             norm, twin_dist = float(row[2]), float(row[5])
             assert twin_dist / norm == pytest.approx(1.0, abs=1e-4)
+
+    def test_tiny_epsilon_norm(self, tmp_path):
+        # eps^2 underflows to 0; the norms are scaled by powers of two first
+        out = tmp_path / "g.csv"
+        assert run(["gas", "--particles", "64", "--steps", "4", "--epsilon", "1e-200",
+                    "--modes", "0", "--out", str(out)]) == 0
+        norms = [float(line.split(",")[2]) for line in csv_body(out).splitlines()[1:]]
+        assert norms[0] == pytest.approx(1e-200, rel=1e-12, abs=0)
+        assert all(norm > 1e-200 for norm in norms[1:])
 
     def test_odd_particles_warns(self, tmp_path, capsys):
         assert run(["gas", "--particles", "7", "--steps", "2", "--modes", "0",
@@ -416,6 +446,42 @@ class TestUnwritableOutput:
         self.refused(tmp_path, capsys, ["gas", "--particles", "16", "--steps", "2",
                                         "--modes", "1", "--out", str(tmp_path / "x.csv")],
                      tmp_path / "x.summary.json")
+
+    def test_failed_body_write_removes_the_temporary_and_the_hasher(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        real_open = open
+
+        class FullDisk:
+            """A file whose fifth write (the third chunk of the body) fails."""
+
+            def __init__(self, path, mode):
+                self.fh = real_open(path, mode)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 5:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 64)
+        monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+        threads = threading.active_count()
+        out = tmp_path / "t.csv"
+        self.refused(tmp_path, capsys, ["tree", "--stages", "10", "--out", str(out)], out)
+        assert threading.active_count() == threads
+        # the traceback keeps the failed call's frame, so a helper that were
+        # left to the garbage collector would still be running here
+        with pytest.raises(OSError) as failed:
+            cli._write_csv(tmp_path / "direct.csv", {}, ["t"], [(0,)], [0] * 1000)
+        assert failed.value.errno == errno.ENOSPC
+        assert threading.active_count() == threads
 
     def test_tree_out_parent_is_a_file(self, tmp_path, capsys):
         (tmp_path / "F").write_text("")
@@ -644,6 +710,29 @@ class TestCellFormat:
         assert body == "t,x,y\n" + "".join("%d,%.17g,%.17g\n" % rows[k] for k in order)
         assert body.splitlines()[2:5] == ["1,-0,0.5", "1,-0,0.5", "1,0,0.5"]
         assert digest == hashlib.sha256(body.encode()).hexdigest()
+
+    @pytest.mark.parametrize("chunk_rows", [3, cli.CSV_CHUNK_ROWS])
+    def test_order_as_list_range_or_int_array(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        rows = [(k, k / 3) for k in range(8)]
+        written = set()
+        for k, order in enumerate([list(range(8)), range(8), np.arange(8),
+                                   np.arange(8, dtype=np.int32)]):
+            out = tmp_path / f"{k}.csv"
+            digest = cli._write_csv(out, {}, ["t", "x"], rows, order)
+            written.add((out.read_bytes(), digest))
+        assert len(written) == 1
+        (data, digest), = written
+        body = data.split(b"\n", 1)[1]
+        assert body == b"t,x\n" + b"".join(b"%d,%.17g\n" % row for row in rows)
+        assert digest == hashlib.sha256(body).hexdigest()
+
+    @pytest.mark.parametrize("order", [[], range(0), np.zeros(0, dtype=np.intp)])
+    def test_empty_order_writes_the_column_line_alone(self, tmp_path, order):
+        out = tmp_path / "e.csv"
+        digest = cli._write_csv(out, {}, ["t", "x"], [(1, 0.5)], order)
+        assert out.read_bytes().split(b"\n", 1)[1] == b"t,x\n"
+        assert digest == hashlib.sha256(b"t,x\n").hexdigest()
 
     def test_tree_cells(self, tmp_path, model):
         out = tmp_path / "t.csv"

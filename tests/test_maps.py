@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arnoldgas import maps
+from arnoldgas import maps, tree
 
 SQRT5 = math.sqrt(5.0)
 
@@ -253,6 +253,57 @@ class TestRowWise:
             for r in range(n):
                 one = np.stack(collide(model, x0[r:r + 1], x1[r:r + 1]))
                 assert one.tobytes() == full[:, r:r + 1].tobytes()
+
+
+class TestRowNorms:
+    """maps.row_norms and maps.root_sum_squares against numpy's own formulas,
+    bit for bit where no square underflows, and right where one does."""
+
+    MATRICES = [[[1, 1], [1, 2]], [[2, 1], [1, 1]], [[2, -1], [-1, 1]], [[3, 2], [1, 1]]]
+
+    @staticmethod
+    def random_rows(n, seed=7):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-150, 150, size=(n, 1))
+
+    def test_row_norms_equal_linalg_norm_on_random_rows(self):
+        rows = self.random_rows(100_000)
+        assert maps.row_norms(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+
+    def test_row_norms_of_signed_zero_rows(self):
+        rows = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [-0.0, 3.0]])
+        assert maps.row_norms(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+        assert not np.signbit(maps.row_norms(rows)).any()
+
+    @pytest.mark.parametrize("matrix", MATRICES)
+    def test_row_norms_equal_linalg_norm_on_tree_rows(self, matrix):
+        run = tree.run_tree(maps.spectral_decompose(matrix), 16, 1e-9)
+        assert (maps.row_norms(run.distinct).tobytes()
+                == np.linalg.norm(run.distinct, axis=1).tobytes())
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300, 1e-310])
+    def test_row_norms_where_squares_underflow(self, scale):
+        rows = np.array([[3.0, 4.0], [-4.0, 3.0], [0.0, -5.0]]) * scale
+        assert maps.row_norms(rows) == pytest.approx(5 * scale, rel=1e-12, abs=0)
+        assert abs(np.linalg.norm(rows, axis=1)[0] - 5 * scale) > 1e-6 * scale
+
+    def test_root_sum_squares_equals_numpy_formula(self):
+        rows = self.random_rows(4096, seed=8) * 1e-140
+        for values in (rows, rows[:, 0], np.abs(rows[:, 1])):
+            assert maps.root_sum_squares(values) == float(np.sqrt(np.sum(values**2)))
+
+    def test_root_sum_squares_of_gathered_rows(self):
+        rows = self.random_rows(170, seed=9) * 1e-140
+        index = np.random.default_rng(10).integers(0, 170, size=70_000)
+        assert (maps.root_sum_squares(rows, index)
+                == float(np.sqrt(np.sum((rows**2)[index]))))
+
+    def test_root_sum_squares_where_squares_underflow(self):
+        values = np.array([[3.0, 0.0], [0.0, -4.0]]) * 1e-200
+        assert maps.root_sum_squares(values) == pytest.approx(5e-200, rel=1e-15, abs=0)
+        assert maps.root_sum_squares(values, np.array([0, 1, 1, 1])) == pytest.approx(
+            math.sqrt(57) * 1e-200, rel=1e-15, abs=0)
+        assert maps.root_sum_squares(np.zeros(0)) == 0.0
 
 
 def wrap_reference(a):

@@ -170,6 +170,12 @@ class TestGasDilation:
         assert tree.gas_dilation(run) == pytest.approx(closed, rel=1e-10)
         assert closed >= 2**5
 
+    @pytest.mark.parametrize("n", [12, 16, 18])
+    def test_bits_of_the_plain_formula(self, model, n):
+        run = tree.run_tree(model, n, 1e-9)
+        plain = float(np.sqrt(np.sum((run.distinct**2)[run.leaf])) / run.epsilon)
+        assert tree.gas_dilation(run) == plain
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_growth_ratio_and_bound(self, model, n):
         ratio = tree.gas_dilation_closed(model, n) / tree.gas_dilation_closed(model, n - 1)
