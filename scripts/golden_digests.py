@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Compute the golden output digests; with --write, regenerate their file.
 
-`tests/golden_digests.json` records the package version and, for each
-command in COMMANDS, the SHA-256 of the CSV body it writes to `--out` (the
-file without its manifest line): a gas trajectory or the tree leaves.  These
-bodies do not depend on numpy's CPU dispatch.  The spectrum CSV and the gas
-summary's fits still do (ROADMAP item 6), so they are left out.
+`tests/golden_digests.json` records the package version and two maps of
+SHA-256 digests.  `commands` holds, for each command in COMMANDS, the digest
+of the CSV body it writes to `--out` (the file without its manifest line): a
+gas trajectory or the tree leaves.  `summaries` holds, for each command in
+SUMMARY_COMMANDS, the digest of its whole `.summary.json`.  None of these
+bytes depend on numpy's CPU dispatch.  The spectrum CSV and the gas summary
+still do (ROADMAP item 6), so they are left out.
 
 A change that alters any of these bytes bumps `__version__` and reruns this
 script with --write.  Without --write it prints the file it would write;
@@ -40,23 +42,38 @@ COMMANDS = [
     "tree --stages 12 --epsilon 1e-200",
     # subnormal leaves: their rounding makes 407 distinct rows, not 69
     "tree --stages 12 --epsilon 1e-320",
-    # leaves underflow to zero, so rows of equal bits are kept apart by
-    # their n1 label alone (keying on bits only changes this body)
-    "tree --stages 12 --epsilon 5e-324",
+    # the smallest leaves are a few subnormal ulps, so rows of equal bits are
+    # kept apart by their n1 label (keying on bits only changes this body)
+    "tree --stages 12 --epsilon 3e-323",
+]
+# Tree summaries hold the enumerated and closed-form dilations; the last
+# command writes a summary only.
+SUMMARY_COMMANDS = [command for command in COMMANDS if command.startswith("tree")] + [
+    "tree --stages 40 --aggregate-only",
 ]
 
 
-def body_digest(command: str) -> str:
-    """Run `command` in process into a fresh directory; the SHA-256 of its CSV body."""
+def run(command: str, out: Path) -> None:
+    """Run `command` in process with `--out out`; raise if it fails."""
+    stderr = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(stderr):
+        code = cli.main([*command.split(), "--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"{command} exited {code}: {stderr.getvalue()}")
+
+
+def output_digests(command: str) -> dict[str, str]:
+    """Run `command` into a fresh directory: the SHA-256 of its CSV body at
+    `--out` ("body", if it writes one) and of its whole summary ("summary")."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
-        stderr = StringIO()
-        with redirect_stdout(StringIO()), redirect_stderr(stderr):
-            code = cli.main([*command.split(), "--out", str(out)])
-        if code != 0:
-            raise RuntimeError(f"{command} exited {code}: {stderr.getvalue()}")
-        data = out.read_bytes()
-    return hashlib.sha256(data[data.index(b"\n") + 1:]).hexdigest()
+        run(command, out)
+        digests = {"summary": hashlib.sha256(
+            out.with_suffix(".summary.json").read_bytes()).hexdigest()}
+        if out.exists():
+            data = out.read_bytes()
+            digests["body"] = hashlib.sha256(data[data.index(b"\n") + 1:]).hexdigest()
+    return digests
 
 
 def main() -> None:
@@ -66,9 +83,13 @@ def main() -> None:
                         help=f"write {GOLDEN.name} instead of printing it")
     args = parser.parse_args()
 
-    text = json.dumps({"__version__": __version__,
-                       "commands": {command: body_digest(command) for command in COMMANDS}},
-                      indent=2) + "\n"
+    digests = {command: output_digests(command)
+               for command in dict.fromkeys(COMMANDS + SUMMARY_COMMANDS)}
+    text = json.dumps({
+        "__version__": __version__,
+        "commands": {command: digests[command]["body"] for command in COMMANDS},
+        "summaries": {command: digests[command]["summary"] for command in SUMMARY_COMMANDS},
+    }, indent=2) + "\n"
     if args.write:
         GOLDEN.write_text(text)
         print(f"wrote {GOLDEN}")

@@ -9,10 +9,11 @@ Subcommands:
 
 Every output file starts with a one-line JSON manifest comment recording the
 command, parameters, seed, collision matrix, generator, and tool version.
-Integer columns print as integers and all others with 17 significant digits,
-so re-runs with the same manifest reproduce byte-identical CSV bodies.  Exit
-codes: 0 success, 1 usage error or an output that cannot be written,
-2 runtime refusal (memory budget), 3 verification failure.
+Every cell prints with 17 significant digits (%.17g), under which integers
+still print as integers, so re-runs with the same manifest reproduce
+byte-identical CSV bodies.  Exit codes: 0 success, 1 usage error or an
+output that cannot be written, 2 runtime refusal (memory budget),
+3 verification failure.
 
 The environment variable ARNOLDGAS_OUTDIR, when set, is the base directory
 for relative output paths.
@@ -28,6 +29,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +46,6 @@ EXIT_VERIFY_FAILED = 3
 TREE_CSV_COLUMNS = ["stage", "n1", "n2", "dx", "dp", "norm"]
 GAS_CSV_COLUMNS = ["t", "affected", "norm", "max_disp", "median_disp", "twin_dist"]
 SPECTRUM_CSV_COLUMNS = ["t", "m1", "m2", "re_ntilde", "im_ntilde", "delta_twin", "delta_linear"]
-# Columns of the schemas above that print as integers; all others are floats.
-INTEGER_COLUMNS = frozenset({"stage", "n1", "n2", "t", "affected", "m1", "m2"})
 # CSV lines joined, hashed and written at a time (about 1 MB of tree rows)
 CSV_CHUNK_ROWS = 16384
 
@@ -80,10 +80,11 @@ def _manifest(command: str, params: dict, seed: int, matrix: list[list[int]]) ->
 def _write_csv(path: Path, manifest: dict, columns: list[str], rows, order) -> str:
     """Write manifest header + CSV; return the sha256 of the CSV body.
 
-    Each row is a tuple with one value per column.  Integer columns print
-    with %d, the others with 17 significant digits (%.17g).  Each row is
-    encoded once, and the body lists rows[k] for each k of `order` (a
-    sequence or an int array), so a row may appear many times or not at all.
+    Each row is a tuple with one value per column, and every cell prints
+    with 17 significant digits (%.17g), which prints an integer of up to
+    17 digits as %d would.  Each row is encoded once, and the body lists
+    rows[k] for each k of `order` (a sequence or an int array), so a row
+    may appear many times or not at all.
 
     The body is built CSV_CHUNK_ROWS lines at a time by one gather from the
     encoded rows, so it is never held whole.  A one-thread helper hashes
@@ -92,8 +93,7 @@ def _write_csv(path: Path, manifest: dict, columns: list[str], rows, order) -> s
     at most two chunks are alive.  The helper is joined before this returns
     or raises.
     """
-    template = ",".join("%d" if name in INTEGER_COLUMNS else "%.17g"
-                        for name in columns) + "\n"
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
     lines = np.array([(template % row).encode() for row in rows], dtype=object)
     digest = hashlib.sha256()
     head = (",".join(columns) + "\n").encode()
@@ -275,9 +275,9 @@ def _fit_report(m1: int, m2: int, deltas, window) -> dict:
     return report
 
 
-def _mode_report(series: spectral.SpectrumSeries, model, window) -> dict:
-    deltas = series.deltas_twin if series.deltas_twin is not None else series.deltas_linear
-    report = _fit_report(series.mode.m1, series.mode.m2, deltas, window)
+def _mode_report(series: spectral.SpectrumSeries, mags: list[float], model, window) -> dict:
+    """The series' growth fit of `mags` and its two-term exponent estimate."""
+    report = _fit_report(series.mode.m1, series.mode.m2, mags, window)
     est = spectral.exponent_estimate(series, model, window[1])
     report.update(
         lambda_=est.lam, term1=est.term1, term2=est.term2, degenerate=est.degenerate
@@ -341,19 +341,19 @@ def cmd_gas(args) -> int:
     if all_series:
         window = spectral.fit_window(args.particles, args.steps)
         summary["fit_window"] = list(window)
-        summary["modes"] = [_mode_report(series, model, window)
-                            for series in all_series]
-
+        summary["modes"] = []
         spectrum_rows = []
         for series in all_series:
-            for t in range(args.steps + 1):
-                twin_mag = (abs(series.deltas_twin[t])
-                            if series.deltas_twin is not None else math.nan)
-                spectrum_rows.append((
-                    t, series.mode.m1, series.mode.m2,
-                    series.values[t].real, series.values[t].imag,
-                    twin_mag, abs(series.deltas_linear[t]),
-                ))
+            # |delta| once per value: the spectrum CSV's columns and the fit's input
+            linear = [abs(delta) for delta in series.deltas_linear.tolist()]
+            if series.deltas_twin is None:
+                twin, fitted = [math.nan] * len(linear), linear
+            else:
+                twin = fitted = [abs(delta) for delta in series.deltas_twin.tolist()]
+            summary["modes"].append(_mode_report(series, fitted, model, window))
+            spectrum_rows += zip(range(len(linear)), repeat(series.mode.m1),
+                                 repeat(series.mode.m2), series.values.real.tolist(),
+                                 series.values.imag.tolist(), twin, linear)
         outputs.append((out.with_suffix(".spectrum.csv"), SPECTRUM_CSV_COLUMNS,
                         spectrum_rows, range(len(spectrum_rows))))
 
@@ -416,6 +416,18 @@ def _read_spectrum_csv(path: Path) -> tuple[dict, dict[tuple[int, int], np.ndarr
     return manifest, series
 
 
+def _gas_fit_window(manifest) -> tuple[int, int] | None:
+    """The window the gas summary fitted: spectral.fit_window of the particle
+    and step counts in the manifest's params, or None if it has none."""
+    try:
+        particles, steps = (manifest["params"][key] for key in ("particles", "steps"))
+    except (KeyError, TypeError):
+        return None
+    if type(particles) is int and type(steps) is int and particles >= 1 and steps >= 0:
+        return spectral.fit_window(particles, steps)
+    return None
+
+
 def cmd_spectrum(args) -> int:
     path = Path(args.infile)
     manifest, series = _read_spectrum_csv(path)
@@ -423,18 +435,18 @@ def cmd_spectrum(args) -> int:
     if use_twin and any(np.isnan(arr[:, 0]).all() for arr in series.values()):
         raise ValueError(f"{path} has no delta_twin values; it was written without "
                          "`gas --twin on`, so only --use linear can be fitted")
-    reports = []
-    for (m1, m2), arr in sorted(series.items()):
-        deltas = arr[:, 0] if use_twin else arr[:, 1]
-        if args.window:
-            window = (args.window[0], args.window[1])
-        else:
-            window = (2, len(deltas) - 1)
-        reports.append(_fit_report(m1, m2, np.nan_to_num(deltas, nan=0.0), window))
+    window = tuple(args.window) if args.window else _gas_fit_window(manifest)
+    if window is None:
+        raise ValueError(f"{path} has no gas params.particles and params.steps in its "
+                         "manifest to take the fit window from; give --window T_A T_B")
+    reports = [_fit_report(m1, m2, np.nan_to_num(arr[:, 0 if use_twin else 1], nan=0.0),
+                           window)
+               for (m1, m2), arr in sorted(series.items())]
     payload = {
         "source": str(path),
         "source_manifest": manifest,
         "use": args.use,
+        "fit_window": list(window),
         "modes": reports,
     }
     if args.out:

@@ -471,8 +471,12 @@ def fit_growth(deltas: Sequence[complex] | np.ndarray,
                window: tuple[int, int]) -> GrowthFit:
     """Least-squares line through (t, ln|delta_t|) for t in [t_a, t_b].
 
-    Refuses windows shorter than 3 steps, reaching outside the series, or
-    containing zeros of |delta|.
+    |delta_t| is the scalar `abs` of each value and its log is `math.log`,
+    the libm routines, so the fit does not depend on numpy's SIMD loops and
+    fitting the magnitudes a spectrum CSV holds gives the same bits as
+    fitting the complex deltas they were written from.  Refuses windows
+    shorter than 3 steps, reaching outside the series, or containing zeros
+    of |delta|.
     """
     t_a, t_b = window
     if t_b - t_a < 3:
@@ -480,11 +484,11 @@ def fit_growth(deltas: Sequence[complex] | np.ndarray,
     if t_a < 0 or t_b >= len(deltas):
         raise ValueError(f"fit window [{t_a}, {t_b}] reaches outside the series' "
                          f"steps 0..{len(deltas) - 1}")
-    mags = np.abs(np.asarray(deltas)[t_a : t_b + 1])
-    if np.any(mags == 0):
+    mags = [abs(delta) for delta in deltas[t_a : t_b + 1]]
+    if 0 in mags:
         raise ValueError("fit window contains zeros of |delta|; shrink the window")
     ts = np.arange(t_a, t_b + 1, dtype=float)
-    ys = np.log(mags)
+    ys = np.array([math.log(mag) for mag in mags])
     t_mean, y_mean = ts.mean(), ys.mean()
     dt = ts - t_mean
     slope = float(np.sum(dt * (ys - y_mean)) / np.sum(dt * dt))

@@ -26,6 +26,7 @@ component, so the leaf bits do not depend on the BLAS build or kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -91,7 +92,10 @@ def run_tree(model: CollisionModel, stages: int, epsilon: float) -> TreeRun:
     stage, so k grows about as n^2 / 2 (170 rows at 18 stages, 299 at 24
     with the default matrix), not as 2^n.  A stage costs O(k) arithmetic
     plus the O(2^n) remap of `leaf`.  Refuses stage counts over
-    DEFAULT_MAX_STAGES, whose 2^n leaves would not fit in the output.
+    DEFAULT_MAX_STAGES, whose 2^n leaves would not fit in the output, and
+    (ValueError) an epsilon so small that a leaf has a component that
+    underflows to exactly zero: such leaves no longer carry the tree's
+    factors, and their logs are undefined.
     """
     if stages < 0:
         raise ValueError("stages must be >= 0")
@@ -112,6 +116,11 @@ def run_tree(model: CollisionModel, stages: int, epsilon: float) -> TreeRun:
         first, inverse = _distinct_rows(candidates, candidate_n1)
         leaf = np.concatenate([inverse[:len(distinct)][leaf], inverse[len(distinct):][leaf]])
         distinct, distinct_n1 = candidates[first], candidate_n1[first]
+    zeros = int(np.count_nonzero((distinct == 0).any(axis=1)))
+    if zeros:
+        raise ValueError(f"--epsilon {epsilon} is too small for --stages {stages}: "
+                         f"{zeros} distinct leaf rows have a component that underflows "
+                         "to zero; raise --epsilon or lower --stages")
 
     return TreeRun(
         stages=stages,
@@ -128,10 +137,12 @@ def mean_dilations(run: TreeRun) -> tuple[float, float]:
     The geometric mean equals |kp*km|^{n/2} (binomial symmetry puts the
     mean n1 at n/2) and the arithmetic mean equals ((|kp|+|km|)/2)^n.
     Each norm and log is taken once per distinct row; the means sum the
-    per-leaf values over all 2^n leaves in leaf order.
+    per-leaf values over all 2^n leaves in leaf order.  The log and exp are
+    `math`'s, so the means do not depend on numpy's SIMD loops.
     """
     mags = row_norms(run.distinct) / run.epsilon
-    geometric = float(np.exp(np.mean(np.log(mags)[run.leaf])))
+    logs = np.array([math.log(mag) for mag in mags.tolist()])
+    geometric = math.exp(np.mean(logs[run.leaf]))
     arithmetic = float(np.mean(mags[run.leaf]))
     return geometric, arithmetic
 

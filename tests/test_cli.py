@@ -170,8 +170,8 @@ class TestTree:
         assert default[name] == no_avx2[name]
 
     @pytest.mark.xfail(strict=False, reason=(
-        "ROADMAP item 6: numpy picks the SIMD loop of complex multiply, complex "
-        "abs, real exp and real log at import, and the spectrum and fits use them"))
+        "ROADMAP item 6: numpy picks the SIMD loop of complex multiply at import, "
+        "and the spectrum and the fits of its columns use it"))
     @pytest.mark.parametrize("name", ["o.spectrum.csv", "o.summary.json"])
     def test_gas_spectrum_and_fits_independent_of_cpu_dispatch(self, dispatch_outputs,
                                                                name):
@@ -196,6 +196,24 @@ class TestTree:
             assert norm > 0
             if rel < 1e-4:
                 assert norm == pytest.approx(math.hypot(dx, dp), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("epsilon,zeros", [("5e-324", 22), ("1e-323", 20)])
+    def test_leaves_underflowing_to_zero_refused_before_writing(self, tmp_path, capsys,
+                                                                epsilon, zeros):
+        out = tmp_path / "t.csv"
+        assert run(["tree", "--stages", "12", "--out", str(out)]) == 0
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run(["tree", "--stages", "12", "--epsilon", epsilon, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert f"{zeros} distinct leaf rows" in captured.err
+        assert "--epsilon" in captured.err and "--stages" in captured.err
+        assert captured.out == ""
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+        # the closed forms alone need no leaf
+        assert run(["tree", "--stages", "12", "--epsilon", epsilon, "--aggregate-only",
+                    "--out", str(out)]) == 0
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
@@ -612,6 +630,20 @@ class TestSpectrum:
         modes = json.loads(capsys.readouterr().out)["modes"]
         assert len(modes) == 2
         assert all("outside the series" in m["fit_error"] for m in modes)
+
+    def test_default_window_needs_the_manifest_params(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        src.write_text('# {"command": "gas"}\nt,m1,m2,delta_twin,delta_linear\n' + "".join(
+            f"{t},1,0,nan,{2.0 ** t}\n" for t in range(6)))
+        assert run(["spectrum", "--in", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "--window" in captured.err
+        assert captured.out == ""
+        assert run(["spectrum", "--in", str(src), "--window", "1", "5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["fit_window"] == [1, 5]
+        assert payload["modes"][0]["slope"] == pytest.approx(math.log(2.0))
 
     def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
         assert run(["spectrum", "--in", str(tmp_path / "nope.csv")]) == 1

@@ -1,11 +1,14 @@
 """The rerun invariant as a test: output bytes change only with the version.
 
-`tests/golden_digests.json` records `__version__` and the SHA-256 of the CSV
-body each command in `scripts/golden_digests.py` writes: gas trajectories
-and tree leaves, whose bytes do not depend on numpy's CPU dispatch.  Each
-command reruns in process here.  A change that alters any of these bytes
-bumps `__version__` and regenerates the file with
-`scripts/golden_digests.py --write`.
+`tests/golden_digests.json` records `__version__`, the SHA-256 of the CSV
+body each command in `scripts/golden_digests.py` writes (gas trajectories
+and tree leaves) and the SHA-256 of each tree command's whole summary, bytes
+that do not depend on numpy's CPU dispatch.  Each command reruns in process
+here.  A change that alters any of these bytes bumps `__version__` and
+regenerates the file with `scripts/golden_digests.py --write`.
+
+The same gas commands also check that `spectrum` refits a run's spectrum CSV
+to the very numbers its summary reports.
 """
 
 import importlib.util
@@ -29,13 +32,41 @@ def _load_script():
 
 SCRIPT = _load_script()
 GOLDEN = json.loads(SCRIPT.GOLDEN.read_text())
+GAS_WITH_MODES = [command for command in SCRIPT.COMMANDS
+                  if command.startswith("gas") and "--modes 0" not in command]
+FIT_FIELDS = ("m1", "m2", "slope", "intercept", "r2", "fit_error")
 
 
 def test_recorded_version_and_commands_are_current():
     assert GOLDEN["__version__"] == arnoldgas.__version__
     assert list(GOLDEN["commands"]) == SCRIPT.COMMANDS
+    assert list(GOLDEN["summaries"]) == SCRIPT.SUMMARY_COMMANDS
 
 
 @pytest.mark.parametrize("command", list(GOLDEN["commands"]))
 def test_body_digest_matches_the_golden_one(command):
-    assert SCRIPT.body_digest(command) == GOLDEN["commands"][command]
+    assert SCRIPT.output_digests(command)["body"] == GOLDEN["commands"][command]
+
+
+@pytest.mark.parametrize("command", list(GOLDEN["summaries"]))
+def test_summary_digest_matches_the_golden_one(command):
+    assert SCRIPT.output_digests(command)["summary"] == GOLDEN["summaries"][command]
+
+
+@pytest.mark.parametrize("command", GAS_WITH_MODES)
+def test_spectrum_refit_matches_the_gas_summary(tmp_path, command):
+    """`spectrum` without --window fits the summary's window to the CSV's
+    magnitudes, so every fit field equals the summary's bit for bit."""
+    out = tmp_path / "g.csv"
+    SCRIPT.run(command, out)
+    use = "twin" if "--twin on" in command else "linear"
+    SCRIPT.run(f"spectrum --in {out.with_suffix('.spectrum.csv')} --use {use}",
+               tmp_path / "refit.json")
+    summary = json.loads(out.with_suffix(".summary.json").read_text())["summary"]
+    refit = json.loads((tmp_path / "refit.json").read_text())
+    assert refit["fit_window"] == summary["fit_window"]
+
+    def fits(reports):
+        return {(r["m1"], r["m2"]): {k: r[k] for k in FIT_FIELDS if k in r}
+                for r in reports}
+    assert fits(refit["modes"]) == fits(summary["modes"])
