@@ -406,13 +406,14 @@ def _read_spectrum_csv(path: Path) -> tuple[dict, dict[tuple[int, int], np.ndarr
         if t in by_t:
             raise ValueError(f"{path} line {number} repeats mode {key} at t = {t}")
         by_t[t] = pair
-    series = {}
-    for key, by_t in per_mode.items():
-        n_steps = max(by_t) + 1
-        arr = np.full((n_steps, 2), math.nan)
-        for t, pair in by_t.items():
-            arr[t] = pair
-        series[key] = arr
+    # every mode lists t = 0..T once, with one T for the whole file
+    times = range(max((max(by_t) for by_t in per_mode.values()), default=-1) + 1)
+    for key, by_t in sorted(per_mode.items()):
+        if len(by_t) < len(times):
+            missing = min(set(times) - by_t.keys())
+            raise ValueError(f"{path} has no row for mode {key} at t = {missing}; "
+                             f"every mode needs t = 0..{times[-1]}")
+    series = {key: np.array([by_t[t] for t in times]) for key, by_t in per_mode.items()}
     return manifest, series
 
 
@@ -439,8 +440,7 @@ def cmd_spectrum(args) -> int:
     if window is None:
         raise ValueError(f"{path} has no gas params.particles and params.steps in its "
                          "manifest to take the fit window from; give --window T_A T_B")
-    reports = [_fit_report(m1, m2, np.nan_to_num(arr[:, 0 if use_twin else 1], nan=0.0),
-                           window)
+    reports = [_fit_report(m1, m2, arr[:, 0 if use_twin else 1], window)
                for (m1, m2), arr in sorted(series.items())]
     payload = {
         "source": str(path),

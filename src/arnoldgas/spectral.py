@@ -18,7 +18,7 @@ alive, not the whole run; perfbench traces it under that name.  k . v is
 written once, in `ModeIndex.k_dot`, as multiply-adds, so no output byte
 depends on BLAS.  Because k = 2*pi*(m1, m2) with integer m, each wave
 factorises as exp(-i k . X) = z_x**m1 * z_p**m2 with z = exp(-2*pi*i*coord):
-one kernel call gives z on both axes of every point set loaded, for every
+one kernel call gives z on both axes of every point loaded, for every
 mode; positive powers come from repeated multiplication and negative ones
 are conjugates.
 The rounding error of z**m grows about linearly in |m|.
@@ -31,23 +31,23 @@ errs by at most 2**-54 + 3e-18 in each component, and gives the same bits
 whichever SIMD loops numpy picks.  `fourier_component` keeps `np.exp`: it is
 the independent oracle of the tests.
 
-A row is summed in blocks of BLOCK = 8192 particles, all modes for each
-block, and its partial sums are added in block order: the value sum over the
-state's points, the other three over its affected particles, gathered BLOCK
-at a time.  BLOCK is a constant, so no sum depends on the worker count.
-A worker's waves hold SETS = 2 point sets of one block size at once: the
-points and the twin's points of a block, or two consecutive blocks of points
-for the value sum.  So each numpy call spans up to 2 * BLOCK particles: with
-two or more workers, shorter calls spend more time handing over the
-interpreter lock than working.  Each pool worker owns these block-sized
-arrays for the whole pass (powers of z and their conjugates, wave product,
-the kernel's scratch, the gathered points, tangents and twin points, and one
-temporary), writes every one with `out=` and slices them to the block, so
-its memory is O(BLOCK * modes) whatever N is, and a row allocates no array
-that grows with N but the index of its affected particles.  On a saturated
-row, where every particle is affected, the value and affected blocks
-coincide: slices of the state's own arrays stand in for the gathers, each
-block's waves serve all four sums, and the phase sum is the value sum.
+A row forms each particle's waves once, for all modes at a time.  An
+unaffected particle's waves feed the value sum only: the state is cut into
+slices of CHUNK = 2 * BLOCK particles, BLOCK = 8192, and each slice's
+unaffected points are compressed into one buffer and add one partial sum.
+An affected particle's waves feed the other three sums: the affected
+particles are gathered BLOCK at a time, each block's points beside its
+twin's points in the same buffer, and the value sum ends with their phase
+sum.  A saturated row, where every particle is affected, takes the same path
+with an empty first pass.  Partial sums are added in order and BLOCK and
+CHUNK are constants, so no sum depends on the worker count.  Each numpy call
+spans up to CHUNK particles: with two or more workers, shorter calls spend
+more time handing over the interpreter lock than working.  Each pool worker
+owns CHUNK-sized arrays for the whole pass (powers of z and their
+conjugates, wave product, the kernel's scratch, the point buffer, tangents
+and one temporary), writes every one with `out=` and slices them, so its
+memory is O(CHUNK * modes) whatever N is, and a row allocates no array that
+grows with N but the index of its affected particles.
 
 Only one mode of each +-k pair is summed: the canonical one, with m1 > 0, or
 m1 = 0 and m2 > 0.  The other follows bit for bit, because its wave is the
@@ -90,7 +90,7 @@ from .maps import CollisionModel
 
 TWO_PI = 2.0 * math.pi
 BLOCK = 8192  # particles per block of a mode row; a constant, so no sum depends on --threads
-SETS = 2  # point sets of BLOCK particles a worker's waves hold at once
+CHUNK = 2 * BLOCK  # points a worker's waves hold at once
 TABLE_SIZE = 4096  # M: exp(-2*pi*i j/M) is tabulated for j = 0 .. M-1
 # Taylor polynomials in u = M x - rint(M x), |u| <= 1/2, for theta = 2*pi*u/M:
 # sin(theta) = u (S1 + S3 u^2) and 1 - cos(theta) = u^2 (C2 + C4 u^2).  With
@@ -214,14 +214,12 @@ class _TurnKernel:
         self.scratch = np.empty((6, size))
         self.index = np.empty(size, np.intp)
 
-    def __call__(self, xs: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
-        """Write exp(-2*pi*i*xs[k]) to out[k] for each k; out is complex and
-        each xs[k] has the shape of out[k]."""
+    def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write exp(-2*pi*i*x) to out, a complex array of x's shape."""
         shape, size = out.shape, out.size
         turns, j, sin, t_re, t_im, rest = (row[:size].reshape(shape) for row in self.scratch)
         index = self.index[:size].reshape(shape)
-        for x, part in zip(xs, turns):
-            np.multiply(x, TABLE_SIZE, out=part)
+        np.multiply(x, TABLE_SIZE, out=turns)
         np.rint(turns, out=j)
         u = np.subtract(turns, j, out=turns)
         np.copyto(index, j, casting="unsafe")
@@ -252,120 +250,100 @@ class _TurnKernel:
 def unit_wave(x) -> np.ndarray:
     """exp(-2*pi*i*x) of a float array, by the table kernel of the mode pass."""
     x = np.asarray(x, dtype=float)
-    return _TurnKernel(x.size)([x], np.empty((1, *x.shape), complex))[0]
+    return _TurnKernel(x.size)(x, np.empty(x.shape, complex))
 
 
 class _Waves:
-    """exp(-2*pi*i (m1 x + m2 p)) for canonical modes, of up to SETS point
-    sets of up to BLOCK points each: a block of points and its twin's points,
-    or consecutive blocks of points.
+    """exp(-2*pi*i (m1 x + m2 p)) for canonical modes, of up to CHUNK points.
 
-    One kernel call gives z = exp(-2*pi*i coord) of every set on both axes;
+    One kernel call gives z = exp(-2*pi*i coord) of every point on both axes;
     z**m with m > 0 comes by repeated multiplication, and conj(z_p**m) serves
     the negative m2 that a canonical mode can have.  The arrays are sized
-    once and sliced to the sets loaded.
+    once and sliced to the points loaded.
     """
 
     def __init__(self, modes: Sequence[ModeIndex]):
         top = max((max(mode.m1, abs(mode.m2)) for mode in modes), default=1)
-        self.kernel = _TurnKernel(SETS * 2 * BLOCK)
-        self.powers = np.empty((top, SETS, 2, BLOCK), complex)  # z**m at [m - 1, set, axis]
-        self.conjugates = {m: np.empty((SETS, BLOCK), complex)
+        self.kernel = _TurnKernel(2 * CHUNK)
+        self.powers = np.empty((top, 2, CHUNK), complex)  # z**m at [m - 1, axis]
+        self.conjugates = {m: np.empty(CHUNK, complex)
                            for m in sorted({-mode.m2 for mode in modes if mode.m2 < 0})}
-        self.product = np.empty((SETS, BLOCK), complex)
-        self.z = self.powers[:, :0, :, :0]
+        self.product = np.empty(CHUNK, complex)
+        self.z = self.powers[:, :, :0]
 
-    def load(self, point_sets: Sequence[np.ndarray]) -> None:
-        """Waves of each (n, 2) array of point_sets; all have the same n."""
-        sets, n = len(point_sets), len(point_sets[0])
-        z = self.z = self.powers[:, :sets, :, :n]
-        self.kernel([points.T for points in point_sets], out=z[0])
+    def load(self, points: np.ndarray) -> None:
+        """Waves of the (n, 2) array points."""
+        n = len(points)
+        z = self.z = self.powers[:, :, :n]
+        self.kernel(points.T, out=z[0])
         for m in range(1, len(z)):
             np.multiply(z[m - 1], z[0], out=z[m])
         for m, conjugate in self.conjugates.items():
-            np.conjugate(z[m - 1, :, 1], out=conjugate[:sets, :n])
+            np.conjugate(z[m - 1, 1], out=conjugate[:n])
 
     def wave(self, mode: ModeIndex) -> np.ndarray:
-        """The wave of `mode` at every loaded set, (sets, n)."""
+        """The wave of `mode` at every loaded point, (n,)."""
         z = self.z
         if mode.m1 == 0:
-            return z[mode.m2 - 1, :, 1]
-        zx = z[mode.m1 - 1, :, 0]
+            return z[mode.m2 - 1, 1]
+        zx = z[mode.m1 - 1, 0]
         if mode.m2 == 0:
             return zx
-        sets, n = zx.shape
-        zp = z[mode.m2 - 1, :, 1] if mode.m2 > 0 else self.conjugates[-mode.m2][:sets, :n]
-        return np.multiply(zx, zp, out=self.product[:sets, :n])
-
-
-def _value_blocks(points: np.ndarray):
-    """The points BLOCK at a time, in order, SETS blocks of one size together."""
-    full = len(points) - len(points) % BLOCK
-    for start in range(0, full, SETS * BLOCK):
-        yield [points[s:s + BLOCK] for s in range(start, min(start + SETS * BLOCK, full), BLOCK)]
-    if full < len(points):
-        yield [points[full:]]
+        n = len(zx)
+        zp = z[mode.m2 - 1, 1] if mode.m2 > 0 else self.conjugates[-mode.m2][:n]
+        return np.multiply(zx, zp, out=self.product[:n])
 
 
 class _RowArrays:
-    """The BLOCK-sized arrays that one worker thread reuses for every row."""
+    """The CHUNK-sized arrays that one worker thread reuses for every row."""
 
     def __init__(self, modes: Sequence[ModeIndex], twin: bool):
         self.modes, self.twin = modes, twin
         self.waves = _Waves(modes)
-        self.gathered = np.empty((3, BLOCK, 2))  # affected points, twin points, tangents
+        self.points = np.empty((CHUNK, 2))  # unaffected points, or affected then twin points
+        self.tangents = np.empty((BLOCK, 2))
         self.temp = np.empty(BLOCK, complex)
         self.k_dot = np.empty((2, BLOCK))
 
     def sums(self, state: GasState) -> np.ndarray:
         """Unnormalised (values, linear, twin, phase) sums of one state, one column per mode.
 
-        Each sum is 0 + s_0 + s_1 + ... over consecutive blocks of at most
-        BLOCK particles: the state's points for the value sum, its affected
-        particles for the other three.  On a saturated row these are the same
-        blocks, so each block's waves serve all four sums and the value sum
-        is the phase sum.
+        Each particle's waves are formed once.  An unaffected particle's feed
+        the value sum only, one partial sum per CHUNK slice of the state; an
+        affected particle's, gathered BLOCK at a time beside its twin's, feed
+        the other three, and the value sum ends with the phase sum.  Each sum
+        adds its partial sums in order to 0.
         """
         sums = np.zeros((4, len(self.modes)), dtype=complex)
         values, linear, twin, phase = sums
-        saturated = bool(state.affected.all())
-        if not saturated:
-            for blocks in _value_blocks(state.points):
-                self.waves.load(blocks)
-                for j, mode in enumerate(self.modes):
-                    for partial in self.waves.wave(mode).sum(axis=1):
-                        values[j] += partial
-        for point_sets, tangents in self._affected_blocks(state, saturated):
-            self.waves.load(point_sets)
-            n = len(tangents)
+        for start in range(0, state.n_particles, CHUNK):
+            unaffected = ~state.affected[start:start + CHUNK]
+            self.waves.load(np.compress(unaffected, state.points[start:start + CHUNK], axis=0,
+                                        out=self.points[:np.count_nonzero(unaffected)]))
+            for j, mode in enumerate(self.modes):
+                values[j] += self.waves.wave(mode).sum()
+        point_sets = [state.points, *([state.twin_points] if self.twin else [])]
+        affected = np.flatnonzero(state.affected)
+        for start in range(0, len(affected), BLOCK):
+            index = affected[start:start + BLOCK]
+            n = len(index)
+            # mode="clip" takes straight into out; "raise" buffers a copy
+            for k, points in enumerate(point_sets):
+                np.take(points, index, axis=0, mode="clip", out=self.points[k * n:(k + 1) * n])
+            tangents = np.take(state.tangents, index, axis=0, mode="clip",
+                               out=self.tangents[:n])
+            self.waves.load(self.points[:len(point_sets) * n])
             temp = self.temp[:n]
             for j, mode in enumerate(self.modes):
                 waves = self.waves.wave(mode)
-                wave = waves[0]
+                wave = waves[:n]
                 k_dot = mode.k_dot(tangents, out=self.k_dot[0, :n], scratch=self.k_dot[1, :n])
                 phase[j] += wave.sum()
                 linear[j] += np.multiply(wave, k_dot, out=temp).sum()
                 if self.twin:
-                    twin[j] += np.subtract(waves[1], wave, out=temp).sum()
-        if saturated:
-            values[:] = phase
+                    twin[j] += np.subtract(waves[n:], wave, out=temp).sum()
+        values += phase
         return sums
-
-    def _affected_blocks(self, state: GasState, saturated: bool):
-        """(point sets, tangents) of the affected particles, BLOCK at a time:
-        slices of the state's arrays on a saturated row, gathers otherwise.
-        The point sets are the points and, with a twin, the twin's points."""
-        arrays = [state.points, *([state.twin_points] if self.twin else []), state.tangents]
-        affected = None if saturated else np.flatnonzero(state.affected)
-        for start in range(0, state.n_particles if saturated else len(affected), BLOCK):
-            if saturated:
-                block = [a[start:start + BLOCK] for a in arrays]
-            else:
-                index = affected[start:start + BLOCK]
-                # mode="clip" takes straight into out; "raise" buffers a copy
-                block = [np.take(a, index, axis=0, mode="clip", out=into[:len(index)])
-                         for a, into in zip(arrays, self.gathered)]
-            yield block[:-1], block[-1]
 
 
 def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
@@ -476,7 +454,7 @@ def fit_growth(deltas: Sequence[complex] | np.ndarray,
     fitting the magnitudes a spectrum CSV holds gives the same bits as
     fitting the complex deltas they were written from.  Refuses windows
     shorter than 3 steps, reaching outside the series, or containing zeros
-    of |delta|.
+    or non-finite values of |delta|.
     """
     t_a, t_b = window
     if t_b - t_a < 3:
@@ -485,6 +463,8 @@ def fit_growth(deltas: Sequence[complex] | np.ndarray,
         raise ValueError(f"fit window [{t_a}, {t_b}] reaches outside the series' "
                          f"steps 0..{len(deltas) - 1}")
     mags = [abs(delta) for delta in deltas[t_a : t_b + 1]]
+    if not all(map(math.isfinite, mags)):
+        raise ValueError("fit window contains non-finite |delta|")
     if 0 in mags:
         raise ValueError("fit window contains zeros of |delta|; shrink the window")
     ts = np.arange(t_a, t_b + 1, dtype=float)

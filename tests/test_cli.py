@@ -170,7 +170,7 @@ class TestTree:
         assert default[name] == no_avx2[name]
 
     @pytest.mark.xfail(strict=False, reason=(
-        "ROADMAP item 6: numpy picks the SIMD loop of complex multiply at import, "
+        "ROADMAP item 3: numpy picks the SIMD loop of complex multiply at import, "
         "and the spectrum and the fits of its columns use it"))
     @pytest.mark.parametrize("name", ["o.spectrum.csv", "o.summary.json"])
     def test_gas_spectrum_and_fits_independent_of_cpu_dispatch(self, dispatch_outputs,
@@ -691,6 +691,45 @@ class TestSpectrum:
         assert captured.err.startswith("error: ")
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("rows,message", [
+        ("0,1,0,nan,1\n1,1,0,nan,2\n0,-1,0,nan,1\n2,1,0,nan,4\n2,-1,0,nan,4\n",
+         "no row for mode (-1, 0) at t = 1; every mode needs t = 0..2"),
+        ("0,1,0,nan,1\n1,1,0,nan,2\n2,1,0,nan,4\n0,-1,0,nan,1\n1,-1,0,nan,2\n",
+         "no row for mode (-1, 0) at t = 2; every mode needs t = 0..2"),
+    ], ids=["gap", "short-mode"])
+    def test_missing_time_row_is_usage_error(self, tmp_path, capsys, rows, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# {}\nt,m1,m2,delta_twin,delta_linear\n" + rows)
+        out = tmp_path / "fit.json"
+        assert run(["spectrum", "--in", str(bad), "--window", "0", "3",
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_gas_output_missing_a_row_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        run(["gas", "--particles", "64", "--steps", "8", "--modes", "1",
+             "--twin", "on", "--out", str(out)])
+        capsys.readouterr()
+        spectrum = tmp_path / "g.spectrum.csv"
+        lines = spectrum.read_text().splitlines(keepends=True)
+        spectrum.write_text("".join(line for line in lines if not line.startswith("4,-1,-1,")))
+        assert run(["spectrum", "--in", str(spectrum), "--use", "twin"]) == 1
+        captured = capsys.readouterr()
+        assert "no row for mode (-1, -1) at t = 4" in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_delta_is_fit_error(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        src.write_text("# {}\nt,m1,m2,delta_twin,delta_linear\n" + "".join(
+            f"{t},1,0,nan,{'nan' if t == 2 else 2.0 ** t}\n" for t in range(6)))
+        assert run(["spectrum", "--in", str(src), "--window", "0", "5"]) == 0
+        [mode] = json.loads(capsys.readouterr().out)["modes"]
+        assert "non-finite" in mode["fit_error"]
 
     def test_twin_refit_without_twin_data_refused(self, tmp_path, capsys):
         out = tmp_path / "g.csv"

@@ -222,12 +222,24 @@ def _block_sum(values):
     return total
 
 
+def _chunk_sum(waves, unaffected):
+    """0 + s_0 + s_1 + ... where s_c sums the unaffected waves of the c-th
+    CHUNK slice of the particles."""
+    total = 0j
+    for start in range(0, len(waves), spectral.CHUNK):
+        chunk = slice(start, start + spectral.CHUNK)
+        total += waves[chunk][unaffected[chunk]].sum()
+    return total
+
+
 def reference_series(states, modes):
     """Every mode summed on its own, over fresh whole-row arrays and full
-    gathers cut into blocks only for the sums: the reference that the +-k
-    fill, the reused block arrays and the shared saturated blocks must match
-    bit for bit.  Its waves come from the same kernel, so that the bits can
-    agree at all; the kernel has its own tests against decimal arithmetic."""
+    gathers cut into slices only for the sums: the reference that the +-k
+    fill and the reused block arrays must match bit for bit.  The value sum
+    is the unaffected waves' partial sums per CHUNK slice, then the affected
+    waves' block sums.  Its waves come from the same kernel, so that the
+    bits can agree at all; the kernel has its own tests against decimal
+    arithmetic."""
     rows = []
     for state in states:
         affected = np.flatnonzero(state.affected)
@@ -240,11 +252,11 @@ def reference_series(states, modes):
                 zip(modes, _reference_waves(state.points, modes), twin_waves)):
             affected_wave = wave[affected]
             k_dot = 2.0 * math.pi * (mode.m1 * tangents[..., 0] + mode.m2 * tangents[..., 1])
-            sums[0, j] = _block_sum(wave)
             sums[1, j] = _block_sum(affected_wave * k_dot)
             if twin_wave is not None:
                 sums[2, j] = _block_sum(twin_wave - affected_wave)
             sums[3, j] = _block_sum(affected_wave)
+            sums[0, j] = _chunk_sum(wave, ~state.affected) + sums[3, j]
         rows.append(sums)
     n = states[-1].n_particles
     values, linear, twin, phase = np.stack(rows, axis=2)
@@ -306,11 +318,12 @@ class TestConjugateFill:
 
 
 B = spectral.BLOCK
+C = spectral.CHUNK
 
 
 class TestBlockedRow:
-    """Rows longer than one block: value blocks, gathered affected blocks of
-    BLOCK particles and the shared blocks of a saturated row."""
+    """Rows longer than one block: unaffected particles in CHUNK slices and
+    affected ones gathered BLOCK at a time, each particle's waves formed once."""
 
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 3],
                              ids=["B-1", "B", "B+1", "2B+3"])
@@ -319,8 +332,8 @@ class TestBlockedRow:
     def test_bitwise_equal_to_per_mode_sums(self, model, n, pairing, twin):
         # Tree pairing saturates by step floor(log2 n) + 1.  At 2B+3 the row
         # before that has 2**14 = 2B affected particles, two gathered blocks,
-        # and every unsaturated row's value sum pairs two full blocks and
-        # then takes a 3-particle tail.
+        # and every unsaturated row's unaffected particles fall in one CHUNK slice
+        # and a 3-particle tail.
         config = RunConfig(n_particles=n, steps=16, seed=n, pairing=pairing, twin=twin)
         states = list(gas.evolve(config, model))
         modes = MODE_LISTS["order 2 reversed"]
@@ -328,12 +341,37 @@ class TestBlockedRow:
                           spectral.delta_series(states, modes, threads=2))
 
     def test_value_blocks_added_in_order(self, model):
-        # Four full blocks make two pairs of value blocks, so the order of the
-        # partial sums within a pair shows; the rows stay unsaturated.
-        config = RunConfig(n_particles=4 * B + 3, steps=4, seed=9, pairing="tree", twin=True)
+        # The unaffected particles span two full CHUNK slices and a tail, so
+        # the order of the per-slice partial sums shows; the rows stay
+        # unsaturated.
+        config = RunConfig(n_particles=2 * C + 3, steps=4, seed=9, pairing="tree", twin=True)
         states = list(gas.evolve(config, model))
+        assert all((~state.affected[:2 * C]).any() and (~state.affected[2 * C:]).any()
+                   for state in states)
         modes = spectral.enumerate_modes(1)
         assert_same_series(reference_series(states, modes), spectral.delta_series(states, modes))
+
+    @pytest.mark.parametrize("pairing", ["tree", "random"])
+    @pytest.mark.parametrize("twin", [True, False], ids=["twin", "no-twin"])
+    def test_each_wave_formed_once_per_row(self, model, monkeypatch, pairing, twin):
+        # every particle's point, and an affected particle's twin point,
+        # passes through the kernel once, on both axes
+        counted = []
+        call = spectral._TurnKernel.__call__
+
+        def counting(kernel, x, out):
+            counted.append(x.size)
+            return call(kernel, x, out)
+
+        monkeypatch.setattr(spectral._TurnKernel, "__call__", counting)
+        n = 2 * B + 3
+        config = RunConfig(n_particles=n, steps=16, seed=3, pairing=pairing, twin=twin)
+        modes = spectral.enumerate_modes(2)
+        for state in gas.evolve(config, model):
+            counted.clear()
+            spectral.delta_series([state], modes)
+            affected = int(state.affected.sum())
+            assert sum(counted) == 2 * ((n - affected) + affected * (1 + twin))
 
     def test_threads_give_identical_series(self, model):
         config = RunConfig(n_particles=2 * B + 3, steps=16, seed=5, pairing="tree", twin=True)
@@ -557,6 +595,12 @@ class TestFitGrowth:
     def test_refuses_zeros(self):
         deltas = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="zeros"):
+            spectral.fit_growth(deltas, (0, 5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_non_finite(self, bad):
+        deltas = np.array([1.0, 2.0, bad, 8.0, 16.0, 32.0])
+        with pytest.raises(ValueError, match="non-finite"):
             spectral.fit_growth(deltas, (0, 5))
 
     def test_tree_faithful_ensemble_slope(self, model):
