@@ -20,7 +20,7 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, default=100)
     parser.add_argument("--steps", type=int, default=16)
     parser.add_argument("--mode", type=int, nargs=2, default=(1, 0), metavar=("M1", "M2"))
-    parser.add_argument("--pairing", choices=["random", "tree"], default="tree")
+    parser.add_argument("--pairing", choices=sorted(gas.PAIRINGS), default="tree")
     args = parser.parse_args()
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")

@@ -323,7 +323,10 @@ def cmd_gas(args) -> int:
     all_series = []
     if args.modes > 0:
         modes = spectral.enumerate_modes(args.modes)
-        all_series = spectral.delta_series(states, modes, args.threads or os.cpu_count() or 1)
+        # --threads 0: one worker per CPU this process may run on
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        all_series = spectral.delta_series(states, modes, args.threads or cpus)
     for _ in states:  # runs the gas when no mode pass has drawn the states
         pass
 
@@ -505,13 +508,13 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairing", choices=["random", "tree"], default="random")
+    p.add_argument("--pairing", choices=sorted(gas.PAIRINGS), default="random")
     p.add_argument("--modes", type=int, default=4,
                    help="max |m| of Fourier modes to analyze (0 disables)")
     p.add_argument("--twin", choices=["on", "off"], default="off")
     p.add_argument("--matrix", default="1,1,1,2")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker threads for mode analysis (0 = all cores)")
+                   help="worker threads for mode analysis (0 = one per usable CPU)")
     p.add_argument("--out", default="gas.csv")
     p.set_defaults(func=cmd_gas)
 
@@ -534,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except MemoryError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
+        print(f"refused: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_REFUSED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,7 +48,7 @@ class RunConfig:
     steps: int
     epsilon: float = 1e-9
     seed: int = 0
-    pairing: str = "random"  # "random" | "tree"
+    pairing: str = "random"  # a key of PAIRINGS
     twin: bool = False
 
     def __post_init__(self) -> None:
@@ -57,8 +57,10 @@ class RunConfig:
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         check_epsilon(self.epsilon)
-        if self.pairing not in ("random", "tree"):
-            raise ValueError(f"pairing must be 'random' or 'tree', got {self.pairing!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.pairing not in PAIRINGS:
+            raise ValueError(f"pairing must be one of {sorted(PAIRINGS)}, got {self.pairing!r}")
 
 
 @dataclass
@@ -88,19 +90,13 @@ class Trajectory:
     twin_dist: np.ndarray  # nan when twin mode is off
 
     @property
-    def n_particles(self) -> int:
-        return self.config.n_particles
-
-    @property
     def saturation_step(self) -> int | float:
         """First step with every particle affected, or inf."""
-        return _first_step(self.affected_count >= self.n_particles)
+        return _first_step(self.affected_count >= self.config.n_particles)
 
 
-def init_gas(config: RunConfig, model: CollisionModel,
-             rng: np.random.Generator | None = None) -> GasState:
-    """i.i.d. uniform points; particle 0 carries the whole perturbation."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
+def init_gas(config: RunConfig, model: CollisionModel, rng: np.random.Generator) -> GasState:
+    """i.i.d. uniform points drawn from rng; particle 0 carries the whole perturbation."""
     n = config.n_particles
     points = rng.random((n, 2))
     tangents = np.zeros((n, 2))
@@ -119,10 +115,10 @@ def init_gas(config: RunConfig, model: CollisionModel,
     )
 
 
-def _random_matching(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform perfect matching as a (k, 2) index array; odd leftover idles."""
-    perm = rng.permutation(n)
-    return perm[: 2 * (n // 2)].reshape(-1, 2)
+def _random_matching(affected: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Uniform perfect matching of all particles as a (k, 2) index array; odd leftover idles."""
+    perm = rng.permutation(affected.size)
+    return perm[: 2 * (perm.size // 2)].reshape(-1, 2)
 
 
 def _tree_matching(affected: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -142,6 +138,10 @@ def _tree_matching(affected: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return np.concatenate([mixed, rest]) if rest.size else mixed
 
 
+# pairing name -> matching(affected, rng), a (k, 2) array of pair indices
+PAIRINGS = {"random": _random_matching, "tree": _tree_matching}
+
+
 def _collide_rows(collide, model: CollisionModel, src: np.ndarray, dst: np.ndarray,
                   i: np.ndarray, j: np.ndarray) -> None:
     """dst[i], dst[j] = collide(model, src[i], src[j]) for (n, 2) float arrays.
@@ -158,19 +158,16 @@ def _collide_rows(collide, model: CollisionModel, src: np.ndarray, dst: np.ndarr
 
 
 def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
-         pairing: str = "random") -> tuple[GasState, np.ndarray]:
+         pairing: str) -> tuple[GasState, np.ndarray]:
     """Advance one mean collision time; returns (new state, pair indices).
 
-    Every listed pair collides; positions wrap mod 1, tangents propagate
-    linearly, and affected flags spread.  Tangents and twin points are
-    collided only on pairs that touch the affected set.
+    Every pair PAIRINGS[pairing] lists collides; positions wrap mod 1,
+    tangents propagate linearly, and affected flags spread.  Tangents and twin
+    points are collided only on pairs that touch the affected set.
     """
-    if pairing == "random":
-        pairs = _random_matching(state.n_particles, rng)
-    elif pairing == "tree":
-        pairs = _tree_matching(state.affected, rng)
-    else:
+    if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing mode {pairing!r}")
+    pairs = PAIRINGS[pairing](state.affected, rng)
 
     i, j = pairs[:, 0], pairs[:, 1]
     was = state.affected
@@ -247,7 +244,7 @@ def _median_with_zeros(norms: np.ndarray, n: int) -> float:
 
 
 def evolve(config: RunConfig, model: CollisionModel) -> Iterator[GasState]:
-    """Yield the gas state at t = 0..config.steps.
+    """Yield the gas state at t = 0..config.steps, drawn from the generator of config.seed.
 
     Each state is a fresh set of arrays, and no array of a state is written
     after it is yielded, so a caller may keep states, or read them on other

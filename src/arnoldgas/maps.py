@@ -21,6 +21,7 @@ All functions here are pure and never mutate their array arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -131,15 +132,10 @@ def spectral_decompose(m) -> CollisionModel:
     )
 
 
-_DEFAULT_MODEL: CollisionModel | None = None
-
-
+@functools.cache
 def default_model() -> CollisionModel:
     """The model for the standard cat matrix [[1, 1], [1, 2]]."""
-    global _DEFAULT_MODEL
-    if _DEFAULT_MODEL is None:
-        _DEFAULT_MODEL = spectral_decompose(DEFAULT_CAT_MATRIX)
-    return _DEFAULT_MODEL
+    return spectral_decompose(DEFAULT_CAT_MATRIX)
 
 
 def apply_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:

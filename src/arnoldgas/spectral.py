@@ -184,7 +184,7 @@ class SpectrumSeries:
     values: np.ndarray  # (steps+1,) complex ntilde_k(t) of the reference
     deltas_linear: np.ndarray  # (steps+1,) complex tangent-linear estimate
     phase_sums: np.ndarray  # (steps+1,) complex sum_{i affected} exp(-i k.X_i) / N
-    deltas_twin: np.ndarray | None = None  # exact twin difference when available
+    deltas_twin: np.ndarray | None  # exact twin difference when available
 
 
 def _canonical(mode: ModeIndex) -> ModeIndex:
@@ -297,8 +297,8 @@ class _Waves:
 class _RowArrays:
     """The CHUNK-sized arrays that one worker thread reuses for every row."""
 
-    def __init__(self, modes: Sequence[ModeIndex], twin: bool):
-        self.modes, self.twin = modes, twin
+    def __init__(self, modes: Sequence[ModeIndex]):
+        self.modes = modes
         self.waves = _Waves(modes)
         self.points = np.empty((CHUNK, 2))  # unaffected points, or affected then twin points
         self.tangents = np.empty((BLOCK, 2))
@@ -312,7 +312,8 @@ class _RowArrays:
         the value sum only, one partial sum per CHUNK slice of the state; an
         affected particle's, gathered BLOCK at a time beside its twin's, feed
         the other three, and the value sum ends with the phase sum.  Each sum
-        adds its partial sums in order to 0.
+        adds its partial sums in order to 0; the twin sum stays 0 when the
+        state has no twin.
         """
         sums = np.zeros((4, len(self.modes)), dtype=complex)
         values, linear, twin, phase = sums
@@ -322,7 +323,8 @@ class _RowArrays:
                                         out=self.points[:np.count_nonzero(unaffected)]))
             for j, mode in enumerate(self.modes):
                 values[j] += self.waves.wave(mode).sum()
-        point_sets = [state.points, *([state.twin_points] if self.twin else [])]
+        has_twin = state.twin_points is not None
+        point_sets = [state.points, state.twin_points] if has_twin else [state.points]
         affected = np.flatnonzero(state.affected)
         for start in range(0, len(affected), BLOCK):
             index = affected[start:start + BLOCK]
@@ -340,7 +342,7 @@ class _RowArrays:
                 k_dot = mode.k_dot(tangents, out=self.k_dot[0, :n], scratch=self.k_dot[1, :n])
                 phase[j] += wave.sum()
                 linear[j] += np.multiply(wave, k_dot, out=temp).sum()
-                if self.twin:
+                if has_twin:
                     twin[j] += np.subtract(waves[n:], wave, out=temp).sum()
         values += phase
         return sums
@@ -350,8 +352,9 @@ def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
                  threads: int = 1) -> list[SpectrumSeries]:
     """Per-step perturbation of every mode, tangent-linear and (when possible) exact.
 
-    `states` are one run's states at t = 0, 1, ..., each read once; the exact
-    route uses the run's embedded twin, when it has one.  The calling thread
+    `states` are one run's states at t = 0, 1, ..., each read once; each row
+    takes the exact route from its own state's twin points, when it has
+    them.  The calling thread
     draws each state and submits its row to a pool of `threads` workers;
     once more than 2*threads rows are waiting it waits for the oldest, so
     at most 2*threads + 1 states are alive.  Rows are kept in the order
@@ -366,8 +369,8 @@ def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
     workspace = threading.local()
 
     def row(state: GasState) -> np.ndarray:
-        if not hasattr(workspace, "arrays"):  # one run's states all have a twin or none
-            workspace.arrays = _RowArrays(canonical, state.twin_points is not None)
+        if not hasattr(workspace, "arrays"):
+            workspace.arrays = _RowArrays(canonical)
         return workspace.arrays.sums(state)
 
     rows, pending, state = [], deque(), None

@@ -26,7 +26,7 @@ class CheckResult:
     measured: float
     expected: float
     tolerance: float
-    detail: str = ""
+    detail: str
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

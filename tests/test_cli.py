@@ -309,6 +309,12 @@ class TestGas:
         assert "epsilon must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_seed_refused_before_writing(self, tmp_path, capsys):
+        assert run(["gas", "--particles", "64", "--steps", "3", "--seed", "-1", "--modes", "1",
+                    "--out", str(tmp_path / "s.csv")]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_modes_refused_before_writing(self, tmp_path, capsys):
         assert run(["gas", "--particles", "16", "--steps", "3", "--modes", "-1",
                     "--out", str(tmp_path / "n.csv")]) == 1
@@ -346,6 +352,21 @@ class TestGas:
         assert sorted(mode_calls[0]) == sorted(spectral.enumerate_modes(2))
         assert len(mode_calls[0]) == 24
 
+    def test_zero_threads_counts_the_cpus_this_process_may_run_on(self, tmp_path,
+                                                                  monkeypatch):
+        threads = []
+        original = spectral.delta_series
+
+        def recording(states, modes, threads_given=1):
+            threads.append(threads_given)
+            return original(states, modes, threads_given)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(spectral, "delta_series", recording)
+        assert run(["gas", "--particles", "64", "--steps", "4", "--modes", "1",
+                    "--threads", "0", "--out", str(tmp_path / "c.csv")]) == 0
+        assert threads == [1]
+
     def test_exponent_estimate_matches_affected_wave_oracle(self, tmp_path, model):
         out = tmp_path / "x.csv"
         # random pairing has not yet affected every particle at the window end
@@ -372,6 +393,17 @@ class TestGas:
         assert run(["gas", "--particles", "64", "--steps", "6", "--modes", "2",
                     "--out", str(tmp_path / "f.csv")]) == 2
         assert "refused" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_error_without_text_says_what_ran_out(self, tmp_path, monkeypatch,
+                                                         capsys):
+        def out_of_memory(max_order):
+            raise MemoryError()
+
+        monkeypatch.setattr(spectral, "enumerate_modes", out_of_memory)
+        assert run(["gas", "--particles", "64", "--steps", "3", "--modes", "100000",
+                    "--out", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err == "refused: out of memory\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -863,6 +895,14 @@ class TestVerify:
         assert out.count("FAIL") == 2  # the failing line plus the summary
         assert "all 17 checks passed" not in out
         assert out.count("PASS ") == 16  # every other check still runs
+
+
+def test_pairing_choices_are_the_pairing_table():
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if action.dest == "command")
+    pairing = next(action for action in subcommands.choices["gas"]._actions
+                   if action.dest == "pairing")
+    assert pairing.choices == sorted(gas.PAIRINGS)
 
 
 def test_usage_error_exit_code():

@@ -12,18 +12,20 @@ from arnoldgas.gas import GasState, RunConfig
 class TestInitGas:
     def test_deterministic_for_fixed_seed(self, model):
         config = RunConfig(n_particles=2, steps=0, seed=42)
-        a = gas.init_gas(config, model)
-        b = gas.init_gas(config, model)
+        a = gas.init_gas(config, model, np.random.default_rng(config.seed))
+        b = gas.init_gas(config, model, np.random.default_rng(config.seed))
         assert np.array_equal(a.points, b.points)
 
     def test_single_affected_particle(self, model):
-        state = gas.init_gas(RunConfig(n_particles=100, steps=0, seed=1), model)
+        state = gas.init_gas(RunConfig(n_particles=100, steps=0, seed=1), model,
+                             np.random.default_rng(1))
         assert np.count_nonzero(state.affected) == 1
         assert state.affected[0]
 
     def test_tangent_norm_sum_is_epsilon(self, model):
         eps = 3e-7
-        state = gas.init_gas(RunConfig(n_particles=16, steps=0, epsilon=eps, seed=5), model)
+        state = gas.init_gas(RunConfig(n_particles=16, steps=0, epsilon=eps, seed=5), model,
+                             np.random.default_rng(5))
         norms = np.linalg.norm(state.tangents, axis=1)
         assert norms.sum() == pytest.approx(eps, rel=1e-12)
 
@@ -34,29 +36,32 @@ class TestInitGas:
 
 class TestStep:
     def test_zero_tangents_stay_zero(self, model):
-        state = gas.init_gas(RunConfig(n_particles=16, steps=0, seed=3), model)
+        state = gas.init_gas(RunConfig(n_particles=16, steps=0, seed=3), model,
+                             np.random.default_rng(3))
         state.tangents[:] = 0.0
         rng = np.random.default_rng(0)
-        new, _ = gas.step(state, model, rng)
+        new, _ = gas.step(state, model, rng, "random")
         assert np.all(new.tangents == 0.0)
 
     def test_two_particles_both_affected_after_one_step(self, model):
-        state = gas.init_gas(RunConfig(n_particles=2, steps=0, seed=3), model)
-        new, pairs = gas.step(state, model, np.random.default_rng(0))
+        state = gas.init_gas(RunConfig(n_particles=2, steps=0, seed=3), model,
+                             np.random.default_rng(3))
+        new, pairs = gas.step(state, model, np.random.default_rng(0), "random")
         assert np.all(new.affected)
         assert pairs.shape == (1, 2)
 
     def test_affected_doubling_bound(self, model):
         config = RunConfig(n_particles=256, steps=0, seed=11)
-        state = gas.init_gas(config, model)
+        state = gas.init_gas(config, model, np.random.default_rng(config.seed))
         rng = np.random.default_rng(11)
         for t in range(1, 12):
-            state, _ = gas.step(state, model, rng)
+            state, _ = gas.step(state, model, rng, "random")
             assert np.count_nonzero(state.affected) <= min(2**t, 256)
 
     def test_odd_particle_idles(self, model):
-        state = gas.init_gas(RunConfig(n_particles=7, steps=0, seed=2), model)
-        new, pairs = gas.step(state, model, np.random.default_rng(2))
+        state = gas.init_gas(RunConfig(n_particles=7, steps=0, seed=2), model,
+                             np.random.default_rng(2))
+        new, pairs = gas.step(state, model, np.random.default_rng(2), "random")
         assert pairs.shape == (3, 2)
         idle = set(range(7)) - set(pairs.ravel().tolist())
         assert len(idle) == 1
@@ -64,11 +69,28 @@ class TestStep:
         assert np.array_equal(new.points[i], state.points[i])
 
     def test_points_stay_in_unit_square(self, model):
-        state = gas.init_gas(RunConfig(n_particles=64, steps=0, seed=9), model)
+        state = gas.init_gas(RunConfig(n_particles=64, steps=0, seed=9), model,
+                             np.random.default_rng(9))
         rng = np.random.default_rng(9)
         for _ in range(20):
-            state, _ = gas.step(state, model, rng)
+            state, _ = gas.step(state, model, rng, "random")
         assert np.all(state.points >= 0.0) and np.all(state.points < 1.0)
+
+
+class TestPairings:
+    @pytest.mark.parametrize("name", ["random", "tree", "Random", "tree ", "", "full"])
+    def test_config_accepts_exactly_the_table_keys(self, name):
+        if name in gas.PAIRINGS:
+            assert RunConfig(n_particles=4, steps=1, pairing=name).pairing == name
+        else:
+            with pytest.raises(ValueError, match="pairing must be one of"):
+                RunConfig(n_particles=4, steps=1, pairing=name)
+
+    def test_step_refuses_an_unknown_name(self, model):
+        config = RunConfig(n_particles=4, steps=1)
+        state = gas.init_gas(config, model, np.random.default_rng(config.seed))
+        with pytest.raises(ValueError, match="unknown pairing mode 'full'"):
+            gas.step(state, model, np.random.default_rng(0), "full")
 
 
 def full_update(model, state, pairs):
@@ -174,7 +196,7 @@ class TestRunPaired:
         rng = np.random.default_rng(config.seed)
         state = gas.init_gas(config, model, rng)
         for _ in range(10):
-            new, pairs = gas.step(state, model, rng)
+            new, pairs = gas.step(state, model, rng, "random")
             i, j = pairs[:, 0], pairs[:, 1]
             before = (state.points[i] + state.points[j]) % 1.0
             after = (new.points[i] + new.points[j]) % 1.0
