@@ -22,6 +22,7 @@ for relative output paths.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -185,22 +186,13 @@ def _parse_matrix(text: str) -> list[list[int]]:
 
 
 def cmd_params(args) -> int:
-    params = kinetics.KineticParams(
-        temperature=args.temperature,
-        pressure=args.pressure,
-        length=args.length,
-        diameter=args.diameter,
-        mass=args.mass,
-    )
+    inputs = dataclasses.fields(kinetics.KineticParams)
+    params = kinetics.KineticParams(**{param.name: getattr(args, param.name)
+                                       for param in inputs})
     derived = kinetics.derive(params)
     payload = {
-        "inputs": {
-            "temperature_K": params.temperature,
-            "pressure_Pa": params.pressure,
-            "length_m": params.length,
-            "diameter_m": params.diameter,
-            "mass_kg": params.mass,
-        },
+        "inputs": {f"{param.name}_{param.metadata['unit']}": getattr(params, param.name)
+                   for param in inputs},
         "derived": {
             "n_particles": derived.n_particles,
             "mean_free_path_m": derived.mean_free_path,
@@ -479,6 +471,14 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------ main
 
 
+def _collision_options(p) -> None:
+    """Add --epsilon, --seed and --matrix, defaulting to gas.RunConfig and DEFAULT_CAT_MATRIX."""
+    p.add_argument("--epsilon", type=float, default=gas.RunConfig.epsilon)
+    p.add_argument("--seed", type=int, default=gas.RunConfig.seed)
+    matrix = ",".join(str(entry) for row in maps.DEFAULT_CAT_MATRIX for entry in row)
+    p.add_argument("--matrix", default=matrix, help="collision matrix a,b,c,d")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="arnoldgas",
                      description="Deterministic cat-map gas simulator and analysis toolkit")
@@ -486,18 +486,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="kinetic-theory estimates (JSON to stdout)")
-    p.add_argument("--temperature", type=float, default=kinetics.REFERENCE_TEMPERATURE)
-    p.add_argument("--pressure", type=float, default=kinetics.REFERENCE_PRESSURE)
-    p.add_argument("--length", type=float, default=kinetics.REFERENCE_LENGTH)
-    p.add_argument("--diameter", type=float, default=kinetics.DEFAULT_DIAMETER)
-    p.add_argument("--mass", type=float, default=kinetics.DEFAULT_MASS)
+    for param in dataclasses.fields(kinetics.KineticParams):
+        p.add_argument(f"--{param.name}", type=float, default=param.default,
+                       help=f"in {param.metadata['unit']}")
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("tree", help="collision-tree leaves (CSV + JSON summary)")
     p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--matrix", default="1,1,1,2", help="collision matrix a,b,c,d")
+    _collision_options(p)
     p.add_argument("--aggregate-only", action="store_true",
                    help="skip explicit leaves; closed-form aggregates only")
     p.add_argument("--out", default="tree.csv")
@@ -506,13 +502,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gas", help="N-particle run (CSV trajectory + JSON summary)")
     p.add_argument("--particles", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairing", choices=sorted(gas.PAIRINGS), default="random")
+    _collision_options(p)
+    p.add_argument("--pairing", choices=sorted(gas.PAIRINGS), default=gas.RunConfig.pairing)
     p.add_argument("--modes", type=int, default=4,
                    help="max |m| of Fourier modes to analyze (0 disables)")
-    p.add_argument("--twin", choices=["on", "off"], default="off")
-    p.add_argument("--matrix", default="1,1,1,2")
+    p.add_argument("--twin", choices=["on", "off"],
+                   default="on" if gas.RunConfig.twin else "off")
     p.add_argument("--threads", type=int, default=0,
                    help="worker threads for mode analysis (0 = one per usable CPU)")
     p.add_argument("--out", default="gas.csv")

@@ -18,7 +18,7 @@ L^3 even though the collision model is 2-D: the reference particle count
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -40,19 +40,22 @@ DEFAULT_MASS = 8.0 * BOLTZMANN * REFERENCE_TEMPERATURE / (math.pi * REFERENCE_ME
 
 @dataclass(frozen=True)
 class KineticParams:
-    """Gas conditions and molecular properties; all strictly positive."""
+    """Gas conditions and molecular properties; all strictly positive.
 
-    temperature: float = REFERENCE_TEMPERATURE  # K
-    pressure: float = REFERENCE_PRESSURE  # N/m^2
-    length: float = REFERENCE_LENGTH  # m, container side L
-    diameter: float = DEFAULT_DIAMETER  # m, effective molecular diameter
-    mass: float = DEFAULT_MASS  # kg, molecular mass
+    Each field's metadata names its unit.
+    """
+
+    temperature: float = field(default=REFERENCE_TEMPERATURE, metadata={"unit": "K"})
+    pressure: float = field(default=REFERENCE_PRESSURE, metadata={"unit": "Pa"})
+    length: float = field(default=REFERENCE_LENGTH, metadata={"unit": "m"})  # container side L
+    diameter: float = field(default=DEFAULT_DIAMETER, metadata={"unit": "m"})  # effective
+    mass: float = field(default=DEFAULT_MASS, metadata={"unit": "kg"})  # per molecule
 
     def __post_init__(self) -> None:
-        for name in ("temperature", "pressure", "length", "diameter", "mass"):
-            value = getattr(self, name)
+        for param in fields(self):
+            value = getattr(self, param.name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value}")
+                raise ValueError(f"{param.name} must be a positive finite number, got {value}")
 
 
 @dataclass(frozen=True)

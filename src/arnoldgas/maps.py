@@ -186,13 +186,22 @@ def root_sum_squares(values: np.ndarray, index: np.ndarray | None = None) -> flo
     its largest magnitude; the sum runs in the order of np.sum(values**2).
     With `index`, `values` is an (n, 2) array and the sum runs over the rows
     values[index], squared once per row of `values` and then gathered.
+    Raises ValueError, naming --epsilon, when the result overflows a float
+    or is not finite because an entry is not.
     """
     _, e = np.frexp(np.max(np.abs(values), initial=0.0))
     squares = np.ldexp(values, -e)
     np.square(squares, out=squares)
     if index is not None:
         squares = row_items(squares)[index].view(np.float64)
-    return math.ldexp(math.sqrt(np.sum(squares)), int(e))
+    try:
+        total = math.ldexp(math.sqrt(np.sum(squares)), int(e))
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError("a root sum of squares of the displacements overflows a float; "
+                         "lower --epsilon")
+    return total
 
 
 def collide_linear(

@@ -93,9 +93,10 @@ def run_tree(model: CollisionModel, stages: int, epsilon: float) -> TreeRun:
     with the default matrix), not as 2^n.  A stage costs O(k) arithmetic
     plus the O(2^n) remap of `leaf`.  Refuses stage counts over
     DEFAULT_MAX_STAGES, whose 2^n leaves would not fit in the output, and
-    (ValueError) an epsilon so small that a leaf has a component that
-    underflows to exactly zero: such leaves no longer carry the tree's
-    factors, and their logs are undefined.
+    (ValueError) an epsilon so large that a leaf's norm overflows a float,
+    or so small that a leaf has a component that underflows to exactly
+    zero: such leaves no longer carry the tree's factors, and their logs
+    are undefined.
     """
     if stages < 0:
         raise ValueError("stages must be >= 0")
@@ -109,13 +110,20 @@ def run_tree(model: CollisionModel, stages: int, epsilon: float) -> TreeRun:
     distinct = (epsilon * model.xi_plus).reshape(1, 2)
     distinct_n1 = np.zeros(1, dtype=np.int64)
     leaf = np.zeros(1, dtype=np.intp)
-    for _ in range(stages):
-        candidates = np.concatenate([apply_rows(model.k_plus, distinct),
-                                     apply_rows(model.k_minus, distinct)])
-        candidate_n1 = np.concatenate([distinct_n1 + 1, distinct_n1])
-        first, inverse = _distinct_rows(candidates, candidate_n1)
-        leaf = np.concatenate([inverse[:len(distinct)][leaf], inverse[len(distinct):][leaf]])
-        distinct, distinct_n1 = candidates[first], candidate_n1[first]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing leaves are refused below
+        for _ in range(stages):
+            candidates = np.concatenate([apply_rows(model.k_plus, distinct),
+                                         apply_rows(model.k_minus, distinct)])
+            candidate_n1 = np.concatenate([distinct_n1 + 1, distinct_n1])
+            first, inverse = _distinct_rows(candidates, candidate_n1)
+            leaf = np.concatenate([inverse[:len(distinct)][leaf],
+                                   inverse[len(distinct):][leaf]])
+            distinct, distinct_n1 = candidates[first], candidate_n1[first]
+        overflows = int(np.count_nonzero(~np.isfinite(row_norms(distinct))))
+    if overflows:
+        raise ValueError(f"--epsilon {epsilon} is too large for --stages {stages}: "
+                         f"{overflows} distinct leaf rows have a norm that overflows a float; "
+                         "lower --epsilon or --stages")
     zeros = int(np.count_nonzero((distinct == 0).any(axis=1)))
     if zeros:
         raise ValueError(f"--epsilon {epsilon} is too small for --stages {stages}: "

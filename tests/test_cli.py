@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arnoldgas import cli, gas, spectral, tree
+from arnoldgas import cli, gas, kinetics, maps, spectral, tree
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -73,6 +73,21 @@ def dispatch_outputs(tmp_path_factory):
             for command, argv in DISPATCH_ARGV.items()}
 
 
+def assert_refused_before_writing(tmp_path, capsys, argv, message):
+    """`argv --out <tmp_path>/o.csv` exits 1 with one `error:` line that holds
+    message and names --epsilon, warns of nothing and changes no file."""
+    before = snapshot(tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--out", str(tmp_path / "o.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and "--epsilon" in captured.err
+    assert captured.out == ""
+    assert snapshot(tmp_path) == before
+
+
 def csv_body(path):
     # everything after the one-line JSON manifest comment
     lines = path.read_text().splitlines()
@@ -101,6 +116,33 @@ class TestParams:
 
     def test_zero_temperature_usage_error(self, capsys):
         assert run(["params", "--temperature", "0"]) == 1
+
+
+class TestDefaults:
+    """Each default of the command line is the library's."""
+
+    @pytest.mark.parametrize("argv", [["tree", "--stages", "1"],
+                                      ["gas", "--particles", "2", "--steps", "1"]])
+    def test_collision_defaults(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert args.epsilon == gas.RunConfig.epsilon
+        assert args.seed == gas.RunConfig.seed
+        assert cli._parse_matrix(args.matrix) == [list(row) for row in maps.DEFAULT_CAT_MATRIX]
+
+    def test_gas_run_defaults(self):
+        args = cli.build_parser().parse_args(["gas", "--particles", "2", "--steps", "1"])
+        assert args.pairing == gas.RunConfig.pairing
+        assert (args.twin == "on") is gas.RunConfig.twin
+
+    def test_params_defaults(self, capsys):
+        defaults = kinetics.KineticParams()
+        args = cli.build_parser().parse_args(["params"])
+        assert {name: getattr(args, name) for name in vars(defaults)} == vars(defaults)
+        assert run(["params"]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"] == {
+            "temperature_K": defaults.temperature, "pressure_Pa": defaults.pressure,
+            "length_m": defaults.length, "diameter_m": defaults.diameter,
+            "mass_kg": defaults.mass}
 
 
 class TestTree:
@@ -197,7 +239,11 @@ class TestTree:
             if rel < 1e-4:
                 assert norm == pytest.approx(math.hypot(dx, dp), rel=1e-15, abs=0)
 
-    @pytest.mark.parametrize("epsilon,zeros", [("5e-324", 22), ("1e-323", 20)])
+    @pytest.mark.parametrize("epsilon,zeros", [
+        ("5e-324", 22), ("1e-323", 20),
+        # too large: the norms of that many distinct leaf rows overflow, with no warning
+        pytest.param("1e306", 9, marks=pytest.mark.filterwarnings("error")),
+        pytest.param("1e308", 32, marks=pytest.mark.filterwarnings("error"))])
     def test_leaves_underflowing_to_zero_refused_before_writing(self, tmp_path, capsys,
                                                                 epsilon, zeros):
         out = tmp_path / "t.csv"
@@ -214,6 +260,13 @@ class TestTree:
         # the closed forms alone need no leaf
         assert run(["tree", "--stages", "12", "--epsilon", epsilon, "--aggregate-only",
                     "--out", str(out)]) == 0
+
+    def test_root_sum_of_squares_overflow_refused_before_writing(self, tmp_path, capsys):
+        # every leaf norm fits a float at 12 stages, but the whole-gas dilation's does not
+        assert run(["tree", "--stages", "12", "--out", str(tmp_path / "o.csv")]) == 0
+        assert_refused_before_writing(tmp_path, capsys,
+                                      ["tree", "--stages", "12", "--epsilon", "1e305"],
+                                      "a root sum of squares of the displacements overflows")
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
@@ -307,6 +360,21 @@ class TestGas:
         assert run(["gas", "--particles", "16", "--steps", "3", "--epsilon", epsilon,
                     "--out", str(tmp_path / "e.csv")]) == 1
         assert "epsilon must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_norm_overflow_refused_before_writing(self, tmp_path, capsys):
+        assert_refused_before_writing(tmp_path, capsys,
+                                      ["gas", "--particles", "64", "--steps", "20",
+                                       "--epsilon", "1e305", "--modes", "0"],
+                                      "a root sum of squares of the displacements overflows")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_tangent_overflow_refused_before_writing(self, tmp_path, capsys):
+        # with two particles a tangent overflows to inf before the norm does
+        assert run(["gas", "--particles", "2", "--steps", "40", "--epsilon", "1e300",
+                    "--modes", "0", "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--epsilon" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_seed_refused_before_writing(self, tmp_path, capsys):

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-import arnoldgas
 from arnoldgas import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,5 +71,9 @@ def test_fluctuation_ensemble_refuses_no_seeds(seeds):
 def test_pyproject_version_matches_package():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with (ROOT / "pyproject.toml").open("rb") as fh:
-        project = tomllib.load(fh)["project"]
-    assert project["version"] == arnoldgas.__version__
+        pyproject = tomllib.load(fh)
+    # setuptools reads the version from the package, so it is written once
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "arnoldgas.__version__"}
