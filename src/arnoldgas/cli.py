@@ -310,17 +310,19 @@ def cmd_gas(args) -> int:
 
     # Every result is computed before the first file is written, so a
     # failure leaves no partial output behind.  One pass over the gas states:
-    # each gives its diagnostics here and its mode row to the pool.
+    # each gives its diagnostics here and its mode row to the pool.  A
+    # displacement that overflows a float raises FloatingPointError (see main).
     traj, states = gas.with_diagnostics(config, gas.evolve(config, model))
     all_series = []
-    if args.modes > 0:
-        modes = spectral.enumerate_modes(args.modes)
-        # --threads 0: one worker per CPU this process may run on
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        all_series = spectral.delta_series(states, modes, args.threads or cpus)
-    for _ in states:  # runs the gas when no mode pass has drawn the states
-        pass
+    with np.errstate(over="raise", invalid="raise"):
+        if args.modes > 0:
+            modes = spectral.enumerate_modes(args.modes)
+            # --threads 0: one worker per CPU this process may run on
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            all_series = spectral.delta_series(states, modes, args.threads or cpus)
+        for _ in states:  # runs the gas when no mode pass has drawn the states
+            pass
 
     rows = list(zip(range(args.steps + 1), traj.affected_count, traj.norm, traj.max_disp,
                     traj.median_disp, traj.twin_dist))
@@ -536,6 +538,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_REFUSED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FloatingPointError as exc:  # raised by cmd_gas's np.errstate
+        print(f"error: {exc}: a displacement overflows a float; lower --epsilon",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -135,7 +135,7 @@ def _tree_matching(affected: np.ndarray, rng: np.random.Generator) -> np.ndarray
     mixed = np.stack([idx_aff[:k], idx_un[:k]], axis=1)
     rest = np.concatenate([idx_aff[k:], idx_un[k:]])
     rest = rest[: 2 * (rest.size // 2)].reshape(-1, 2)
-    return np.concatenate([mixed, rest]) if rest.size else mixed
+    return np.concatenate([mixed, rest])
 
 
 # pairing name -> matching(affected, rng), a (k, 2) array of pair indices
@@ -146,17 +146,13 @@ def _collide_rows(collide, model: CollisionModel, src: np.ndarray, dst: np.ndarr
                   i: np.ndarray, j: np.ndarray) -> None:
     """dst[i], dst[j] = collide(model, src[i], src[j]) for (n, 2) float arrays.
 
-    Rows move as one complex item each (maps.row_items), gathered by np.take
-    and scattered by np.put in "clip" mode, which at 2^20 rows is faster than
-    fancy indexing; i and j must lie in 0..n-1, since clip mode clamps an
-    index instead of refusing it.  src and dst must be C-ordered.
+    Rows are gathered by np.take and scattered as one complex item each
+    (maps.row_items); i and j should be contiguous, since a strided index
+    slows both at 2^20 rows.  dst must be C-ordered.
     """
-    items = row_items(src)
-    x_i, x_j = (np.take(items, k, mode="clip").view(np.float64).reshape(-1, 2) for k in (i, j))
-    out_i, out_j = collide(model, x_i, x_j)
+    out_i, out_j = collide(model, np.take(src, i, axis=0), np.take(src, j, axis=0))
     rows = row_items(dst)
-    np.put(rows, i, row_items(out_i), mode="clip")
-    np.put(rows, j, row_items(out_j), mode="clip")
+    rows[i], rows[j] = row_items(out_i), row_items(out_j)
 
 
 def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
@@ -171,7 +167,7 @@ def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
         raise ValueError(f"unknown pairing mode {pairing!r}")
     pairs = PAIRINGS[pairing](state.affected, rng)
 
-    i, j = pairs[:, 0], pairs[:, 1]
+    i, j = pairs.T.copy()  # contiguous columns: a strided index slows every gather
     was = state.affected
     hit = was[i] | was[j]
     ih, jh = i[hit], j[hit]

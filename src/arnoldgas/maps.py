@@ -155,8 +155,9 @@ def apply_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def row_items(rows: np.ndarray) -> np.ndarray:
     """An (n, 2) C-ordered float array as n complex items, one per row.
 
-    A view, not a copy.  numpy gathers and scatters 1-D arrays on a fast
-    path; fancy indexing of (n, 2) rows is several times slower.
+    A view, not a copy, for scatters and masked copies: numpy assigns 1-D
+    items on a fast path, several times faster than (n, 2) rows.  Gathers
+    need no view: np.take(rows, index, axis=0) on a contiguous index is as fast.
     """
     return rows.view(np.complex128)[:, 0]
 
@@ -193,7 +194,7 @@ def root_sum_squares(values: np.ndarray, index: np.ndarray | None = None) -> flo
     squares = np.ldexp(values, -e)
     np.square(squares, out=squares)
     if index is not None:
-        squares = row_items(squares)[index].view(np.float64)
+        squares = np.take(squares, index, axis=0)
     try:
         total = math.ldexp(math.sqrt(np.sum(squares)), int(e))
     except OverflowError:

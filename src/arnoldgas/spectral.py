@@ -354,24 +354,26 @@ def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
 
     `states` are one run's states at t = 0, 1, ..., each read once; each row
     takes the exact route from its own state's twin points, when it has
-    them.  The calling thread
-    draws each state and submits its row to a pool of `threads` workers;
-    once more than 2*threads rows are waiting it waits for the oldest, so
-    at most 2*threads + 1 states are alive.  Rows are kept in the order
-    drawn, so the result does not depend on the worker count.  Each worker
-    sums the canonical mode of every +-k pair in arrays it owns for the
-    call; the other mode of the pair is filled in from it.
+    them.  The calling thread draws each state and submits its row to a
+    pool of `threads` workers; once more than 2*threads rows are waiting it
+    waits for the oldest, so at most 2*threads + 1 states are alive.  Rows
+    are kept in the order drawn, so the result does not depend on the
+    worker count.  Each worker sums, under the caller's np.errstate, the
+    canonical mode of every +-k pair in arrays it owns for the call; the
+    other mode of the pair is filled in from it.
     """
     if (0, 0) in modes:
         raise ValueError("the zero mode is the conserved normalization; pick a nonzero mode")
     canonical = list(dict.fromkeys(map(_canonical, modes)))
     _turn_table()  # build the kernel's table once, before the workers ask for it
     workspace = threading.local()
+    errors = np.geterr()  # pool threads do not inherit the caller's np.errstate
 
     def row(state: GasState) -> np.ndarray:
         if not hasattr(workspace, "arrays"):
             workspace.arrays = _RowArrays(canonical)
-        return workspace.arrays.sums(state)
+        with np.errstate(**errors):
+            return workspace.arrays.sums(state)
 
     rows, pending, state = [], deque(), None
     with ThreadPoolExecutor(threads) as pool:

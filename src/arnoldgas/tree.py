@@ -46,9 +46,10 @@ class TreeRun:
     """The 2^n leaves of an n-stage collision tree, stored by distinct value.
 
     `distinct` holds each distinct leaf displacement once, with its n1 count
-    in `distinct_n1`, and `leaf[i]` is the row of leaf i in `distinct`, so
-    leaf i's displacement is `distinct[leaf[i]]`.  `n1` is the per-leaf view
-    of `distinct_n1`, gathered through `leaf` on each access.
+    in `distinct_n1` and its norm in `norms`, and `leaf[i]` is the row of
+    leaf i in `distinct`, so leaf i's displacement is `distinct[leaf[i]]`.
+    `n1` is the per-leaf view of `distinct_n1`, gathered through `leaf` on
+    each access.
     """
 
     stages: int
@@ -56,6 +57,7 @@ class TreeRun:
     distinct: np.ndarray = field(repr=False)  # (k, 2) distinct tangent vectors
     distinct_n1: np.ndarray = field(repr=False)  # (k,) their direct-collision counts
     leaf: np.ndarray = field(repr=False)  # (2^n,) row of each leaf in `distinct`
+    norms: np.ndarray = field(repr=False)  # (k,) maps.row_norms of `distinct`
 
     @property
     def n1(self) -> np.ndarray:
@@ -119,7 +121,8 @@ def run_tree(model: CollisionModel, stages: int, epsilon: float) -> TreeRun:
             leaf = np.concatenate([inverse[:len(distinct)][leaf],
                                    inverse[len(distinct):][leaf]])
             distinct, distinct_n1 = candidates[first], candidate_n1[first]
-        overflows = int(np.count_nonzero(~np.isfinite(row_norms(distinct))))
+        norms = row_norms(distinct)
+    overflows = int(np.count_nonzero(~np.isfinite(norms)))
     if overflows:
         raise ValueError(f"--epsilon {epsilon} is too large for --stages {stages}: "
                          f"{overflows} distinct leaf rows have a norm that overflows a float; "
@@ -136,6 +139,7 @@ def run_tree(model: CollisionModel, stages: int, epsilon: float) -> TreeRun:
         distinct=distinct,
         distinct_n1=distinct_n1,
         leaf=leaf,
+        norms=norms,
     )
 
 
@@ -148,7 +152,7 @@ def mean_dilations(run: TreeRun) -> tuple[float, float]:
     per-leaf values over all 2^n leaves in leaf order.  The log and exp are
     `math`'s, so the means do not depend on numpy's SIMD loops.
     """
-    mags = row_norms(run.distinct) / run.epsilon
+    mags = run.norms / run.epsilon
     logs = np.array([math.log(mag) for mag in mags.tolist()])
     geometric = math.exp(np.mean(logs[run.leaf]))
     arithmetic = float(np.mean(mags[run.leaf]))
@@ -188,7 +192,7 @@ def leaf_records(run: TreeRun) -> tuple[list[tuple[int, int, int, float, float, 
     The CSV lists leaf i as row leaf[i], so each distinct row is formatted once.
     """
     dx, dp = run.distinct.T.tolist()
-    norms = row_norms(run.distinct).tolist()
+    norms = run.norms.tolist()
     n1 = run.distinct_n1.tolist()
     n2 = (run.stages - run.distinct_n1).tolist()
     return list(zip(repeat(run.stages), n1, n2, dx, dp, norms)), run.leaf

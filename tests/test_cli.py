@@ -129,6 +129,15 @@ class TestDefaults:
         assert args.seed == gas.RunConfig.seed
         assert cli._parse_matrix(args.matrix) == [list(row) for row in maps.DEFAULT_CAT_MATRIX]
 
+    @pytest.mark.parametrize("argv", [["tree", "--stages", "1"],
+                                      ["gas", "--particles", "2", "--steps", "1"]],
+                             ids=["tree", "gas"])
+    def test_short_matrix_refused_before_writing(self, tmp_path, capsys, argv):
+        assert run([*argv, "--matrix", "1,2,3", "--out", str(tmp_path / "m.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: matrix must be four comma-separated integers a,b,c,d\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_gas_run_defaults(self):
         args = cli.build_parser().parse_args(["gas", "--particles", "2", "--steps", "1"])
         assert args.pairing == gas.RunConfig.pairing
@@ -368,14 +377,19 @@ class TestGas:
                                        "--epsilon", "1e305", "--modes", "0"],
                                       "a root sum of squares of the displacements overflows")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_tangent_overflow_refused_before_writing(self, tmp_path, capsys):
         # with two particles a tangent overflows to inf before the norm does
-        assert run(["gas", "--particles", "2", "--steps", "40", "--epsilon", "1e300",
-                    "--modes", "0", "--out", str(tmp_path / "o.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "--epsilon" in err
-        assert list(tmp_path.iterdir()) == []
+        assert_refused_before_writing(tmp_path, capsys,
+                                      ["gas", "--particles", "2", "--steps", "40",
+                                       "--epsilon", "1e300", "--modes", "0"],
+                                      "a displacement overflows a float")
+
+    def test_mode_row_overflow_refused_before_writing(self, tmp_path, capsys):
+        # the norms fit a float, but k.v of the tangents in a pool worker does not
+        assert_refused_before_writing(tmp_path, capsys,
+                                      ["gas", "--particles", "64", "--steps", "10",
+                                       "--epsilon", "1e305"],
+                                      "a displacement overflows a float")
 
     def test_negative_seed_refused_before_writing(self, tmp_path, capsys):
         assert run(["gas", "--particles", "64", "--steps", "3", "--seed", "-1", "--modes", "1",
@@ -745,6 +759,27 @@ class TestSpectrum:
         assert payload["fit_window"] == [1, 5]
         assert payload["modes"][0]["slope"] == pytest.approx(math.log(2.0))
 
+    def test_default_window_needs_int_manifest_params(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        src.write_text('# {"command": "gas", "params": {"particles": 64.0, "steps": 5}}\n'
+                       "t,m1,m2,delta_twin,delta_linear\n"
+                       + "".join(f"{t},1,0,nan,{2.0 ** t}\n" for t in range(6)))
+        assert run(["spectrum", "--in", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--window" in captured.err
+        assert captured.out == ""
+
+    def test_blank_lines_skipped(self, tmp_path, capsys):
+        rows = [f"{t},1,0,nan,{2.0 ** t}\n" for t in range(6)]
+        fits = []
+        for name, body in [("plain", rows), ("blank", ["\n", *rows[:3], "\n\n", *rows[3:]])]:
+            src = tmp_path / f"{name}.csv"
+            src.write_text("# {}\nt,m1,m2,delta_twin,delta_linear\n" + "".join(body))
+            assert run(["spectrum", "--in", str(src), "--window", "1", "5"]) == 0
+            fits.append(json.loads(capsys.readouterr().out)["modes"])
+        assert fits[0] == fits[1]
+        assert fits[0][0]["slope"] == pytest.approx(math.log(2.0))
+
     def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
         assert run(["spectrum", "--in", str(tmp_path / "nope.csv")]) == 1
         err = capsys.readouterr().err
@@ -766,7 +801,9 @@ class TestSpectrum:
          "line 3: invalid literal for int()"),
         ("# {not json\nt,m1,m2,delta_twin,delta_linear\n0,1,0,nan,1\n",
          "line 1: Expecting property name"),
-    ], ids=["cut-after-manifest", "short-row", "bad-float", "bad-int", "bad-manifest"])
+        ("# {}\nt,m1,m2,delta_linear\n0,1,0,1\n", "is missing column 'delta_twin'"),
+    ], ids=["cut-after-manifest", "short-row", "bad-float", "bad-int", "bad-manifest",
+            "no-twin-column"])
     def test_truncated_file_is_usage_error(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)

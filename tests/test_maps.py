@@ -74,6 +74,10 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError, match="unimodular"):
             maps.spectral_decompose([[2, 0], [0, 2]])
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"must be 2x2, got shape \(4,\)"):
+            maps.spectral_decompose([1, 1, 1, 2])
+
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError, match="integer"):
             maps.spectral_decompose([[1.5, 1], [1, 2]])

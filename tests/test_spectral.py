@@ -21,6 +21,10 @@ class TestFourierComponent:
         value = spectral.fourier_component(np.array([[0.25, 0.0]]), ModeIndex(1, 0))
         assert value == pytest.approx(-1j, abs=1e-12)
 
+    def test_no_points_refused(self):
+        with pytest.raises(ValueError, match="at least one particle"):
+            spectral.fourier_component(np.empty((0, 2)), ModeIndex(1, 0))
+
     def test_zero_mode_counts_particles(self):
         pts = np.random.default_rng(0).random((37, 2))
         value = spectral.fourier_component(pts, ModeIndex(0, 0))
