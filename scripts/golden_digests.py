@@ -10,7 +10,9 @@ bytes depend on numpy's CPU dispatch.  The spectrum CSV and the gas summary
 still do (ROADMAP item 3), so they are left out.
 
 A change that alters any of these bytes bumps `__version__` and reruns this
-script with --write.  Without --write it prints the file it would write;
+script with --write.  Under the recorded version --write refuses, writing
+nothing, if any digest of a command already in the file would change; new
+commands may be added.  Without --write it prints the file it would write;
 `tests/test_golden_digests.py` reruns the commands and compares.
 
     PYTHONPATH=src python3 scripts/golden_digests.py [--write]
@@ -19,6 +21,7 @@ script with --write.  Without --write it prints the file it would write;
 import argparse
 import hashlib
 import json
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -76,6 +79,17 @@ def output_digests(command: str) -> dict[str, str]:
     return digests
 
 
+def changed_commands(recorded: dict, golden: dict) -> list[str]:
+    """The commands of `recorded` whose digest `golden` changes, if both hold
+    one `__version__`; none if the version was bumped."""
+    if recorded.get("__version__") != golden["__version__"]:
+        return []
+    return list(dict.fromkeys(
+        command for key in ("commands", "summaries")
+        for command, digest in golden[key].items()
+        if recorded.get(key, {}).get(command, digest) != digest))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -85,12 +99,19 @@ def main() -> None:
 
     digests = {command: output_digests(command)
                for command in dict.fromkeys(COMMANDS + SUMMARY_COMMANDS)}
-    text = json.dumps({
+    golden = {
         "__version__": __version__,
         "commands": {command: digests[command]["body"] for command in COMMANDS},
         "summaries": {command: digests[command]["summary"] for command in SUMMARY_COMMANDS},
-    }, indent=2) + "\n"
+    }
+    text = json.dumps(golden, indent=2) + "\n"
     if args.write:
+        changed = changed_commands(json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {},
+                                   golden)
+        if changed:
+            sys.exit(f"refused: {GOLDEN.name} records version {__version__}, and these "
+                     "commands' digests would change; bump __version__ first:\n  "
+                     + "\n  ".join(changed))
         GOLDEN.write_text(text)
         print(f"wrote {GOLDEN}")
     else:

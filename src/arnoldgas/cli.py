@@ -49,6 +49,10 @@ GAS_CSV_COLUMNS = ["t", "affected", "norm", "max_disp", "median_disp", "twin_dis
 SPECTRUM_CSV_COLUMNS = ["t", "m1", "m2", "re_ntilde", "im_ntilde", "delta_twin", "delta_linear"]
 # CSV lines joined, hashed and written at a time (about 1 MB of tree rows)
 CSV_CHUNK_ROWS = 16384
+# Parsed arguments left out of a manifest's params: `command` and `func` are
+# the subcommand and its handler; `out` is where the files go; no output byte
+# depends on `threads`; `seed` and `matrix` sit at the manifest's top level.
+NOT_PARAMS = frozenset({"command", "func", "out", "threads", "seed", "matrix"})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,13 +71,15 @@ def _resolve_out(path_str: str) -> Path:
     return path
 
 
-def _manifest(command: str, params: dict, seed: int, matrix: list[list[int]]) -> dict:
+def _manifest(args, matrix: list[list[int]]) -> dict:
+    """The run's manifest; an option is a param unless NOT_PARAMS excludes it."""
     return {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "params": params,
+        "params": {name: value for name, value in vars(args).items()
+                   if name not in NOT_PARAMS},
         "generator": gas.RNG_NAME,
-        "seed": seed,
+        "seed": args.seed,
         "model": matrix,
     }
 
@@ -186,21 +192,10 @@ def _parse_matrix(text: str) -> list[list[int]]:
 
 
 def cmd_params(args) -> int:
-    inputs = dataclasses.fields(kinetics.KineticParams)
     params = kinetics.KineticParams(**{param.name: getattr(args, param.name)
-                                       for param in inputs})
-    derived = kinetics.derive(params)
-    payload = {
-        "inputs": {f"{param.name}_{param.metadata['unit']}": getattr(params, param.name)
-                   for param in inputs},
-        "derived": {
-            "n_particles": derived.n_particles,
-            "mean_free_path_m": derived.mean_free_path,
-            "mean_speed_m_per_s": derived.mean_speed,
-            "mean_free_time_s": derived.mean_free_time,
-            "collision_rate_per_s": derived.collision_rate,
-        },
-    }
+                                       for param in dataclasses.fields(kinetics.KineticParams)})
+    payload = {"inputs": kinetics.unit_keyed(params),
+               "derived": kinetics.unit_keyed(kinetics.derive(params))}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -209,7 +204,9 @@ def cmd_params(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    maps.check_epsilon(args.epsilon)  # recorded in the manifest even with --aggregate-only
+    # both are recorded in the manifest even with --aggregate-only
+    maps.check_epsilon(args.epsilon)
+    gas.check_seed(args.seed)
     stages = args.stages
     if stages < 0:
         raise ValueError(f"--stages must be >= 0, got {stages}")
@@ -223,12 +220,7 @@ def cmd_tree(args) -> int:
         raise ValueError(f"--stages {stages} is too large: the closed-form "
                          "dilations overflow a float") from None
     out = _resolve_out(args.out)
-    params = {
-        "stages": stages,
-        "epsilon": args.epsilon,
-        "aggregate_only": args.aggregate_only,
-    }
-    manifest = _manifest("tree", params, seed=args.seed, matrix=matrix)
+    manifest = _manifest(args, matrix)
 
     summary = {
         "stages": stages,
@@ -260,8 +252,7 @@ def _fit_report(m1: int, m2: int, deltas, window) -> dict:
     """The mode with its growth fit (slope, intercept, r2), or the fit_error."""
     report: dict = {"m1": m1, "m2": m2}
     try:
-        fit = spectral.fit_growth(deltas, window)
-        report.update(slope=fit.slope, intercept=fit.intercept, r2=fit.r2)
+        report.update(spectral.fit_growth(deltas, window)._asdict())
     except ValueError as exc:
         report["fit_error"] = str(exc)
     return report
@@ -297,15 +288,7 @@ def cmd_gas(args) -> int:
     if args.particles % 2:
         print(f"warning: odd particle count {args.particles}; one particle "
               "idles each step", file=sys.stderr)
-    params = {
-        "particles": args.particles,
-        "steps": args.steps,
-        "epsilon": args.epsilon,
-        "pairing": args.pairing,
-        "modes": args.modes,
-        "twin": args.twin,
-    }
-    manifest = _manifest("gas", params, seed=args.seed, matrix=matrix)
+    manifest = _manifest(args, matrix)
     out = _resolve_out(args.out)
 
     # Every result is computed before the first file is written, so a

@@ -40,6 +40,12 @@ from .maps import (CollisionModel, check_epsilon, collide_arrays, collide_linear
 RNG_NAME = "numpy.random.PCG64"
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative generator seed, which numpy's seeding rejects."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parameters of one gas run; a fixed config gives a bit-identical run."""
@@ -57,8 +63,7 @@ class RunConfig:
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         check_epsilon(self.epsilon)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if self.pairing not in PAIRINGS:
             raise ValueError(f"pairing must be one of {sorted(PAIRINGS)}, got {self.pairing!r}")
 

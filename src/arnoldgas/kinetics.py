@@ -60,11 +60,19 @@ class KineticParams:
 
 @dataclass(frozen=True)
 class KineticDerived:
+    """Each field's metadata names its unit; the particle count has none."""
+
     n_particles: float
-    mean_free_path: float  # m
-    mean_speed: float  # m/s
-    mean_free_time: float  # s
-    collision_rate: float  # 1/s
+    mean_free_path: float = field(metadata={"unit": "m"})
+    mean_speed: float = field(metadata={"unit": "m_per_s"})
+    mean_free_time: float = field(metadata={"unit": "s"})
+    collision_rate: float = field(metadata={"unit": "per_s"})
+
+
+def unit_keyed(record: KineticParams | KineticDerived) -> dict[str, float]:
+    """Each field of `record` keyed `<name>_<unit>`, or `<name>` if it has no unit."""
+    return {f"{f.name}_{f.metadata['unit']}" if "unit" in f.metadata else f.name:
+            getattr(record, f.name) for f in fields(record)}
 
 
 def derive(params: KineticParams) -> KineticDerived:

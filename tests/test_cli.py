@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import json
@@ -154,6 +155,29 @@ class TestDefaults:
             "mass_kg": defaults.mass}
 
 
+class TestManifest:
+    @pytest.mark.parametrize("argv", [
+        ["tree", "--stages", "3", "--aggregate-only"],
+        ["gas", "--particles", "8", "--steps", "2", "--modes", "1", "--threads", "1"],
+    ], ids=["tree", "gas"])
+    def test_params_are_every_option_not_excluded(self, tmp_path, argv):
+        # an option added to the parser lands in the manifest unless it is
+        # put in NOT_PARAMS on purpose
+        parser = cli.build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        options = {action.dest for action in commands[argv[0]]._actions} - {"help"}
+        argv = [*argv, "--out", str(tmp_path / "o.csv")]
+        args = parser.parse_args(argv)
+        assert run(argv) == 0
+        manifest = read_summary(tmp_path / "o.summary.json")["manifest"]
+        assert manifest["command"] == argv[0]
+        assert manifest["params"] == {name: getattr(args, name)
+                                      for name in options - cli.NOT_PARAMS}
+        assert manifest["seed"] == args.seed
+        assert manifest["model"] == cli._parse_matrix(args.matrix)
+
+
 class TestTree:
     def test_four_stages(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -183,6 +207,13 @@ class TestTree:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("extra", [[], ["--aggregate-only"]])
+    def test_negative_seed_refused_before_writing(self, tmp_path, capsys, extra):
+        assert run(["tree", "--stages", "3", "--seed", "-1", *extra,
+                    "--out", str(tmp_path / "s.csv")]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_budget_refusal(self, tmp_path):
@@ -395,6 +426,12 @@ class TestGas:
         assert run(["gas", "--particles", "64", "--steps", "3", "--seed", "-1", "--modes", "1",
                     "--out", str(tmp_path / "s.csv")]) == 1
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_steps_refused_before_writing(self, tmp_path, capsys):
+        assert run(["gas", "--particles", "16", "--steps", "-1", "--modes", "0",
+                    "--out", str(tmp_path / "n.csv")]) == 1
+        assert "steps must be >= 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_modes_refused_before_writing(self, tmp_path, capsys):

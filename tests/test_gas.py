@@ -33,6 +33,10 @@ class TestInitGas:
         with pytest.raises(ValueError):
             RunConfig(n_particles=1, steps=0)
 
+    def test_rejects_negative_steps(self):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            RunConfig(n_particles=2, steps=-1)
+
 
 class TestStep:
     def test_zero_tangents_stay_zero(self, model):

@@ -43,6 +43,17 @@ def test_recorded_version_and_commands_are_current():
     assert list(GOLDEN["summaries"]) == SCRIPT.SUMMARY_COMMANDS
 
 
+def test_write_refuses_a_changed_digest_under_the_recorded_version():
+    recorded = {"__version__": "1.0", "commands": {"a": "1", "b": "2"},
+                "summaries": {"b": "3"}}
+    same = {"__version__": "1.0", "commands": {"a": "1", "b": "2", "new": "4"},
+            "summaries": {"b": "3", "new": "5"}}
+    assert SCRIPT.changed_commands(recorded, same) == []  # new commands are allowed
+    changed = {**same, "commands": {"a": "9", "b": "2"}, "summaries": {"b": "8"}}
+    assert SCRIPT.changed_commands(recorded, changed) == ["a", "b"]
+    assert SCRIPT.changed_commands(recorded, {**changed, "__version__": "1.1"}) == []
+
+
 @pytest.mark.parametrize("command", list(GOLDEN["commands"]))
 def test_body_digest_matches_the_golden_one(command):
     assert SCRIPT.output_digests(command)["body"] == GOLDEN["commands"][command]
