@@ -148,6 +148,13 @@ class TestModeSeries:
                 worst_full = max(worst_full, abs(full - exact) / abs(exact))
         assert worst_new <= worst_full
 
+    def test_executor_gives_identical_result(self, model):
+        states = list(gas.evolve(RunConfig(n_particles=128, steps=6, seed=2, twin=True), model))
+        modes = spectral.enumerate_modes(2)
+        serial = spectral.delta_series(states, modes)
+        pooled = spectral.delta_series(states, modes, threads=4)
+        assert_same_series(serial, pooled)
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_shot_generator_equals_list(self, model, threads):
         # the gas advances while pool workers still read earlier states
@@ -371,16 +378,12 @@ class TestBlockedRow:
             assert sum(counted) == 2 * ((n - affected) + affected * (1 + twin))
 
     def test_threads_give_identical_series(self, model):
+        config = RunConfig(n_particles=2 * B + 3, steps=16, seed=5, pairing="tree", twin=True)
+        states = list(gas.evolve(config, model))
         modes = spectral.enumerate_modes(2)
-        for config, thread_counts in [
-            (RunConfig(n_particles=2 * B + 3, steps=16, seed=5, pairing="tree", twin=True),
-             (2, 4)),
-            (RunConfig(n_particles=128, steps=6, seed=2, twin=True), (4,)),  # under one block
-        ]:
-            states = list(gas.evolve(config, model))
-            serial = spectral.delta_series(states, modes, threads=1)
-            for threads in thread_counts:
-                assert_same_series(serial, spectral.delta_series(states, modes, threads))
+        serial = spectral.delta_series(states, modes, threads=1)
+        for threads in (2, 4):
+            assert_same_series(serial, spectral.delta_series(states, modes, threads))
 
 
 def _machin_pi(digits):
