@@ -21,7 +21,7 @@ def main() -> None:
     for n in range(args.max_stages + 1):
         geo_c, arith_c = tree.mean_dilations_closed(model, n)
         gas_c = tree.gas_dilation_closed(model, n)
-        gap = verify.gas_dilation_error(tree.run_tree(model, n, 1e-9), model)
+        gap = verify.gas_dilation_error(tree.run_tree(model, n), model)
         print(f"{n:>3} {geo_c:>12.6f} {arith_c:>12.6f} {gas_c:>14.4f} "
               f"{tree.gas_dilation_bound(n):>14.4f} {gap:>10.2e}")
 

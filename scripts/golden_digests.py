@@ -7,7 +7,7 @@ of the CSV body it writes to `--out` (the file without its manifest line): a
 gas trajectory or the tree leaves.  `summaries` holds, for each command in
 SUMMARY_COMMANDS, the digest of its whole `.summary.json`.  None of these
 bytes depend on numpy's CPU dispatch.  The spectrum CSV and the gas summary
-still do (ROADMAP item 3), so they are left out.
+still do, until the complex-free mode row in ROADMAP.md, so they are left out.
 
 A change that alters any of these bytes bumps `__version__` and reruns this
 script with --write.  Under the recorded version --write refuses, writing
@@ -40,13 +40,13 @@ COMMANDS = [
     "gas --particles 1000 --steps 5 --modes 0",
     "gas --particles 1024 --steps 20 --twin on --modes 1 --matrix 2,-1,-1,1 --seed 4",
     "tree --stages 18",
-    # normal leaves whose squares underflow: norms and dilations are scaled
-    # by powers of two (maps.row_norms, maps.root_sum_squares)
+    # The tree runs at unit scale, so these summaries equal the default
+    # one's; epsilon scales only the written cells, each rounded once
+    # (tree.leaf_records).  Normal cells:
     "tree --stages 12 --epsilon 1e-200",
-    # subnormal leaves: their rounding makes 407 distinct rows, not 69
+    # subnormal cells:
     "tree --stages 12 --epsilon 1e-320",
-    # the smallest leaves are a few subnormal ulps, so rows of equal bits are
-    # kept apart by their n1 label (keying on bits only changes this body)
+    # cells a few subnormal ulps wide, three of them rounded to zero:
     "tree --stages 12 --epsilon 3e-323",
 ]
 # Tree summaries hold the enumerated and closed-form dilations; the last

@@ -9,4 +9,4 @@ Subpackages:
   cli       -- command-line front end with reproducible file output
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

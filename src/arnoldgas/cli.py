@@ -234,12 +234,12 @@ def cmd_tree(args) -> int:
 
     tables = []
     if not args.aggregate_only:
-        run = tree.run_tree(model, stages, args.epsilon)
+        run = tree.run_tree(model, stages)
         geo, arith = tree.mean_dilations(run)
         summary["geometric_mean_dilation"] = geo
         summary["arithmetic_mean_dilation"] = arith
         summary["gas_dilation"] = tree.gas_dilation(run)
-        tables.append((out, TREE_CSV_COLUMNS, *tree.leaf_records(run)))
+        tables.append((out, TREE_CSV_COLUMNS, *tree.leaf_records(run, args.epsilon)))
 
     _write_results(out, manifest, summary, tables)
     return EXIT_OK
@@ -386,6 +386,8 @@ def _read_spectrum_csv(path: Path) -> tuple[dict, dict[tuple[int, int], np.ndarr
         if t in by_t:
             raise ValueError(f"{path} line {number} repeats mode {key} at t = {t}")
         by_t[t] = pair
+    if not per_mode:
+        raise ValueError(f"{path} has no data rows after its column line")
     # every mode lists t = 0..T once, with one T for the whole file
     times = range(max((max(by_t) for by_t in per_mode.values()), default=-1) + 1)
     for key, by_t in sorted(per_mode.items()):

@@ -9,18 +9,19 @@ to the fresh partner, factor K-).  A leaf with n1 direct and n2 switch
 collisions therefore carries displacement (K+)^{n1} (K-)^{n2} d0, and the n1
 counts over the 2^n leaves follow the binomial distribution C(n, n1).
 
-For an initial displacement along the expanding eigenvector xi_plus the leaf
-displacement magnitudes are |kp|^{n1} |km|^{n2} eps with closed-form
-aggregates:
+The tree is expanded from the unit displacement xi_plus, the expanding
+eigenvector, so its leaf magnitudes are |kp|^{n1} |km|^{n2}, with closed-form
+aggregates that do not depend on the size of the initial displacement:
 
   geometric mean dilation  |kp*km|^{n/2}      (~ 1.2097627^n for the default)
   arithmetic mean dilation ((|kp|+|km|)/2)^n
   whole-gas dilation       (kp^2 + km^2)^{n/2} >= 2^{n/2}
 
-The leaves are stored by distinct value: the 2^n leaves take n + 1 values
-in exact arithmetic and a few hundred distinct bit patterns in floating
-point, so a run keeps those rows once plus a 2^n-entry index of each leaf's
-row (see run_tree).  Every product is an explicit multiply-add per
+That size enters once, as a factor on the leaf cells that leaf_records
+writes.  The leaves are stored by distinct value: the 2^n leaves take n + 1
+values in exact arithmetic and a few hundred distinct bit patterns in
+floating point, so a run keeps those rows once plus a 2^n-entry index of
+each leaf's row (see run_tree).  Every product is an explicit multiply-add per
 component, so the leaf bits do not depend on the BLAS build or kernel.
 """
 
@@ -32,7 +33,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .maps import CollisionModel, apply_rows, check_epsilon, root_sum_squares, row_norms
+from .maps import CollisionModel, apply_rows, root_sum_squares, row_norms
 
 DEFAULT_MAX_STAGES = 24
 
@@ -43,7 +44,7 @@ class MemoryBudgetError(MemoryError):
 
 @dataclass
 class TreeRun:
-    """The 2^n leaves of an n-stage collision tree, stored by distinct value.
+    """The 2^n unit leaves of an n-stage collision tree, stored by distinct value.
 
     `distinct` holds each distinct leaf displacement once, with its n1 count
     in `distinct_n1` and its norm in `norms`, and `leaf[i]` is the row of
@@ -53,7 +54,6 @@ class TreeRun:
     """
 
     stages: int
-    epsilon: float
     distinct: np.ndarray = field(repr=False)  # (k, 2) distinct tangent vectors
     distinct_n1: np.ndarray = field(repr=False)  # (k,) their direct-collision counts
     leaf: np.ndarray = field(repr=False)  # (2^n,) row of each leaf in `distinct`
@@ -76,10 +76,10 @@ def _distinct_rows(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np
     return first, inverse.reshape(-1)
 
 
-def run_tree(model: CollisionModel, stages: int, epsilon: float) -> TreeRun:
-    """Expand the collision tree to `stages` stages over its distinct leaves.
+def run_tree(model: CollisionModel, stages: int) -> TreeRun:
+    """Expand the unit collision tree to `stages` stages over its distinct leaves.
 
-    The root displacement is epsilon * xi_plus.  Each stage maps every leaf
+    The root displacement is xi_plus.  Each stage maps every leaf
     displacement d to the pair (K+ d, K- d): the direct factor goes to the
     incumbent particle, the switch factor to the fresh partner, and the
     leaves of the next stage are the direct children of all leaves followed
@@ -88,28 +88,24 @@ def run_tree(model: CollisionModel, stages: int, epsilon: float) -> TreeRun:
     per-leaf expansion would give it; the candidates are then merged on
     their bits and n1 counts, and `leaf` is remapped through the merge.
 
-    In exact arithmetic a leaf is kp^n1 km^n2 epsilon xi_plus, so the 2^n
-    leaves take only n + 1 values.  Paths to the same value differ only in
-    their rounding, a spread of a few ulps that widens slowly with the
-    stage, so k grows about as n^2 / 2 (170 rows at 18 stages, 299 at 24
-    with the default matrix), not as 2^n.  A stage costs O(k) arithmetic
-    plus the O(2^n) remap of `leaf`.  Refuses stage counts over
-    DEFAULT_MAX_STAGES, whose 2^n leaves would not fit in the output, and
-    (ValueError) an epsilon so large that a leaf's norm overflows a float,
-    or so small that a leaf has a component that underflows to exactly
-    zero: such leaves no longer carry the tree's factors, and their logs
-    are undefined.
+    In exact arithmetic a leaf is kp^n1 km^n2 xi_plus, so the 2^n leaves
+    take only n + 1 values.  Paths to the same value differ only in their
+    rounding, a spread of a few ulps that widens slowly with the stage, so
+    k grows about as n^2 / 2 (142 rows at 18 stages, 262 at 24 with the
+    default matrix), not as 2^n.  A stage costs O(k) arithmetic plus the
+    O(2^n) remap of `leaf`.  Refuses stage counts over DEFAULT_MAX_STAGES,
+    whose 2^n leaves would not fit in the output, and (ValueError) a matrix
+    and stage count whose unit leaf norms overflow a float.
     """
     if stages < 0:
         raise ValueError("stages must be >= 0")
-    check_epsilon(epsilon)
     if stages > DEFAULT_MAX_STAGES:
         raise MemoryBudgetError(
             f"{stages} stages needs 2^{stages} explicit leaves, over the "
             f"budget of {DEFAULT_MAX_STAGES} stages; use closed-form aggregates instead"
         )
 
-    distinct = (epsilon * model.xi_plus).reshape(1, 2)
+    distinct = model.xi_plus.reshape(1, 2)
     distinct_n1 = np.zeros(1, dtype=np.int64)
     leaf = np.zeros(1, dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing leaves are refused below
@@ -124,23 +120,12 @@ def run_tree(model: CollisionModel, stages: int, epsilon: float) -> TreeRun:
         norms = row_norms(distinct)
     overflows = int(np.count_nonzero(~np.isfinite(norms)))
     if overflows:
-        raise ValueError(f"--epsilon {epsilon} is too large for --stages {stages}: "
-                         f"{overflows} distinct leaf rows have a norm that overflows a float; "
-                         "lower --epsilon or --stages")
-    zeros = int(np.count_nonzero((distinct == 0).any(axis=1)))
-    if zeros:
-        raise ValueError(f"--epsilon {epsilon} is too small for --stages {stages}: "
-                         f"{zeros} distinct leaf rows have a component that underflows "
-                         "to zero; raise --epsilon or lower --stages")
+        raise ValueError(f"--stages {stages} is too large for this matrix: {overflows} "
+                         "distinct unit leaf rows have a norm that overflows a float; "
+                         "lower --stages")
 
-    return TreeRun(
-        stages=stages,
-        epsilon=epsilon,
-        distinct=distinct,
-        distinct_n1=distinct_n1,
-        leaf=leaf,
-        norms=norms,
-    )
+    return TreeRun(stages=stages, distinct=distinct, distinct_n1=distinct_n1, leaf=leaf,
+                   norms=norms)
 
 
 def mean_dilations(run: TreeRun) -> tuple[float, float]:
@@ -152,10 +137,9 @@ def mean_dilations(run: TreeRun) -> tuple[float, float]:
     per-leaf values over all 2^n leaves in leaf order.  The log and exp are
     `math`'s, so the means do not depend on numpy's SIMD loops.
     """
-    mags = run.norms / run.epsilon
-    logs = np.array([math.log(mag) for mag in mags.tolist()])
+    logs = np.array([math.log(norm) for norm in run.norms.tolist()])
     geometric = math.exp(np.mean(logs[run.leaf]))
-    arithmetic = float(np.mean(mags[run.leaf]))
+    arithmetic = float(np.mean(run.norms[run.leaf]))
     return geometric, arithmetic
 
 
@@ -167,12 +151,12 @@ def mean_dilations_closed(model: CollisionModel, stages: int) -> tuple[float, fl
 
 
 def gas_dilation(run: TreeRun) -> float:
-    """Whole-gas dilation sqrt(sum of squared leaf displacements) / eps.
+    """Whole-gas dilation sqrt(sum of squared unit leaf displacements).
 
     Squares once per distinct row and sums over all leaves in leaf order
     (maps.root_sum_squares).
     """
-    return root_sum_squares(run.distinct, run.leaf) / run.epsilon
+    return root_sum_squares(run.distinct, run.leaf)
 
 
 def gas_dilation_closed(model: CollisionModel, stages: int) -> float:
@@ -185,14 +169,24 @@ def gas_dilation_bound(stages: int) -> float:
     return 2.0 ** (stages / 2.0)
 
 
-def leaf_records(run: TreeRun) -> tuple[list[tuple[int, int, int, float, float, float]],
-                                        np.ndarray]:
+def leaf_records(run: TreeRun, epsilon: float) -> tuple[
+        list[tuple[int, int, int, float, float, float]], np.ndarray]:
     """CSV rows (stage, n1, n2, dx, dp, |d|) of the distinct leaves, and `leaf`.
 
-    The CSV lists leaf i as row leaf[i], so each distinct row is formatted once.
+    Each displacement and norm is epsilon times the unit value, rounded once.
+    The CSV lists leaf i as row leaf[i], so each distinct row is formatted
+    once.  Raises ValueError, naming --epsilon and --stages, when a written
+    norm overflows a float.
     """
-    dx, dp = run.distinct.T.tolist()
-    norms = run.norms.tolist()
+    with np.errstate(over="ignore"):  # overflowing norms are refused below
+        rows = epsilon * run.distinct
+        norms = epsilon * run.norms
+    overflows = int(np.count_nonzero(~np.isfinite(norms)))
+    if overflows:
+        raise ValueError(f"--epsilon {epsilon} is too large for --stages {run.stages}: "
+                         f"{overflows} distinct leaf rows have a norm that overflows a float; "
+                         "lower --epsilon or --stages")
+    dx, dp = rows.T.tolist()
     n1 = run.distinct_n1.tolist()
     n2 = (run.stages - run.distinct_n1).tolist()
-    return list(zip(repeat(run.stages), n1, n2, dx, dp, norms)), run.leaf
+    return list(zip(repeat(run.stages), n1, n2, dx, dp, norms.tolist())), run.leaf

@@ -142,7 +142,7 @@ def run_checks() -> list[CheckResult]:
 
     # collision-tree enumeration against the closed forms
     max_stage = 12
-    runs = [tree.run_tree(model, n, 1e-9) for n in range(1, max_stage + 1)]
+    runs = [tree.run_tree(model, n) for n in range(1, max_stage + 1)]
     results.append(_check("binomial-leaves", float(max(map(leaf_count_error, runs))), 0.0, 0.0,
                           detail=f"leaf counts equal C(n, n1) for n <= {max_stage}"))
     results.append(_check("geometric-mean-dilation",

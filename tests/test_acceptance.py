@@ -33,13 +33,13 @@ def test_criterion_1_spectral_constants(model):
 
 
 def test_criterion_2_path_combinatorics(model):
-    worst = max(verify.leaf_count_error(tree.run_tree(model, n, 1e-9)) for n in range(1, 13))
+    worst = max(verify.leaf_count_error(tree.run_tree(model, n)) for n in range(1, 13))
     report(2, "leaf counts equal C(n, n1) for n=1..12", worst == 0,
            f"max count deviation {worst}")
 
 
 def test_criterion_3_mean_dilation(model):
-    worst = max(verify.mean_dilation_error(tree.run_tree(model, n, 1e-9), model)
+    worst = max(verify.mean_dilation_error(tree.run_tree(model, n), model)
                 for n in range(1, 13))
     base = model.dilation_product**0.5
     base_ok = abs(base - 1.2097627) < 1e-6
@@ -50,7 +50,7 @@ def test_criterion_3_mean_dilation(model):
 
 def test_criterion_4_gas_dilation_bound(model):
     stages = range(1, 13)
-    worst = max(verify.gas_dilation_error(tree.run_tree(model, n, 1e-9), model) for n in stages)
+    worst = max(verify.gas_dilation_error(tree.run_tree(model, n), model) for n in stages)
     closed = [tree.gas_dilation_closed(model, n) for n in stages]
     anchor_ok = closed == pytest.approx([((9 + 3 * SQRT5) / 4) ** (n / 2) for n in stages],
                                         rel=1e-12)

@@ -252,48 +252,51 @@ class TestTree:
         assert default[name] == no_avx2[name]
 
     @pytest.mark.xfail(strict=False, reason=(
-        "ROADMAP item 3: numpy picks the SIMD loop of complex multiply at import, "
-        "and the spectrum and the fits of its columns use it"))
+        "ROADMAP's complex-free mode row: numpy picks the SIMD loop of complex multiply "
+        "at import, and the spectrum and the fits of its columns use it"))
     @pytest.mark.parametrize("name", ["o.spectrum.csv", "o.summary.json"])
     def test_gas_spectrum_and_fits_independent_of_cpu_dispatch(self, dispatch_outputs,
                                                                name):
         default, no_avx2 = dispatch_outputs["gas"]
         assert default[name] == no_avx2[name]
 
-    @pytest.mark.parametrize("epsilon,rel", [("1e-160", 1e-12), ("1e-200", 1e-12),
-                                             ("1e-300", 1e-12), ("1e-320", 1e-4)])
+    @pytest.mark.parametrize("epsilon,rel", [
+        ("5e-324", 1e-12), ("1e-323", 1e-12), ("3e-323", 1e-12), ("1e-320", 1e-12),
+        ("1e-160", 1e-12), ("1e-200", 1e-12), ("1e-300", 1e-12), ("1e305", 1e-12)])
     def test_tiny_epsilon_dilations_match_closed_forms(self, tmp_path, capsys, epsilon, rel):
-        # squares of these leaves underflow; at 1e-320 the leaves themselves are subnormal
-        out = tmp_path / "t.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(["tree", "--stages", "12", "--epsilon", epsilon,
-                        "--out", str(out)]) == 0
+        # the dilations come from the unit tree, so they are the same bits at every
+        # epsilon; at 1e-320 and below the written leaf cells are subnormal or zero
+        summaries = {}
+        for eps in (epsilon, "1e-9"):
+            out = tmp_path / eps / "t.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(["tree", "--stages", "12", "--epsilon", eps, "--out", str(out)]) == 0
+            summaries[eps] = read_summary(out.with_suffix(".summary.json"))["summary"]
         assert capsys.readouterr().err == ""
-        summary = read_summary(tmp_path / "t.summary.json")["summary"]
+        summary = summaries[epsilon]
         for name in ("gas_dilation", "geometric_mean_dilation", "arithmetic_mean_dilation"):
             assert summary[name] == pytest.approx(summary[f"{name}_closed"], rel=rel)
-        for line in csv_body(out).splitlines()[1:]:
+            assert summary[name].hex() == summaries["1e-9"][name].hex()
+        for line in csv_body(tmp_path / epsilon / "t.csv").splitlines()[1:]:
             dx, dp, norm = map(float, line.split(",")[3:])
-            assert norm > 0
-            if rel < 1e-4:
+            if min(abs(dx), abs(dp)) >= sys.float_info.min:
                 assert norm == pytest.approx(math.hypot(dx, dp), rel=1e-15, abs=0)
 
-    @pytest.mark.parametrize("epsilon,zeros", [
-        ("5e-324", 22), ("1e-323", 20),
-        # too large: the norms of that many distinct leaf rows overflow, with no warning
-        pytest.param("1e306", 9, marks=pytest.mark.filterwarnings("error")),
-        pytest.param("1e308", 32, marks=pytest.mark.filterwarnings("error"))])
-    def test_leaves_underflowing_to_zero_refused_before_writing(self, tmp_path, capsys,
-                                                                epsilon, zeros):
+    @pytest.mark.parametrize("epsilon,overflows", [
+        # the written norms of that many distinct leaf rows overflow, with no warning
+        pytest.param("1e306", 11, marks=pytest.mark.filterwarnings("error")),
+        pytest.param("1e308", 44, marks=pytest.mark.filterwarnings("error"))])
+    def test_written_norm_overflow_refused_before_writing(self, tmp_path, capsys, epsilon,
+                                                          overflows):
         out = tmp_path / "t.csv"
         assert run(["tree", "--stages", "12", "--out", str(out)]) == 0
         before = {path: path.read_bytes() for path in tmp_path.iterdir()}
         capsys.readouterr()
         assert run(["tree", "--stages", "12", "--epsilon", epsilon, "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
-        assert f"{zeros} distinct leaf rows" in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"{overflows} distinct leaf rows" in captured.err
         assert "--epsilon" in captured.err and "--stages" in captured.err
         assert captured.out == ""
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
@@ -301,23 +304,16 @@ class TestTree:
         assert run(["tree", "--stages", "12", "--epsilon", epsilon, "--aggregate-only",
                     "--out", str(out)]) == 0
 
-    def test_root_sum_of_squares_overflow_refused_before_writing(self, tmp_path, capsys):
-        # every leaf norm fits a float at 12 stages, but the whole-gas dilation's does not
-        assert run(["tree", "--stages", "12", "--out", str(tmp_path / "o.csv")]) == 0
-        assert_refused_before_writing(tmp_path, capsys,
-                                      ["tree", "--stages", "12", "--epsilon", "1e305"],
-                                      "a root sum of squares of the displacements overflows")
-
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         assert run(["tree", "--stages", "2", "--out", "rel.csv"]) == 0
         assert (tmp_path / "rel.csv").exists()
 
     @pytest.mark.parametrize("extra", [[], ["--aggregate-only"]])
-    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1e-9"])
     def test_non_finite_epsilon_refused_before_writing(self, tmp_path, capsys, epsilon,
                                                        extra):
-        assert run(["tree", "--stages", "3", "--epsilon", epsilon, *extra,
+        assert run(["tree", "--stages", "3", f"--epsilon={epsilon}", *extra,
                     "--out", str(tmp_path / "e.csv")]) == 1
         assert "epsilon must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -831,6 +827,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("text,message", [
         ("# {}\n", "has no column line"),
+        ("# {}\nt,m1,m2,delta_twin,delta_linear\n", "has no data rows"),
         ("# {}\nt,m1,m2,delta_twin,delta_linear\n0,1\n", "line 3 has 2 cells, expected 5"),
         ("# {}\nt,m1,m2,delta_twin,delta_linear\n0,1,0,nan,1\n1,1,0,nan,x\n",
          "line 4: could not convert string to float: 'x'"),
@@ -839,15 +836,16 @@ class TestSpectrum:
         ("# {not json\nt,m1,m2,delta_twin,delta_linear\n0,1,0,nan,1\n",
          "line 1: Expecting property name"),
         ("# {}\nt,m1,m2,delta_linear\n0,1,0,1\n", "is missing column 'delta_twin'"),
-    ], ids=["cut-after-manifest", "short-row", "bad-float", "bad-int", "bad-manifest",
-            "no-twin-column"])
+    ], ids=["cut-after-manifest", "cut-after-columns", "short-row", "bad-float", "bad-int",
+            "bad-manifest", "no-twin-column"])
     def test_truncated_file_is_usage_error(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         assert run(["spectrum", "--in", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert f"{bad} {message}" in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert f"{bad} {message}" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("rows,message", [
         ("0,1,0,nan,1\n1,1,0,nan,2\n-1,1,0,nan,1e-30\n",
@@ -982,9 +980,11 @@ class TestCellFormat:
     def test_tree_cells(self, tmp_path, model):
         out = tmp_path / "t.csv"
         assert run(["tree", "--stages", "3", "--out", str(out)]) == 0
-        leaves = tree.run_tree(model, 3, 1e-9)
-        displacements = leaves.distinct[leaves.leaf]
-        norms = np.linalg.norm(displacements, axis=1)
+        # leaf_records writes epsilon times each unit row and its norm
+        leaves = tree.run_tree(model, 3)
+        unit = leaves.distinct[leaves.leaf]
+        displacements = 1e-9 * unit
+        norms = 1e-9 * np.linalg.norm(unit, axis=1)
         rows = [(3, leaves.n1[i], 3 - leaves.n1[i], *displacements[i], norms[i])
                 for i in range(leaves.leaf.size)]
         assert out.read_text().endswith("\n")

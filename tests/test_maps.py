@@ -281,7 +281,7 @@ class TestRowNorms:
 
     @pytest.mark.parametrize("matrix", MATRICES)
     def test_row_norms_equal_linalg_norm_on_tree_rows(self, matrix):
-        run = tree.run_tree(maps.spectral_decompose(matrix), 16, 1e-9)
+        run = tree.run_tree(maps.spectral_decompose(matrix), 16)
         assert (maps.row_norms(run.distinct).tobytes()
                 == np.linalg.norm(run.distinct, axis=1).tobytes())
 

@@ -1,5 +1,5 @@
-"""The benchmark's output checks, the experiment scripts and the package
-metadata, run in Tier-1.
+"""The benchmark's output checks, the experiment scripts, the package
+metadata and the pytest configuration, run in Tier-1.
 
 Each workload in `perfbench/workloads.py` runs at its tiny size through
 `cli.main`, and its own check must find no problem with the outputs.  The
@@ -77,3 +77,24 @@ def test_pyproject_version_matches_package():
     assert "version" in pyproject["project"]["dynamic"]
     assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
         "attr": "arnoldgas.__version__"}
+
+
+def test_failing_hypothesis_test_reports_its_example(tmp_path):
+    """Under the project's warning filters, a failing @given test prints its
+    falsifying example and the session runs on, with no INTERNALERROR."""
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 10\n\n\n"
+        "def test_later():\n"
+        "    pass\n")
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                             "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                             "test_fails.py"],
+                            cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "Falsifying example" in result.stdout
+    assert "INTERNALERROR" not in output
+    assert "1 failed, 1 passed" in result.stdout
