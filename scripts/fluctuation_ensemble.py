@@ -24,20 +24,21 @@ def main() -> None:
     args = parser.parse_args()
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    if args.steps < 5:  # fit_window then spans fewer than the 3 steps a fit needs
+        parser.error(f"--steps must be at least 5, got {args.steps}")
 
     model = maps.default_model()
     mode = spectral.ModeIndex(*args.mode)
     slopes, r2s, lams = [], [], []
-    window = spectral.fit_window(args.particles, args.steps)
     for seed in range(args.seeds):
         config = gas.RunConfig(n_particles=args.particles, steps=args.steps,
                                seed=seed, pairing=args.pairing)
-        series = spectral.delta_series(gas.evolve(config, model), [mode])[0]
-        fit = spectral.fit_growth(series.deltas_linear, window)
-        est = spectral.exponent_estimate(series, model, window[1])
-        slopes.append(fit.slope)
-        r2s.append(fit.r2)
-        lams.append(est.lam)
+        run = spectral.analyse_gas(config, model, [mode])
+        report = run.modes[0].report
+        slopes.append(report["slope"])
+        r2s.append(report["r2"])
+        lams.append(report["lambda_"])
+    window = run.window
 
     slopes, r2s, lams = map(np.asarray, (slopes, r2s, lams))
     print(f"mode {tuple(mode)}  N={args.particles}  pairing={args.pairing}  "

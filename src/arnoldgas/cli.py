@@ -55,8 +55,25 @@ CSV_CHUNK_ROWS = 16384
 NOT_PARAMS = frozenset({"command", "func", "out", "threads", "seed", "matrix"})
 
 
+class _FloatText:
+    """argparse's negative-number pattern, widened to any text float() reads."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse with exit code 1 on usage errors."""
+    """argparse with exit code 1 on usage errors; any float, such as -1e-9 or
+    -inf, is an option's value and not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _FloatText
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -248,26 +265,6 @@ def cmd_tree(args) -> int:
 # ------------------------------------------------------------------- gas
 
 
-def _fit_report(m1: int, m2: int, deltas, window) -> dict:
-    """The mode with its growth fit (slope, intercept, r2), or the fit_error."""
-    report: dict = {"m1": m1, "m2": m2}
-    try:
-        report.update(spectral.fit_growth(deltas, window)._asdict())
-    except ValueError as exc:
-        report["fit_error"] = str(exc)
-    return report
-
-
-def _mode_report(series: spectral.SpectrumSeries, mags: list[float], model, window) -> dict:
-    """The series' growth fit of `mags` and its two-term exponent estimate."""
-    report = _fit_report(series.mode.m1, series.mode.m2, mags, window)
-    est = spectral.exponent_estimate(series, model, window[1])
-    report.update(
-        lambda_=est.lam, term1=est.term1, term2=est.term2, degenerate=est.degenerate
-    )
-    return report
-
-
 def cmd_gas(args) -> int:
     matrix = _parse_matrix(args.matrix)
     model = maps.spectral_decompose(matrix)
@@ -275,8 +272,6 @@ def cmd_gas(args) -> int:
         raise ValueError(f"--modes must be >= 0, got {args.modes}")
     if args.threads < 0:
         raise ValueError(f"--threads must be >= 0, got {args.threads}")
-    if args.modes > 0 and args.steps == 0:
-        raise ValueError("mode analysis needs --steps >= 1; use --modes 0 for a zero-step run")
     config = gas.RunConfig(
         n_particles=args.particles,
         steps=args.steps,
@@ -291,22 +286,13 @@ def cmd_gas(args) -> int:
     manifest = _manifest(args, matrix)
     out = _resolve_out(args.out)
 
+    # --threads 0: one worker per CPU this process may run on
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     # Every result is computed before the first file is written, so a
-    # failure leaves no partial output behind.  One pass over the gas states:
-    # each gives its diagnostics here and its mode row to the pool.  A
-    # displacement that overflows a float raises FloatingPointError (see main).
-    traj, states = gas.with_diagnostics(config, gas.evolve(config, model))
-    all_series = []
-    with np.errstate(over="raise", invalid="raise"):
-        if args.modes > 0:
-            modes = spectral.enumerate_modes(args.modes)
-            # --threads 0: one worker per CPU this process may run on
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            all_series = spectral.delta_series(states, modes, args.threads or cpus)
-        for _ in states:  # runs the gas when no mode pass has drawn the states
-            pass
-
+    # failure leaves no partial output behind.
+    traj, window, results = spectral.analyse_gas(
+        config, model, spectral.enumerate_modes(args.modes), args.threads or cpus)
     rows = list(zip(range(args.steps + 1), traj.affected_count, traj.norm, traj.max_disp,
                     traj.median_disp, traj.twin_dist))
 
@@ -318,19 +304,12 @@ def cmd_gas(args) -> int:
     }
 
     outputs = [(out, GAS_CSV_COLUMNS, rows, range(len(rows)))]
-    if all_series:
-        window = spectral.fit_window(args.particles, args.steps)
+    if results:
         summary["fit_window"] = list(window)
-        summary["modes"] = []
+        summary["modes"] = [result.report for result in results]
         spectrum_rows = []
-        for series in all_series:
-            # |delta| once per value: the spectrum CSV's columns and the fit's input
-            linear = [abs(delta) for delta in series.deltas_linear.tolist()]
-            if series.deltas_twin is None:
-                twin, fitted = [math.nan] * len(linear), linear
-            else:
-                twin = fitted = [abs(delta) for delta in series.deltas_twin.tolist()]
-            summary["modes"].append(_mode_report(series, fitted, model, window))
+        for series, linear, twin, _report in results:
+            twin = [math.nan] * len(linear) if twin is None else twin
             spectrum_rows += zip(range(len(linear)), repeat(series.mode.m1),
                                  repeat(series.mode.m2), series.values.real.tolist(),
                                  series.values.imag.tolist(), twin, linear)
@@ -422,8 +401,8 @@ def cmd_spectrum(args) -> int:
     if window is None:
         raise ValueError(f"{path} has no gas params.particles and params.steps in its "
                          "manifest to take the fit window from; give --window T_A T_B")
-    reports = [_fit_report(m1, m2, arr[:, 0 if use_twin else 1], window)
-               for (m1, m2), arr in sorted(series.items())]
+    reports = [spectral.fit_report(mode, arr[:, 0 if use_twin else 1], window)
+               for mode, arr in sorted(series.items())]
     payload = {
         "source": str(path),
         "source_manifest": manifest,
@@ -524,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FloatingPointError as exc:  # raised by cmd_gas's np.errstate
+    except FloatingPointError as exc:  # raised under spectral.analyse_gas's np.errstate
         print(f"error: {exc}: a displacement overflows a float; lower --epsilon",
               file=sys.stderr)
         return EXIT_USAGE

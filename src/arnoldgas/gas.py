@@ -23,7 +23,8 @@ the per-step diagnostics sum over the affected set alone.
 
 The gas keeps O(N) memory, not its history: `evolve` yields each step's state
 and a caller keeps what it needs.  `with_diagnostics` fills in the per-step
-diagnostics as states pass, so `cli` analyses modes in the same pass.
+diagnostics as states pass, so `spectral.analyse_gas` analyses modes in
+the same pass.
 """
 
 from __future__ import annotations

@@ -70,7 +70,8 @@ two-term closed-form estimator whose state-independent part equals
 ln sqrt|kp*km| ~= 0.190424 for the default collision matrix (often quoted
 rounded as ln 1.2 ~= 0.18).  Its state-dependent part needs the phase sum
 sum_{i affected} exp(-i k . X_i(t)) / N, which is the pass's fourth per-row
-sum, so the estimator forms no wave itself.
+sum, so the estimator forms no wave itself.  `analyse_gas` is the entry point
+that runs one gas through the mode pass and fits and estimates every mode.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .gas import GasState
+from .gas import GasState, RunConfig, Trajectory, evolve, with_diagnostics
 from .maps import CollisionModel
 
 TWO_PI = 2.0 * math.pi
@@ -492,3 +493,47 @@ def fit_window(n_particles: int, steps: int) -> tuple[int, int]:
     """
     upper = min(steps, int(math.floor(math.log2(n_particles))))
     return (2, max(upper, min(5, steps)))
+
+
+def fit_report(mode: tuple[int, int], deltas, window: tuple[int, int]) -> dict:
+    """The mode (m1, m2) with its growth fit (slope, intercept, r2), or the fit_error."""
+    report: dict = {"m1": mode[0], "m2": mode[1]}
+    try:
+        report.update(fit_growth(deltas, window)._asdict())
+    except ValueError as exc:
+        report["fit_error"] = str(exc)
+    return report
+
+
+# a mode's series, |deltas_linear|, |deltas_twin| or None, and report with its estimate
+ModeAnalysis = NamedTuple("ModeAnalysis", [("series", SpectrumSeries), ("linear", list[float]),
+                                           ("twin", list[float] | None), ("report", dict)])
+GasAnalysis = NamedTuple("GasAnalysis", [("trajectory", Trajectory), ("window", tuple[int, int]),
+                                         ("modes", list[ModeAnalysis])])
+
+
+def analyse_gas(config: RunConfig, model: CollisionModel, modes: Sequence[ModeIndex],
+                threads: int = 1) -> GasAnalysis:
+    """Run the gas of `config`, its diagnostics and its mode pass on `threads` workers,
+    under np.errstate(over="raise", invalid="raise"), and fit each mode's twin
+    |delta| (its linear one without a twin) over `fit_window`, adding the
+    two-term exponent at the window's end."""
+    if modes and config.steps == 0:
+        raise ValueError("mode analysis needs --steps >= 1; use --modes 0 for a zero-step run")
+    trajectory, states = with_diagnostics(config, evolve(config, model))
+    with np.errstate(over="raise", invalid="raise"):
+        all_series = delta_series(states, modes, threads) if modes else []
+        for _ in states:  # runs the gas when no mode pass has drawn the states
+            pass
+    window = fit_window(config.n_particles, config.steps)
+    results = []
+    for series in all_series:
+        linear = [abs(delta) for delta in series.deltas_linear.tolist()]
+        twin = (None if series.deltas_twin is None
+                else [abs(delta) for delta in series.deltas_twin.tolist()])
+        report = fit_report(series.mode, linear if twin is None else twin, window)
+        est = exponent_estimate(series, model, window[1])
+        report.update(lambda_=est.lam, term1=est.term1, term2=est.term2,
+                      degenerate=est.degenerate)
+        results.append(ModeAnalysis(series, linear, twin, report))
+    return GasAnalysis(trajectory, window, results)

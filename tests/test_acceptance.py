@@ -80,13 +80,11 @@ def test_criterion_6_significance_time(model):
 
 def test_criterion_7_fluctuation_growth(model):
     slopes, r2s = [], []
-    window = spectral.fit_window(2**16, 16)
     for seed in range(100):
         config = RunConfig(n_particles=2**16, steps=16, seed=seed, pairing="tree")
-        series = spectral.delta_series(gas.evolve(config, model), [ModeIndex(1, 0)])[0]
-        fit = spectral.fit_growth(series.deltas_linear, window)
-        slopes.append(fit.slope)
-        r2s.append(fit.r2)
+        fit = spectral.analyse_gas(config, model, [ModeIndex(1, 0)]).modes[0].report
+        slopes.append(fit["slope"])
+        r2s.append(fit["r2"])
     med_slope = float(np.median(slopes))
     med_r2 = float(np.median(r2s))
     threshold = math.log(1.2) - 0.05

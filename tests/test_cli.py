@@ -310,10 +310,12 @@ class TestTree:
         assert (tmp_path / "rel.csv").exists()
 
     @pytest.mark.parametrize("extra", [[], ["--aggregate-only"]])
-    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1e-9"])
-    def test_non_finite_epsilon_refused_before_writing(self, tmp_path, capsys, epsilon,
+    @pytest.mark.parametrize("option", [["--epsilon=nan"], ["--epsilon=inf"], ["--epsilon=0"],
+                                        ["--epsilon=-1e-9"], ["--epsilon", "-1e-9"]],
+                             ids=["nan", "inf", "0", "-1e-9", "spaced-1e-9"])
+    def test_non_finite_epsilon_refused_before_writing(self, tmp_path, capsys, option,
                                                        extra):
-        assert run(["tree", "--stages", "3", f"--epsilon={epsilon}", *extra,
+        assert run(["tree", "--stages", "3", *option, *extra,
                     "--out", str(tmp_path / "e.csv")]) == 1
         assert "epsilon must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -391,7 +393,7 @@ class TestGas:
         assert "--steps >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1e-9"])
     def test_non_finite_epsilon_refused_before_writing(self, tmp_path, capsys, epsilon):
         assert run(["gas", "--particles", "16", "--steps", "3", "--epsilon", epsilon,
                     "--out", str(tmp_path / "e.csv")]) == 1

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arnoldgas import gas, spectral
+from arnoldgas import cli, gas, spectral
 from arnoldgas.gas import RunConfig
 from arnoldgas.spectral import ModeIndex
 
@@ -610,11 +611,10 @@ class TestFitGrowth:
     def test_tree_faithful_ensemble_slope(self, model):
         # pre-saturation growth of |delta ntilde_(1,0)| across seeds
         slopes = []
-        window = spectral.fit_window(2**10, 10)
         for seed in range(40):
             config = RunConfig(n_particles=2**10, steps=10, seed=seed, pairing="tree")
-            series = spectral.delta_series(gas.evolve(config, model), [ModeIndex(1, 0)])[0]
-            slopes.append(spectral.fit_growth(series.deltas_linear, window).slope)
+            run = spectral.analyse_gas(config, model, [ModeIndex(1, 0)])
+            slopes.append(run.modes[0].report["slope"])
         assert np.median(slopes) >= math.log(1.2) - 0.05
 
     @pytest.mark.parametrize("pairing", ["random", "tree"])
@@ -628,6 +628,35 @@ class TestFitGrowth:
             upper = max(min(steps, math.floor(math.log2(n)), traj.saturation_step),
                         min(5, steps))
             assert spectral.fit_window(n, steps) == (2, upper)
+
+
+class TestAnalyseGas:
+    @pytest.mark.parametrize("twin", ["on", "off"])
+    def test_reports_serialize_as_the_cli_summary_modes(self, model, tmp_path, twin):
+        out = tmp_path / "g.csv"
+        assert cli.main(["gas", "--particles", "64", "--steps", "8", "--seed", "3",
+                         "--modes", "1", "--twin", twin, "--out", str(out)]) == 0
+        summary = json.loads(out.with_suffix(".summary.json").read_text())["summary"]
+        config = RunConfig(n_particles=64, steps=8, seed=3, twin=twin == "on")
+        run = spectral.analyse_gas(config, model, spectral.enumerate_modes(1))
+        assert (json.dumps([mode.report for mode in run.modes], sort_keys=True)
+                == json.dumps(summary["modes"], sort_keys=True))
+        assert list(run.window) == summary["fit_window"]
+        assert all((mode.twin is None) == (twin == "off") for mode in run.modes)
+
+    @pytest.mark.parametrize("max_order", [0, 1])
+    def test_overflow_raises(self, model, max_order):
+        # with two particles a tangent overflows to inf by step 40
+        config = RunConfig(n_particles=2, steps=40, epsilon=1e300)
+        with pytest.raises(FloatingPointError):
+            spectral.analyse_gas(config, model, spectral.enumerate_modes(max_order))
+
+    def test_zero_steps_need_no_modes(self, model):
+        config = RunConfig(n_particles=16, steps=0)
+        with pytest.raises(ValueError, match="--steps >= 1"):
+            spectral.analyse_gas(config, model, [ModeIndex(1, 0)])
+        run = spectral.analyse_gas(config, model, [])
+        assert run.modes == [] and list(run.trajectory.affected_count) == [1]
 
 
 def test_every_low_mode_grows_in_tree_mode(model):

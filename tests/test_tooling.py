@@ -68,6 +68,20 @@ def test_fluctuation_ensemble_refuses_no_seeds(seeds):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("steps", ["0", "3", "4"])
+def test_fluctuation_ensemble_refuses_too_few_steps(steps):
+    # fewer than 5 steps leave a fit window shorter than 3 steps
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "fluctuation_ensemble.py"),
+                             "--particles", "256", "--seeds", "2", "--steps", steps],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[-1].endswith(f"error: --steps must be at least 5, "
+                                                   f"got {steps}")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_pyproject_version_matches_package():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with (ROOT / "pyproject.toml").open("rb") as fh:
