@@ -8,6 +8,7 @@ distribution together with the two-term exponent estimate at the window end.
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
@@ -27,28 +28,43 @@ def main() -> None:
     if args.steps < 5:  # fit_window then spans fewer than the 3 steps a fit needs
         parser.error(f"--steps must be at least 5, got {args.steps}")
 
-    model = maps.default_model()
     mode = spectral.ModeIndex(*args.mode)
-    slopes, r2s, lams = [], [], []
-    for seed in range(args.seeds):
-        config = gas.RunConfig(n_particles=args.particles, steps=args.steps,
-                               seed=seed, pairing=args.pairing)
+    if mode == (0, 0):
+        parser.error("--mode 0 0 is the conserved normalization; pick a nonzero mode")
+    try:
+        configs = [gas.RunConfig(n_particles=args.particles, steps=args.steps,
+                                 seed=seed, pairing=args.pairing) for seed in range(args.seeds)]
+    except ValueError as exc:
+        parser.error(str(exc))
+
+    model = maps.default_model()
+    slopes, r2s, lams, fit_errors = [], [], [], {}
+    for config in configs:
         run = spectral.analyse_gas(config, model, [mode])
         report = run.modes[0].report
-        slopes.append(report["slope"])
-        r2s.append(report["r2"])
+        if "fit_error" in report:
+            fit_errors[config.seed] = report["fit_error"]
+        else:
+            slopes.append(report["slope"])
+            r2s.append(report["r2"])
         lams.append(report["lambda_"])
     window = run.window
 
     slopes, r2s, lams = map(np.asarray, (slopes, r2s, lams))
     print(f"mode {tuple(mode)}  N={args.particles}  pairing={args.pairing}  "
           f"seeds={args.seeds}  window={window}")
-    print(f"slope: median {np.median(slopes):.4f}  "
-          f"IQR [{np.percentile(slopes, 25):.4f}, {np.percentile(slopes, 75):.4f}]")
-    print(f"r^2:   median {np.median(r2s):.4f}  min {r2s.min():.4f}")
+    if fit_errors:
+        seed, error = next(iter(fit_errors.items()))
+        print(f"fit failed: {len(fit_errors)} of {args.seeds} seeds (seed {seed}: {error})")
+    if slopes.size:
+        print(f"slope: median {np.median(slopes):.4f}  "
+              f"IQR [{np.percentile(slopes, 25):.4f}, {np.percentile(slopes, 75):.4f}]")
+        print(f"r^2:   median {np.median(r2s):.4f}  min {r2s.min():.4f}")
     print(f"two-term exponent at t={window[1]}: median {np.median(lams):.4f} "
           f"(state-independent part {spectral.exponent_term2(model):.6f}, "
           f"ln 1.2 = {math.log(1.2):.6f})")
+    if not slopes.size:
+        sys.exit("no seed's fit succeeded")
 
 
 if __name__ == "__main__":

@@ -178,7 +178,9 @@ def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
     hit = was[i] | was[j]
     ih, jh = i[hit], j[hit]
 
-    points = state.points.copy()
+    # the pairs overwrite every row unless a particle idles (odd N)
+    points = (np.empty_like(state.points, order="C") if 2 * len(i) == state.n_particles
+              else state.points.copy())
     _collide_rows(collide_arrays, model, state.points, points, i, j)
 
     # A pair that touches no affected particle keeps tangents 0 and takes the

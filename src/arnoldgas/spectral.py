@@ -18,9 +18,9 @@ alive, not the whole run; perfbench traces it under that name.  k . v is
 written once, in `ModeIndex.k_dot`, as multiply-adds, so no output byte
 depends on BLAS.  Because k = 2*pi*(m1, m2) with integer m, each wave
 factorises as exp(-i k . X) = z_x**m1 * z_p**m2 with z = exp(-2*pi*i*coord):
-one kernel call gives z on both axes of every point loaded, for every
-mode; positive powers come from repeated multiplication and negative ones
-are conjugates.
+the kernel gives z on both axes of every point loaded, for every mode;
+positive powers come from repeated multiplication and negative ones are
+conjugates.
 The rounding error of z**m grows about linearly in |m|.
 
 The kernel (`_TurnKernel`, and `unit_wave` for a whole array) takes
@@ -40,14 +40,15 @@ particles are gathered BLOCK at a time, each block's points beside its
 twin's points in the same buffer, and the value sum ends with their phase
 sum.  A saturated row, where every particle is affected, takes the same path
 with an empty first pass.  Partial sums are added in order and BLOCK and
-CHUNK are constants, so no sum depends on the worker count.  Each numpy call
-spans up to CHUNK particles: with two or more workers, shorter calls spend
-more time handing over the interpreter lock than working.  Each pool worker
-owns CHUNK-sized arrays for the whole pass (powers of z and their
-conjugates, wave product, the kernel's scratch, the point buffer, tangents
-and one temporary), writes every one with `out=` and slices them, so its
-memory is O(CHUNK * modes) whatever N is, and a row allocates no array that
-grows with N but the index of its affected particles.
+CHUNK are constants, so no sum depends on the worker count.  Each kernel
+call spans up to BLOCK values of one axis, and every other numpy call up to
+CHUNK particles: with two or more workers, much shorter calls spend more
+time handing over the interpreter lock than working.  Each pool worker owns
+its arrays for the whole pass (powers of z, one conjugate and one wave
+product buffer, the kernel's BLOCK-sized scratch, the point buffer,
+tangents and one temporary), writes every one with `out=` and slices them,
+so its memory is O(CHUNK * max |m|) whatever N is, and a row allocates no
+array that grows with N but the index of its affected particles.
 
 Only one mode of each +-k pair is summed: the canonical one, with m1 > 0, or
 m1 = 0 and m2 > 0.  The other follows bit for bit, because its wave is the
@@ -257,18 +258,20 @@ def unit_wave(x) -> np.ndarray:
 class _Waves:
     """exp(-2*pi*i (m1 x + m2 p)) for canonical modes, of up to CHUNK points.
 
-    One kernel call gives z = exp(-2*pi*i coord) of every point on both axes;
-    z**m with m > 0 comes by repeated multiplication, and conj(z_p**m) serves
-    the negative m2 that a canonical mode can have.  The arrays are sized
-    once and sliced to the points loaded.
+    Kernel calls of up to BLOCK values give z = exp(-2*pi*i coord) of every
+    point on both axes; z**m with m > 0 comes by repeated multiplication, and
+    the negative m2 that a canonical mode can have takes conj(z_p**|m2|),
+    written to one shared buffer just before its product.  The product goes
+    to a buffer of its own: written over one of its inputs, numpy may pick
+    another loop, and the bits would change.  The arrays are sized once and
+    sliced to the points loaded.
     """
 
     def __init__(self, modes: Sequence[ModeIndex]):
         top = max((max(mode.m1, abs(mode.m2)) for mode in modes), default=1)
-        self.kernel = _TurnKernel(2 * CHUNK)
+        self.kernel = _TurnKernel(BLOCK)
         self.powers = np.empty((top, 2, CHUNK), complex)  # z**m at [m - 1, axis]
-        self.conjugates = {m: np.empty(CHUNK, complex)
-                           for m in sorted({-mode.m2 for mode in modes if mode.m2 < 0})}
+        self.conjugate = np.empty(CHUNK, complex)
         self.product = np.empty(CHUNK, complex)
         self.z = self.powers[:, :, :0]
 
@@ -276,11 +279,12 @@ class _Waves:
         """Waves of the (n, 2) array points."""
         n = len(points)
         z = self.z = self.powers[:, :, :n]
-        self.kernel(points.T, out=z[0])
+        for axis in range(2):  # the kernel is elementwise: any split gives the same bits
+            for start in range(0, n, BLOCK):
+                self.kernel(points[start:start + BLOCK, axis],
+                            out=z[0, axis, start:start + BLOCK])
         for m in range(1, len(z)):
             np.multiply(z[m - 1], z[0], out=z[m])
-        for m, conjugate in self.conjugates.items():
-            np.conjugate(z[m - 1, 1], out=conjugate[:n])
 
     def wave(self, mode: ModeIndex) -> np.ndarray:
         """The wave of `mode` at every loaded point, (n,)."""
@@ -291,7 +295,8 @@ class _Waves:
         if mode.m2 == 0:
             return zx
         n = len(zx)
-        zp = z[mode.m2 - 1, 1] if mode.m2 > 0 else self.conjugates[-mode.m2][:n]
+        zp = (z[mode.m2 - 1, 1] if mode.m2 > 0
+              else np.conjugate(z[-mode.m2 - 1, 1], out=self.conjugate[:n]))
         return np.multiply(zx, zp, out=self.product[:n])
 
 

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arnoldgas import cli, gas, spectral
 from arnoldgas.gas import RunConfig
@@ -386,6 +388,36 @@ class TestBlockedRow:
         for threads in (2, 4):
             assert_same_series(serial, spectral.delta_series(states, modes, threads))
 
+    @pytest.mark.parametrize("order,mib", [(2, 2.7), (4, 3.7)])
+    def test_worker_arrays_within_budget(self, order, mib):
+        # every distinct array a worker reaches, the table it shares included
+        canonical = list(dict.fromkeys(map(spectral._canonical, spectral.enumerate_modes(order))))
+        arrays = spectral._RowArrays(canonical)
+        owned = _distinct_arrays(arrays)
+        assert any(array is arrays.waves.powers for array in owned)
+        assert sum(array.nbytes for array in owned) <= mib * 2**20
+
+
+def _distinct_arrays(obj):
+    """Every array reachable through obj's attributes, each taken at its base."""
+    found, seen, stack = {}, set(), [obj]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            found[id(item)] = item
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+    return list(found.values())
+
 
 def _machin_pi(digits):
     """pi = 16 atan(1/5) - 4 atan(1/239), each by its Taylor series: a value
@@ -483,6 +515,30 @@ class TestUnitWave:
             # bit for bit, so that every zero is +0
             assert hi.tobytes() == rounded.tobytes()
             assert lo.tobytes() == rest.tobytes()
+
+    # exact grid values, the ends of the unit interval and a large turn count,
+    # then random values, in a strided column as the mode pass reads its points
+    X = np.concatenate([[0.0, 0.25, 0.5, -0.5, 1 - 2.0**-53, 2.0**40 + 0.3],
+                        np.random.default_rng(19).random(4 * B) * 4 - 2])
+    X = np.stack([X, X], axis=1)[:, 0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([1, 2, B - 1, B]), st.integers(1, B)),
+                    min_size=1, max_size=4))
+    @example([1] * 300)
+    @example([B, B, B, 3])
+    @example([B - 1, 1, B, 1, B - 1, 3])
+    @example([1, B - 1, 2, B - 2, B, 3])
+    def test_any_split_gives_the_same_bits(self, lengths):
+        # the mode pass runs the kernel on pieces of up to BLOCK values
+        x = self.X[:sum(lengths)]
+        kernel = spectral._TurnKernel(B)
+        out = np.empty(len(x), complex)
+        start = 0
+        for length in lengths:
+            kernel(x[start:start + length], out=out[start:start + length])
+            start += length
+        assert out.tobytes() == spectral.unit_wave(x).tobytes()
 
     def test_bits_independent_of_cpu_dispatch(self):
         code = ("import hashlib, sys, numpy as np; from arnoldgas import spectral; "

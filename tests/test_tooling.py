@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from arnoldgas import cli
+from arnoldgas import cli, spectral
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -80,6 +80,50 @@ def test_fluctuation_ensemble_refuses_too_few_steps(steps):
                                                    f"got {steps}")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--particles", "1"], "need at least 2 particles"),
+    (["--mode", "0", "0"], "--mode 0 0 is the conserved normalization"),
+], ids=["one-particle", "zero-mode"])
+def test_fluctuation_ensemble_refuses_bad_run(args, message):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "fluctuation_ensemble.py"),
+                             "--seeds", "2", "--steps", "8", *args],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 2
+    assert message in result.stderr.splitlines()[-1]
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("failing_seeds", [{0}, {0, 1}], ids=["one", "all"])
+def test_fluctuation_ensemble_counts_failed_fits(failing_seeds, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "fluctuation_ensemble", ROOT / "scripts" / "fluctuation_ensemble.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    fits = iter(range(2))  # one fit per seed, in seed order
+    fit_growth = spectral.fit_growth
+
+    def failing_fit(deltas, window):
+        if next(fits) in failing_seeds:
+            raise ValueError("fit window contains zeros of |delta|; shrink the window")
+        return fit_growth(deltas, window)
+
+    monkeypatch.setattr(spectral, "fit_growth", failing_fit)
+    monkeypatch.setattr(sys, "argv", ["fluctuation_ensemble.py", "--particles", "256",
+                                      "--seeds", "2", "--steps", "8"])
+    if failing_seeds == {0, 1}:
+        with pytest.raises(SystemExit, match="no seed's fit succeeded"):
+            script.main()
+    else:
+        script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == (f"fit failed: {len(failing_seeds)} of 2 seeds (seed 0: fit window "
+                        f"contains zeros of |delta|; shrink the window)")
+    assert any(line.startswith("slope: ") for line in lines) == (failing_seeds == {0})
+    assert lines[-1].startswith("two-term exponent at t=8: median ")
 
 
 def test_pyproject_version_matches_package():
