@@ -14,6 +14,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-stages", type=int, default=12)
     args = parser.parse_args()
+    if not 0 <= args.max_stages <= tree.DEFAULT_MAX_STAGES:
+        parser.error(f"--max-stages must be in 0..{tree.DEFAULT_MAX_STAGES}, "
+                     f"got {args.max_stages}")
 
     model = maps.default_model()
     print(f"{'n':>3} {'geo_mean':>12} {'arith_mean':>12} {'gas_dilation':>14} "

@@ -40,15 +40,18 @@ particles are gathered BLOCK at a time, each block's points beside its
 twin's points in the same buffer, and the value sum ends with their phase
 sum.  A saturated row, where every particle is affected, takes the same path
 with an empty first pass.  Partial sums are added in order and BLOCK and
-CHUNK are constants, so no sum depends on the worker count.  Each kernel
-call spans up to BLOCK values of one axis, and every other numpy call up to
-CHUNK particles: with two or more workers, much shorter calls spend more
-time handing over the interpreter lock than working.  Each pool worker owns
-its arrays for the whole pass (powers of z, one conjugate and one wave
-product buffer, the kernel's BLOCK-sized scratch, the point buffer,
-tangents and one temporary), writes every one with `out=` and slices them,
+CHUNK are constants, so no sum depends on the worker count.  Each load of
+up to CHUNK points makes one kernel call on both axes of all of them, and
+every other numpy call spans up to CHUNK particles: with two or more
+workers, more and shorter calls spend more time handing over the
+interpreter lock than working.  Each pool worker owns its arrays for the
+whole pass (powers of z, the kernel's three float rows and its index, the
+point buffer and tangents), writes every one with `out=` and slices them,
 so its memory is O(CHUNK * max |m|) whatever N is, and a row allocates no
-array that grows with N but the index of its affected particles.
+array that grows with N but the index of its affected particles.  The
+conjugate and wave product buffers, a temporary and the k . v rows are
+idle while the kernel runs, so they are carved out of its float rows, and
+the kernel's complex row is the z**2 row of the powers.
 
 Only one mode of each +-k pair is summed: the canonical one, with m1 > 0, or
 m1 = 0 and m2 > 0.  The other follows bit for bit, because its wave is the
@@ -146,6 +149,16 @@ def _turn_table() -> np.ndarray:
     return table
 
 
+@functools.cache
+def _wave_table() -> np.ndarray:
+    """`_turn_table()` as complex rows: Tr + i Ti, then tr + i ti, (2, M) read-only."""
+    parts = _turn_table()
+    table = np.empty((2, TABLE_SIZE), complex)
+    table.real, table.imag = parts[[0, 2]], parts[[1, 3]]
+    table.flags.writeable = False
+    return table
+
+
 class ModeIndex(NamedTuple):
     """Integer mode (m1, m2); the wavevector is 2*pi*(m1, m2) on the unit torus."""
 
@@ -209,18 +222,26 @@ class _TurnKernel:
     Only real multiply, add, rint and a gather are used, so the bits do not
     depend on numpy's choice of SIMD loop.  x must be finite with
     |x| < 2**50, so that j fits the index array.
+
+    The high parts Tr + i Ti are gathered straight into `out` and the low
+    parts tr + i ti into the complex row `rest`, so the kernel owns three
+    float rows of `size` values (`scratch`, one buffer) and its index.  `rest`
+    may be lent by the caller, as any complex array of `size` values that is
+    idle while the kernel runs.
     """
 
-    def __init__(self, size: int):
-        self.table = _turn_table()
-        self.scratch = np.empty((6, size))
+    def __init__(self, size: int, rest: np.ndarray | None = None):
+        self.table = _wave_table()
+        self.scratch = np.empty((3, size))
         self.index = np.empty(size, np.intp)
+        self.rest = np.empty(size, complex) if rest is None else rest
 
     def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write exp(-2*pi*i*x) to out, a complex array of x's shape."""
         shape, size = out.shape, out.size
-        turns, j, sin, t_re, t_im, rest = (row[:size].reshape(shape) for row in self.scratch)
+        turns, j, sin = (row[:size].reshape(shape) for row in self.scratch)
         index = self.index[:size].reshape(shape)
+        rest = self.rest[:size].reshape(shape)
         np.multiply(x, TABLE_SIZE, out=turns)
         np.rint(turns, out=j)
         u = np.subtract(turns, j, out=turns)
@@ -234,18 +255,17 @@ class _TurnKernel:
         np.add(one_minus_cos, _COS2, out=one_minus_cos)
         np.multiply(one_minus_cos, u2, out=one_minus_cos)
         temp = j
-        hi_re, hi_im, lo_re, lo_im = self.table
+        high, low = self.table
         # mode="clip" takes straight into out; "raise" buffers a copy
-        np.take(hi_re, index, mode="clip", out=t_re)
-        np.take(hi_im, index, mode="clip", out=t_im)
-        np.take(lo_re, index, mode="clip", out=rest)
-        np.add(rest, np.multiply(t_im, sin, out=temp), out=rest)
-        np.subtract(rest, np.multiply(t_re, one_minus_cos, out=temp), out=rest)
-        np.add(t_re, rest, out=out.real)
-        np.take(lo_im, index, mode="clip", out=rest)
-        np.subtract(rest, np.multiply(t_im, one_minus_cos, out=temp), out=rest)
-        np.subtract(rest, np.multiply(t_re, sin, out=temp), out=rest)
-        np.add(t_im, rest, out=out.imag)
+        np.take(high, index, mode="clip", out=out)
+        np.take(low, index, mode="clip", out=rest)
+        t_re, t_im, rest_re, rest_im = out.real, out.imag, rest.real, rest.imag
+        np.add(rest_re, np.multiply(t_im, sin, out=temp), out=rest_re)
+        np.subtract(rest_re, np.multiply(t_re, one_minus_cos, out=temp), out=rest_re)
+        np.subtract(rest_im, np.multiply(t_im, one_minus_cos, out=temp), out=rest_im)
+        np.subtract(rest_im, np.multiply(t_re, sin, out=temp), out=rest_im)
+        np.add(t_re, rest_re, out=t_re)
+        np.add(t_im, rest_im, out=t_im)
         return out
 
 
@@ -258,45 +278,49 @@ def unit_wave(x) -> np.ndarray:
 class _Waves:
     """exp(-2*pi*i (m1 x + m2 p)) for canonical modes, of up to CHUNK points.
 
-    Kernel calls of up to BLOCK values give z = exp(-2*pi*i coord) of every
-    point on both axes; z**m with m > 0 comes by repeated multiplication, and
-    the negative m2 that a canonical mode can have takes conj(z_p**|m2|),
-    written to one shared buffer just before its product.  The product goes
-    to a buffer of its own: written over one of its inputs, numpy may pick
-    another loop, and the bits would change.  The arrays are sized once and
+    z = exp(-2*pi*i coord) of n points is one kernel call on their 2n values,
+    x then p, into the first row of `powers`; z**m with m > 0 comes by
+    repeated multiplication into row m - 1, and the negative m2 that a
+    canonical mode can have takes conj(z_p**|m2|), written to a buffer just
+    before its product.  The product goes to a buffer of its own: written
+    over one of its inputs, numpy may pick another loop, and the bits would
+    change.  Nothing but the kernel runs during a load, so the conjugate and
+    product buffers, and the `spare` floats that a row's sums use, are carved
+    out of the kernel's float rows, and the kernel's complex row is the z**2
+    row, formed only after the kernel returns.  The arrays are sized once and
     sliced to the points loaded.
     """
 
     def __init__(self, modes: Sequence[ModeIndex]):
         top = max((max(mode.m1, abs(mode.m2)) for mode in modes), default=1)
-        self.kernel = _TurnKernel(BLOCK)
-        self.powers = np.empty((top, 2, CHUNK), complex)  # z**m at [m - 1, axis]
-        self.conjugate = np.empty(CHUNK, complex)
-        self.product = np.empty(CHUNK, complex)
-        self.z = self.powers[:, :, :0]
+        self.powers = np.empty((top, 2 * CHUNK), complex)  # z**m at [m - 1], x then p
+        self.kernel = _TurnKernel(2 * CHUNK, rest=self.powers[1] if top > 1 else None)
+        borrowed = self.kernel.scratch.reshape(-1)  # 6 CHUNK floats, idle between loads
+        self.conjugate = borrowed[:2 * CHUNK].view(complex)
+        self.product = borrowed[2 * CHUNK:4 * CHUNK].view(complex)
+        self.spare = borrowed[4 * CHUNK:]
+        self.n = 0
+        self.z = self.powers[:, :0]
 
     def load(self, points: np.ndarray) -> None:
         """Waves of the (n, 2) array points."""
-        n = len(points)
-        z = self.z = self.powers[:, :, :n]
-        for axis in range(2):  # the kernel is elementwise: any split gives the same bits
-            for start in range(0, n, BLOCK):
-                self.kernel(points[start:start + BLOCK, axis],
-                            out=z[0, axis, start:start + BLOCK])
+        n = self.n = len(points)
+        z = self.z = self.powers[:, :2 * n]
+        if n:
+            self.kernel(points.T, out=z[0].reshape(2, n))
         for m in range(1, len(z)):
             np.multiply(z[m - 1], z[0], out=z[m])
 
     def wave(self, mode: ModeIndex) -> np.ndarray:
         """The wave of `mode` at every loaded point, (n,)."""
-        z = self.z
+        z, n = self.z, self.n
         if mode.m1 == 0:
-            return z[mode.m2 - 1, 1]
-        zx = z[mode.m1 - 1, 0]
+            return z[mode.m2 - 1, n:]
+        zx = z[mode.m1 - 1, :n]
         if mode.m2 == 0:
             return zx
-        n = len(zx)
-        zp = (z[mode.m2 - 1, 1] if mode.m2 > 0
-              else np.conjugate(z[-mode.m2 - 1, 1], out=self.conjugate[:n]))
+        zp = (z[mode.m2 - 1, n:] if mode.m2 > 0
+              else np.conjugate(z[-mode.m2 - 1, n:], out=self.conjugate[:n]))
         return np.multiply(zx, zp, out=self.product[:n])
 
 
@@ -308,8 +332,8 @@ class _RowArrays:
         self.waves = _Waves(modes)
         self.points = np.empty((CHUNK, 2))  # unaffected points, or affected then twin points
         self.tangents = np.empty((BLOCK, 2))
-        self.temp = np.empty(BLOCK, complex)
-        self.k_dot = np.empty((2, BLOCK))
+        self.temp = self.waves.spare[:CHUNK].view(complex)  # BLOCK values
+        self.k_dot = self.waves.spare[CHUNK:].reshape(2, BLOCK)
 
     def sums(self, state: GasState) -> np.ndarray:
         """Unnormalised (values, linear, twin, phase) sums of one state, one column per mode.
@@ -371,7 +395,7 @@ def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
     if (0, 0) in modes:
         raise ValueError("the zero mode is the conserved normalization; pick a nonzero mode")
     canonical = list(dict.fromkeys(map(_canonical, modes)))
-    _turn_table()  # build the kernel's table once, before the workers ask for it
+    _wave_table()  # build the kernel's table once, before the workers ask for it
     workspace = threading.local()
     errors = np.geterr()  # pool threads do not inherit the caller's np.errstate
 

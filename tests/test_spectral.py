@@ -362,7 +362,8 @@ class TestBlockedRow:
     @pytest.mark.parametrize("twin", [True, False], ids=["twin", "no-twin"])
     def test_each_wave_formed_once_per_row(self, model, monkeypatch, pairing, twin):
         # every particle's point, and an affected particle's twin point,
-        # passes through the kernel once, on both axes
+        # passes through the kernel once, on both axes, in one call per load:
+        # one per CHUNK slice with unaffected points, then one per block
         counted = []
         call = spectral._TurnKernel.__call__
 
@@ -379,6 +380,10 @@ class TestBlockedRow:
             spectral.delta_series([state], modes)
             affected = int(state.affected.sum())
             assert sum(counted) == 2 * ((n - affected) + affected * (1 + twin))
+            slices = [int((~state.affected[start:start + C]).sum()) for start in range(0, n, C)]
+            blocks = [min(B, affected - start) for start in range(0, affected, B)]
+            assert counted == ([2 * size for size in slices if size]
+                               + [2 * (1 + twin) * size for size in blocks])
 
     def test_threads_give_identical_series(self, model):
         config = RunConfig(n_particles=2 * B + 3, steps=16, seed=5, pairing="tree", twin=True)
@@ -388,14 +393,44 @@ class TestBlockedRow:
         for threads in (2, 4):
             assert_same_series(serial, spectral.delta_series(states, modes, threads))
 
-    @pytest.mark.parametrize("order,mib", [(2, 2.7), (4, 3.7)])
+    @pytest.mark.parametrize("order,mib", [(1, 2.5), (2, 2.5), (4, 3.5)])
     def test_worker_arrays_within_budget(self, order, mib):
         # every distinct array a worker reaches, the table it shares included
-        canonical = list(dict.fromkeys(map(spectral._canonical, spectral.enumerate_modes(order))))
-        arrays = spectral._RowArrays(canonical)
+        arrays = spectral._RowArrays(_canonical_modes(order))
         owned = _distinct_arrays(arrays)
         assert any(array is arrays.waves.powers for array in owned)
         assert sum(array.nbytes for array in owned) <= mib * 2**20
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_borrowed_scratch_does_not_leak_between_loads(self, order):
+        # The kernel's rows are lent out between loads (the conjugate,
+        # product, temp and k_dot arrays) and its complex row is the z**2
+        # row.  Loads of falling size, over scratch filled with NaN each
+        # time, must each give the waves formed afresh from unit_wave.
+        modes = _canonical_modes(order)
+        arrays = spectral._RowArrays(modes)
+        waves, kernel = arrays.waves, arrays.waves.kernel
+        borrowed = [waves.conjugate, waves.product, arrays.temp, arrays.k_dot]
+        for i, a in enumerate(borrowed):
+            assert np.shares_memory(a, kernel.scratch)
+            assert not any(np.shares_memory(a, b) for b in borrowed[i + 1:])
+        rng = np.random.default_rng(order)
+        for n in (C, B + 3, 1):
+            points = arrays.points[:n]
+            points[:] = rng.random((n, 2)) * 4 - 2
+            for scratch in (kernel.scratch, kernel.rest, waves.powers):
+                scratch.fill(np.nan)
+            waves.load(points)
+            for row in (kernel.scratch, kernel.index, kernel.rest):
+                assert not np.shares_memory(row, points)
+                assert not np.shares_memory(row, waves.z[0])
+            assert not np.shares_memory(kernel.scratch, waves.powers)
+            for mode, want in zip(modes, _reference_waves(points, modes)):
+                assert waves.wave(mode).tobytes() == want.tobytes(), mode
+
+
+def _canonical_modes(order):
+    return list(dict.fromkeys(map(spectral._canonical, spectral.enumerate_modes(order))))
 
 
 def _distinct_arrays(obj):
@@ -515,6 +550,16 @@ class TestUnitWave:
             # bit for bit, so that every zero is +0
             assert hi.tobytes() == rounded.tobytes()
             assert lo.tobytes() == rest.tobytes()
+
+    def test_complex_table_rows_are_the_turn_table(self):
+        # bit for bit, so that the kernel's gathers give the tested entries
+        table, parts = spectral._wave_table(), spectral._turn_table()
+        assert table.shape == (2, self.M)
+        for got, want in [(table.real[0], parts[0]), (table.imag[0], parts[1]),
+                          (table.real[1], parts[2]), (table.imag[1], parts[3])]:
+            assert got.tobytes() == want.tobytes()
+        assert not table.flags.writeable
+        assert spectral._TurnKernel(1).table is table
 
     # exact grid values, the ends of the unit interval and a large turn count,
     # then random values, in a strided column as the mode pass reads its points

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from arnoldgas import cli, spectral
+from arnoldgas import cli, spectral, tree
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -78,6 +78,20 @@ def test_fluctuation_ensemble_refuses_too_few_steps(steps):
     assert result.returncode == 2
     assert result.stderr.splitlines()[-1].endswith(f"error: --steps must be at least 5, "
                                                    f"got {steps}")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("stages", ["25", "-1"])
+def test_dilation_table_refuses_stages_out_of_range(stages):
+    # refused before any row, so 25 stages never build the 2^24-leaf tree
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "dilation_table.py"),
+                             "--max-stages", stages],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[-1].endswith(
+        f"error: --max-stages must be in 0..{tree.DEFAULT_MAX_STAGES}, got {stages}")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
 
