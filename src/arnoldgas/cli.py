@@ -199,10 +199,11 @@ def _write_results(out: Path, manifest: dict, summary: dict, tables) -> None:
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
-    parts = [int(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("matrix must be four comma-separated integers a,b,c,d")
-    return [[parts[0], parts[1]], [parts[2], parts[3]]]
+    try:  # a wrong count fails the unpacking, a non-integer fails int()
+        a, b, c, d = map(int, text.split(","))
+    except ValueError:
+        raise ValueError("matrix must be four comma-separated integers a,b,c,d") from None
+    return [[a, b], [c, d]]
 
 
 # ---------------------------------------------------------------- params

@@ -23,7 +23,7 @@ positive powers come from repeated multiplication and negative ones are
 conjugates.
 The rounding error of z**m grows about linearly in |m|.
 
-The kernel (`_TurnKernel`, and `unit_wave` for a whole array) takes
+The kernel (`_turn_wave`, and `unit_wave` for a whole array) takes
 exp(-2*pi*i*x) from a table of exp(-2*pi*i*j/M), M = 4096, kept in two parts,
 and two short Taylor polynomials in the exact remainder of M x, after Tang,
 ACM TOMS 15:144 (1989).  It uses real multiply, add, rint and a gather only,
@@ -44,14 +44,10 @@ CHUNK are constants, so no sum depends on the worker count.  Each load of
 up to CHUNK points makes one kernel call on both axes of all of them, and
 every other numpy call spans up to CHUNK particles: with two or more
 workers, more and shorter calls spend more time handing over the
-interpreter lock than working.  Each pool worker owns its arrays for the
-whole pass (powers of z, the kernel's three float rows and its index, the
-point buffer and tangents), writes every one with `out=` and slices them,
-so its memory is O(CHUNK * max |m|) whatever N is, and a row allocates no
-array that grows with N but the index of its affected particles.  The
-conjugate and wave product buffers, a temporary and the k . v rows are
-idle while the kernel runs, so they are carved out of its float rows, and
-the kernel's complex row is the z**2 row of the powers.
+interpreter lock than working.  Each pool worker owns the arrays that
+`_RowArrays` describes for the whole pass, so its memory is
+O(CHUNK * max |m|) whatever N is, and a row allocates no array that grows
+with N but the index of its affected particles.
 
 Only one mode of each +-k pair is summed: the canonical one, with m1 > 0, or
 m1 = 0 and m2 > 0.  The other follows bit for bit, because its wave is the
@@ -110,8 +106,9 @@ _TABLE_BITS = 170  # fixed-point fraction bits the table is computed with
 
 @functools.cache
 def _turn_table() -> np.ndarray:
-    """Rows cos(2*pi*j/M), -sin(2*pi*j/M), each correctly rounded, then what
-    each leaves over, correctly rounded: a (4, M) read-only array.
+    """exp(-2*pi*i*j/M) in two parts, a (2, M) read-only complex array: the
+    high row cos(2*pi*j/M) - i sin(2*pi*j/M), each part correctly rounded,
+    then the low row of what each part leaves over, correctly rounded.
 
     Only the octant j <= M/8 is computed, in integers scaled by 2**170, by
     repeated rotation by exp(2*pi*i/M); its error stays below 2**-160, and an
@@ -144,17 +141,8 @@ def _turn_table() -> np.ndarray:
     sin_q = np.concatenate([parts[[1, 3]], parts[[0, 2], octant - 1:0:-1]], axis=1)
     cos = np.concatenate([cos_q, 0.0 - sin_q, 0.0 - cos_q, sin_q], axis=1)
     minus_sin = np.concatenate([0.0 - sin_q, 0.0 - cos_q, sin_q, cos_q], axis=1)
-    table = np.stack([cos[0], minus_sin[0], cos[1], minus_sin[1]])
-    table.flags.writeable = False
-    return table
-
-
-@functools.cache
-def _wave_table() -> np.ndarray:
-    """`_turn_table()` as complex rows: Tr + i Ti, then tr + i ti, (2, M) read-only."""
-    parts = _turn_table()
     table = np.empty((2, TABLE_SIZE), complex)
-    table.real, table.imag = parts[[0, 2]], parts[[1, 3]]
+    table.real, table.imag = cos, minus_sin
     table.flags.writeable = False
     return table
 
@@ -207,8 +195,11 @@ def _canonical(mode: ModeIndex) -> ModeIndex:
     return mode if (mode.m1, mode.m2) > (0, 0) else ModeIndex(-mode.m1, -mode.m2)
 
 
-class _TurnKernel:
-    """exp(-2*pi*i*x) for up to `size` values of x at a time, in scratch arrays it owns.
+def _turn_wave(x: np.ndarray, out: np.ndarray, rest: np.ndarray, rows: np.ndarray,
+               index: np.ndarray) -> np.ndarray:
+    """Write exp(-2*pi*i*x) to out, a complex array of x's shape, using the
+    scratch it is handed: `rest` complex, `rows` three float rows and `index`
+    integers, each of at least x.size values.
 
     With M = TABLE_SIZE, j = rint(M x) and u = M x - j in [-1/2, 1/2] are exact,
     so exp(-2*pi*i*x) = T[j mod M] * exp(-i theta) with theta = 2*pi*u/M.  The
@@ -221,93 +212,94 @@ class _TurnKernel:
     rounded once after its table value and errs by at most 2**-54 + 3e-18.
     Only real multiply, add, rint and a gather are used, so the bits do not
     depend on numpy's choice of SIMD loop.  x must be finite with
-    |x| < 2**50, so that j fits the index array.
-
-    The high parts Tr + i Ti are gathered straight into `out` and the low
-    parts tr + i ti into the complex row `rest`, so the kernel owns three
-    float rows of `size` values (`scratch`, one buffer) and its index.  `rest`
-    may be lent by the caller, as any complex array of `size` values that is
-    idle while the kernel runs.
+    |x| < 2**50, so that j fits the index array.  The high parts Tr + i Ti
+    are gathered straight into `out` and the low parts tr + i ti into `rest`.
     """
-
-    def __init__(self, size: int, rest: np.ndarray | None = None):
-        self.table = _wave_table()
-        self.scratch = np.empty((3, size))
-        self.index = np.empty(size, np.intp)
-        self.rest = np.empty(size, complex) if rest is None else rest
-
-    def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write exp(-2*pi*i*x) to out, a complex array of x's shape."""
-        shape, size = out.shape, out.size
-        turns, j, sin = (row[:size].reshape(shape) for row in self.scratch)
-        index = self.index[:size].reshape(shape)
-        rest = self.rest[:size].reshape(shape)
-        np.multiply(x, TABLE_SIZE, out=turns)
-        np.rint(turns, out=j)
-        u = np.subtract(turns, j, out=turns)
-        np.copyto(index, j, casting="unsafe")
-        np.bitwise_and(index, TABLE_SIZE - 1, out=index)
-        u2 = np.multiply(u, u, out=j)
-        np.multiply(u2, _SIN3, out=sin)
-        np.add(sin, _SIN1, out=sin)
-        np.multiply(sin, u, out=sin)
-        one_minus_cos = np.multiply(u2, _COS4, out=turns)
-        np.add(one_minus_cos, _COS2, out=one_minus_cos)
-        np.multiply(one_minus_cos, u2, out=one_minus_cos)
-        temp = j
-        high, low = self.table
-        # mode="clip" takes straight into out; "raise" buffers a copy
-        np.take(high, index, mode="clip", out=out)
-        np.take(low, index, mode="clip", out=rest)
-        t_re, t_im, rest_re, rest_im = out.real, out.imag, rest.real, rest.imag
-        np.add(rest_re, np.multiply(t_im, sin, out=temp), out=rest_re)
-        np.subtract(rest_re, np.multiply(t_re, one_minus_cos, out=temp), out=rest_re)
-        np.subtract(rest_im, np.multiply(t_im, one_minus_cos, out=temp), out=rest_im)
-        np.subtract(rest_im, np.multiply(t_re, sin, out=temp), out=rest_im)
-        np.add(t_re, rest_re, out=t_re)
-        np.add(t_im, rest_im, out=t_im)
-        return out
+    shape, size = out.shape, out.size
+    turns, j, sin = (row[:size].reshape(shape) for row in rows)
+    index = index[:size].reshape(shape)
+    rest = rest[:size].reshape(shape)
+    np.multiply(x, TABLE_SIZE, out=turns)
+    np.rint(turns, out=j)
+    u = np.subtract(turns, j, out=turns)
+    np.copyto(index, j, casting="unsafe")
+    np.bitwise_and(index, TABLE_SIZE - 1, out=index)
+    u2 = np.multiply(u, u, out=j)
+    np.multiply(u2, _SIN3, out=sin)
+    np.add(sin, _SIN1, out=sin)
+    np.multiply(sin, u, out=sin)
+    one_minus_cos = np.multiply(u2, _COS4, out=turns)
+    np.add(one_minus_cos, _COS2, out=one_minus_cos)
+    np.multiply(one_minus_cos, u2, out=one_minus_cos)
+    temp = j
+    high, low = _turn_table()
+    # mode="clip" takes straight into out; "raise" buffers a copy
+    np.take(high, index, mode="clip", out=out)
+    np.take(low, index, mode="clip", out=rest)
+    t_re, t_im, rest_re, rest_im = out.real, out.imag, rest.real, rest.imag
+    np.add(rest_re, np.multiply(t_im, sin, out=temp), out=rest_re)
+    np.subtract(rest_re, np.multiply(t_re, one_minus_cos, out=temp), out=rest_re)
+    np.subtract(rest_im, np.multiply(t_im, one_minus_cos, out=temp), out=rest_im)
+    np.subtract(rest_im, np.multiply(t_re, sin, out=temp), out=rest_im)
+    np.add(t_re, rest_re, out=t_re)
+    np.add(t_im, rest_im, out=t_im)
+    return out
 
 
 def unit_wave(x) -> np.ndarray:
     """exp(-2*pi*i*x) of a float array, by the table kernel of the mode pass."""
     x = np.asarray(x, dtype=float)
-    return _TurnKernel(x.size)(x, np.empty(x.shape, complex))
+    return _turn_wave(x, np.empty(x.shape, complex), np.empty(x.size, complex),
+                      np.empty((3, x.size)), np.empty(x.size, np.intp))
 
 
-class _Waves:
-    """exp(-2*pi*i (m1 x + m2 p)) for canonical modes, of up to CHUNK points.
+class _RowArrays:
+    """The CHUNK-sized arrays that one worker thread reuses for every row.
 
-    z = exp(-2*pi*i coord) of n points is one kernel call on their 2n values,
-    x then p, into the first row of `powers`; z**m with m > 0 comes by
-    repeated multiplication into row m - 1, and the negative m2 that a
-    canonical mode can have takes conj(z_p**|m2|), written to a buffer just
-    before its product.  The product goes to a buffer of its own: written
-    over one of its inputs, numpy may pick another loop, and the bits would
-    change.  Nothing but the kernel runs during a load, so the conjugate and
-    product buffers, and the `spare` floats that a row's sums use, are carved
-    out of the kernel's float rows, and the kernel's complex row is the z**2
-    row, formed only after the kernel returns.  The arrays are sized once and
-    sliced to the points loaded.
+    A load of n points makes z = exp(-2*pi*i coord) by one `_turn_wave` call
+    on their 2n values, x then p, into the first row of `powers`; z**m with
+    m > 0 comes by repeated multiplication into row m - 1, and the negative
+    m2 that a canonical mode can have takes conj(z_p**|m2|), written to
+    `conjugate` just before its product.  The product goes to `product`:
+    written over one of its inputs, numpy may pick another loop, and the
+    bits would change.  The worker allocates five arrays, once:
+
+    - `powers`, (max(top, 2), 2 CHUNK) complex, top = max |m|;
+    - `scratch`, the kernel's three float rows of 2 CHUNK values, and
+      `index`, its integer row;
+    - `points`, CHUNK points: a slice's unaffected points, or a block's
+      affected points then its twin points;
+    - `tangents`, BLOCK tangents of the affected points.
+
+    Every one is written with `out=` and sliced to the points loaded.
+    Nothing but the kernel runs during a load, so `conjugate` and `product`
+    (2 CHUNK complex values each), `temp` (BLOCK complex values) and the
+    two `k_dot` rows (BLOCK floats each) are carved out of `scratch`.  The
+    kernel's complex `rest` row is powers[1]: z**2 is formed there only
+    after the kernel returns, and at order 1 the row serves `rest` alone.
     """
 
     def __init__(self, modes: Sequence[ModeIndex]):
-        top = max((max(mode.m1, abs(mode.m2)) for mode in modes), default=1)
-        self.powers = np.empty((top, 2 * CHUNK), complex)  # z**m at [m - 1], x then p
-        self.kernel = _TurnKernel(2 * CHUNK, rest=self.powers[1] if top > 1 else None)
-        borrowed = self.kernel.scratch.reshape(-1)  # 6 CHUNK floats, idle between loads
-        self.conjugate = borrowed[:2 * CHUNK].view(complex)
-        self.product = borrowed[2 * CHUNK:4 * CHUNK].view(complex)
-        self.spare = borrowed[4 * CHUNK:]
-        self.n = 0
-        self.z = self.powers[:, :0]
+        self.modes = modes
+        self.top = max((max(mode.m1, abs(mode.m2)) for mode in modes), default=1)
+        self.powers = np.empty((max(self.top, 2), 2 * CHUNK), complex)  # z**m at [m - 1]
+        self.scratch = np.empty((3, 2 * CHUNK))
+        self.index = np.empty(2 * CHUNK, np.intp)
+        self.points = np.empty((CHUNK, 2))
+        self.tangents = np.empty((BLOCK, 2))
+        idle = self.scratch.reshape(-1)  # 6 CHUNK floats, idle between loads
+        self.conjugate = idle[:2 * CHUNK].view(complex)
+        self.product = idle[2 * CHUNK:4 * CHUNK].view(complex)
+        self.temp = idle[4 * CHUNK:5 * CHUNK].view(complex)
+        self.k_dot = idle[5 * CHUNK:].reshape(2, BLOCK)
+        self.n, self.z = 0, self.powers[:self.top, :0]
 
     def load(self, points: np.ndarray) -> None:
         """Waves of the (n, 2) array points."""
         n = self.n = len(points)
-        z = self.z = self.powers[:, :2 * n]
+        z = self.z = self.powers[:self.top, :2 * n]
         if n:
-            self.kernel(points.T, out=z[0].reshape(2, n))
+            _turn_wave(points.T, z[0].reshape(2, n), self.powers[1], self.scratch, self.index)
         for m in range(1, len(z)):
             np.multiply(z[m - 1], z[0], out=z[m])
 
@@ -323,18 +315,6 @@ class _Waves:
               else np.conjugate(z[-mode.m2 - 1, n:], out=self.conjugate[:n]))
         return np.multiply(zx, zp, out=self.product[:n])
 
-
-class _RowArrays:
-    """The CHUNK-sized arrays that one worker thread reuses for every row."""
-
-    def __init__(self, modes: Sequence[ModeIndex]):
-        self.modes = modes
-        self.waves = _Waves(modes)
-        self.points = np.empty((CHUNK, 2))  # unaffected points, or affected then twin points
-        self.tangents = np.empty((BLOCK, 2))
-        self.temp = self.waves.spare[:CHUNK].view(complex)  # BLOCK values
-        self.k_dot = self.waves.spare[CHUNK:].reshape(2, BLOCK)
-
     def sums(self, state: GasState) -> np.ndarray:
         """Unnormalised (values, linear, twin, phase) sums of one state, one column per mode.
 
@@ -349,10 +329,10 @@ class _RowArrays:
         values, linear, twin, phase = sums
         for start in range(0, state.n_particles, CHUNK):
             unaffected = ~state.affected[start:start + CHUNK]
-            self.waves.load(np.compress(unaffected, state.points[start:start + CHUNK], axis=0,
-                                        out=self.points[:np.count_nonzero(unaffected)]))
+            self.load(np.compress(unaffected, state.points[start:start + CHUNK], axis=0,
+                                  out=self.points[:np.count_nonzero(unaffected)]))
             for j, mode in enumerate(self.modes):
-                values[j] += self.waves.wave(mode).sum()
+                values[j] += self.wave(mode).sum()
         has_twin = state.twin_points is not None
         point_sets = [state.points, state.twin_points] if has_twin else [state.points]
         affected = np.flatnonzero(state.affected)
@@ -364,10 +344,10 @@ class _RowArrays:
                 np.take(points, index, axis=0, mode="clip", out=self.points[k * n:(k + 1) * n])
             tangents = np.take(state.tangents, index, axis=0, mode="clip",
                                out=self.tangents[:n])
-            self.waves.load(self.points[:len(point_sets) * n])
+            self.load(self.points[:len(point_sets) * n])
             temp = self.temp[:n]
             for j, mode in enumerate(self.modes):
-                waves = self.waves.wave(mode)
+                waves = self.wave(mode)
                 wave = waves[:n]
                 k_dot = mode.k_dot(tangents, out=self.k_dot[0, :n], scratch=self.k_dot[1, :n])
                 phase[j] += wave.sum()
@@ -395,7 +375,7 @@ def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
     if (0, 0) in modes:
         raise ValueError("the zero mode is the conserved normalization; pick a nonzero mode")
     canonical = list(dict.fromkeys(map(_canonical, modes)))
-    _wave_table()  # build the kernel's table once, before the workers ask for it
+    _turn_table()  # build the kernel's table once, before the workers ask for it
     workspace = threading.local()
     errors = np.geterr()  # pool threads do not inherit the caller's np.errstate
 

@@ -134,10 +134,11 @@ class TestDefaults:
                                       ["gas", "--particles", "2", "--steps", "1"]],
                              ids=["tree", "gas"])
     def test_short_matrix_refused_before_writing(self, tmp_path, capsys, argv):
-        assert run([*argv, "--matrix", "1,2,3", "--out", str(tmp_path / "m.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: matrix must be four comma-separated integers a,b,c,d\n"
-        assert list(tmp_path.iterdir()) == []
+        for matrix in ["1,2,3", "a,b,c,d", "1.5,1,1,2", "1,1,1,2,"]:
+            assert run([*argv, "--matrix", matrix, "--out", str(tmp_path / "m.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: matrix must be four comma-separated integers a,b,c,d\n"
+            assert list(tmp_path.iterdir()) == []
 
     def test_gas_run_defaults(self):
         args = cli.build_parser().parse_args(["gas", "--particles", "2", "--steps", "1"])

@@ -365,13 +365,13 @@ class TestBlockedRow:
         # passes through the kernel once, on both axes, in one call per load:
         # one per CHUNK slice with unaffected points, then one per block
         counted = []
-        call = spectral._TurnKernel.__call__
+        turn_wave = spectral._turn_wave
 
-        def counting(kernel, x, out):
+        def counting(x, out, *scratch):
             counted.append(x.size)
-            return call(kernel, x, out)
+            return turn_wave(x, out, *scratch)
 
-        monkeypatch.setattr(spectral._TurnKernel, "__call__", counting)
+        monkeypatch.setattr(spectral, "_turn_wave", counting)
         n = 2 * B + 3
         config = RunConfig(n_particles=n, steps=16, seed=3, pairing=pairing, twin=twin)
         modes = spectral.enumerate_modes(2)
@@ -393,13 +393,16 @@ class TestBlockedRow:
         for threads in (2, 4):
             assert_same_series(serial, spectral.delta_series(states, modes, threads))
 
-    @pytest.mark.parametrize("order,mib", [(1, 2.5), (2, 2.5), (4, 3.5)])
+    @pytest.mark.parametrize("order,mib", [(1, 2.5), (2, 2.5), (4, 3.5), (3, 3.0)])
     def test_worker_arrays_within_budget(self, order, mib):
-        # every distinct array a worker reaches, the table it shares included
+        # every distinct array a worker reaches, plus the table it shares;
+        # a buffer split off into an array of its own fails the identity check
         arrays = spectral._RowArrays(_canonical_modes(order))
         owned = _distinct_arrays(arrays)
-        assert any(array is arrays.waves.powers for array in owned)
-        assert sum(array.nbytes for array in owned) <= mib * 2**20
+        expected = [arrays.powers, arrays.scratch, arrays.index, arrays.points, arrays.tangents]
+        assert sorted(map(id, owned)) == sorted(map(id, expected))
+        table = spectral._turn_table()
+        assert sum(array.nbytes for array in owned) + table.nbytes <= mib * 2**20
 
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_borrowed_scratch_does_not_leak_between_loads(self, order):
@@ -409,24 +412,24 @@ class TestBlockedRow:
         # time, must each give the waves formed afresh from unit_wave.
         modes = _canonical_modes(order)
         arrays = spectral._RowArrays(modes)
-        waves, kernel = arrays.waves, arrays.waves.kernel
-        borrowed = [waves.conjugate, waves.product, arrays.temp, arrays.k_dot]
+        rest = arrays.powers[1]
+        borrowed = [arrays.conjugate, arrays.product, arrays.temp, arrays.k_dot]
         for i, a in enumerate(borrowed):
-            assert np.shares_memory(a, kernel.scratch)
+            assert np.shares_memory(a, arrays.scratch)
             assert not any(np.shares_memory(a, b) for b in borrowed[i + 1:])
         rng = np.random.default_rng(order)
         for n in (C, B + 3, 1):
             points = arrays.points[:n]
             points[:] = rng.random((n, 2)) * 4 - 2
-            for scratch in (kernel.scratch, kernel.rest, waves.powers):
+            for scratch in (arrays.scratch, arrays.powers):
                 scratch.fill(np.nan)
-            waves.load(points)
-            for row in (kernel.scratch, kernel.index, kernel.rest):
+            arrays.load(points)
+            for row in (arrays.scratch, arrays.index, rest):
                 assert not np.shares_memory(row, points)
-                assert not np.shares_memory(row, waves.z[0])
-            assert not np.shares_memory(kernel.scratch, waves.powers)
+                assert not np.shares_memory(row, arrays.z[0])
+            assert not np.shares_memory(arrays.scratch, arrays.powers)
             for mode, want in zip(modes, _reference_waves(points, modes)):
-                assert waves.wave(mode).tobytes() == want.tobytes(), mode
+                assert arrays.wave(mode).tobytes() == want.tobytes(), mode
 
 
 def _canonical_modes(order):
@@ -541,7 +544,8 @@ class TestUnitWave:
         def snapped(v):
             return Decimal(0) if abs(v) < Decimal(10) ** -40 else v
 
-        for hi, lo, exact in [(table[0], table[2], cos), (table[1], table[3], minus_sin)]:
+        for hi, lo, exact in [(table.real[0], table.real[1], cos),
+                              (table.imag[0], table.imag[1], minus_sin)]:
             rounded = np.array([float(snapped(v)) for v in exact])
             with localcontext() as ctx:
                 ctx.prec = 60
@@ -552,14 +556,15 @@ class TestUnitWave:
             assert lo.tobytes() == rest.tobytes()
 
     def test_complex_table_rows_are_the_turn_table(self):
-        # bit for bit, so that the kernel's gathers give the tested entries
-        table, parts = spectral._wave_table(), spectral._turn_table()
-        assert table.shape == (2, self.M)
-        for got, want in [(table.real[0], parts[0]), (table.imag[0], parts[1]),
-                          (table.real[1], parts[2]), (table.imag[1], parts[3])]:
-            assert got.tobytes() == want.tobytes()
+        # bit for bit, so that the kernel's gathers give the tested entries:
+        # one cached, read-only table, high row then low row
+        table = spectral._turn_table()
+        assert spectral._turn_table() is table
+        assert table.shape == (2, self.M) and table.dtype == complex
         assert not table.flags.writeable
-        assert spectral._TurnKernel(1).table is table
+        # on the grid u = 0, so the kernel rounds high + low once: the high row
+        grid = np.arange(self.M) / self.M
+        assert spectral.unit_wave(grid).tobytes() == table[0].tobytes()
 
     # exact grid values, the ends of the unit interval and a large turn count,
     # then random values, in a strided column as the mode pass reads its points
@@ -575,13 +580,13 @@ class TestUnitWave:
     @example([B - 1, 1, B, 1, B - 1, 3])
     @example([1, B - 1, 2, B - 2, B, 3])
     def test_any_split_gives_the_same_bits(self, lengths):
-        # the mode pass runs the kernel on pieces of up to BLOCK values
+        # pieces of up to BLOCK values, on BLOCK-sized scratch reused by each
         x = self.X[:sum(lengths)]
-        kernel = spectral._TurnKernel(B)
+        scratch = np.empty(B, complex), np.empty((3, B)), np.empty(B, np.intp)
         out = np.empty(len(x), complex)
         start = 0
         for length in lengths:
-            kernel(x[start:start + length], out=out[start:start + length])
+            spectral._turn_wave(x[start:start + length], out[start:start + length], *scratch)
             start += length
         assert out.tobytes() == spectral.unit_wave(x).tobytes()
 
