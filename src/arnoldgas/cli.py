@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -198,9 +199,18 @@ def _write_results(out: Path, manifest: dict, summary: dict, tables) -> None:
                         if path not in written])
 
 
+def integer(text: str) -> int:
+    """The integer a text spells as [+-]?[0-9]+, the reader of every integer
+    option; int() would also read spaces and underscores, as in ' 64' and
+    '1_024', which are refused.  argparse names it in its error line."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"invalid integer: {text!r}")
+    return int(text)
+
+
 def _parse_matrix(text: str) -> list[list[int]]:
-    try:  # a wrong count fails the unpacking, a non-integer fails int()
-        a, b, c, d = map(int, text.split(","))
+    try:  # a wrong count fails the unpacking, anything but an integer fails integer()
+        a, b, c, d = map(integer, text.split(","))
     except ValueError:
         raise ValueError("matrix must be four comma-separated integers a,b,c,d") from None
     return [[a, b], [c, d]]
@@ -287,13 +297,14 @@ def cmd_gas(args) -> int:
     manifest = _manifest(args, matrix)
     out = _resolve_out(args.out)
 
-    # --threads 0: one worker per CPU this process may run on
+    # --threads 0: one worker per CPU this process may run on, less the one
+    # that steps the gas, and at least one
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     # Every result is computed before the first file is written, so a
     # failure leaves no partial output behind.
     traj, window, results = spectral.analyse_gas(
-        config, model, spectral.enumerate_modes(args.modes), args.threads or cpus)
+        config, model, spectral.enumerate_modes(args.modes), args.threads or max(1, cpus - 1))
     rows = list(zip(range(args.steps + 1), traj.affected_count, traj.norm, traj.max_disp,
                     traj.median_disp, traj.twin_dist))
 
@@ -441,7 +452,7 @@ def cmd_verify(args) -> int:
 def _collision_options(p) -> None:
     """Add --epsilon, --seed and --matrix, defaulting to gas.RunConfig and DEFAULT_CAT_MATRIX."""
     p.add_argument("--epsilon", type=float, default=gas.RunConfig.epsilon)
-    p.add_argument("--seed", type=int, default=gas.RunConfig.seed)
+    p.add_argument("--seed", type=integer, default=gas.RunConfig.seed)
     matrix = ",".join(str(entry) for row in maps.DEFAULT_CAT_MATRIX for entry in row)
     p.add_argument("--matrix", default=matrix, help="collision matrix a,b,c,d")
 
@@ -459,7 +470,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("tree", help="collision-tree leaves (CSV + JSON summary)")
-    p.add_argument("--stages", type=int, required=True)
+    p.add_argument("--stages", type=integer, required=True)
     _collision_options(p)
     p.add_argument("--aggregate-only", action="store_true",
                    help="skip explicit leaves; closed-form aggregates only")
@@ -467,23 +478,24 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("gas", help="N-particle run (CSV trajectory + JSON summary)")
-    p.add_argument("--particles", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--particles", type=integer, required=True)
+    p.add_argument("--steps", type=integer, required=True)
     _collision_options(p)
     p.add_argument("--pairing", choices=sorted(gas.PAIRINGS), default=gas.RunConfig.pairing)
-    p.add_argument("--modes", type=int, default=4,
+    p.add_argument("--modes", type=integer, default=4,
                    help="max |m| of Fourier modes to analyze (0 disables)")
     p.add_argument("--twin", choices=["on", "off"],
                    default="on" if gas.RunConfig.twin else "off")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads for mode analysis (0 = one per usable CPU)")
+    p.add_argument("--threads", type=integer, default=0,
+                   help="worker threads for mode analysis (0 = one per usable CPU "
+                        "but the one that steps the gas, and at least one)")
     p.add_argument("--out", default="gas.csv")
     p.set_defaults(func=cmd_gas)
 
     p = sub.add_parser("spectrum", help="re-fit growth from a saved spectrum CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--use", choices=["linear", "twin"], default="linear")
-    p.add_argument("--window", type=int, nargs=2, metavar=("T_A", "T_B"))
+    p.add_argument("--window", type=integer, nargs=2, metavar=("T_A", "T_B"))
     p.add_argument("--out")
     p.set_defaults(func=cmd_spectrum)
 

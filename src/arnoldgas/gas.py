@@ -24,21 +24,32 @@ the per-step diagnostics sum over the affected set alone.
 The gas keeps O(N) memory, not its history: `evolve` yields each step's state
 and a caller keeps what it needs.  `with_diagnostics` fills in the per-step
 diagnostics as states pass, so `spectral.analyse_gas` analyses modes in
-the same pass.
+the same pass.  A run's memory is its live states plus fixed scratch: a step
+holds the state it reads and the state it writes, and besides them its pair
+indices and a few flags per particle; it collides PIECE pairs at a time in
+scratch that does not grow with N, and the diagnostics read a state PIECE
+rows at a time into one norms array and one difference array.  A caller
+that only drains the states (`run_paired`, or `spectral.analyse_gas`
+without modes) drops each one before the next is diagnosed, and the mode
+pass keeps at most threads + 1 (see `spectral.delta_series`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .maps import (CollisionModel, check_epsilon, collide_arrays, collide_linear,
-                   root_sum_squares, row_items, row_norms, torus_diff_arrays, _wrap_unit)
+from .maps import (CollisionModel, check_epsilon, collide_linear, root_sum_squares,
+                   row_items, row_norms, torus_diff_arrays, _wrap_unit)
 
 RNG_NAME = "numpy.random.PCG64"
+# pairs a step collides at once, and rows the diagnostics read at once: a
+# constant, so that their scratch does not grow with N
+PIECE = 16384
 
 
 def check_seed(seed: int) -> None:
@@ -138,27 +149,47 @@ def _tree_matching(affected: np.ndarray, rng: np.random.Generator) -> np.ndarray
     rng.shuffle(idx_aff)
     rng.shuffle(idx_un)
     k = min(idx_aff.size, idx_un.size)
-    mixed = np.stack([idx_aff[:k], idx_un[:k]], axis=1)
-    rest = np.concatenate([idx_aff[k:], idx_un[k:]])
-    rest = rest[: 2 * (rest.size // 2)].reshape(-1, 2)
-    return np.concatenate([mixed, rest])
+    pairs = np.empty((affected.size // 2, 2), dtype=np.intp)
+    pairs[:k, 0], pairs[:k, 1] = idx_aff[:k], idx_un[:k]
+    leftover = idx_aff[k:] if k < idx_aff.size else idx_un[k:]  # one side is used up
+    pairs[k:] = leftover[:2 * (len(pairs) - k)].reshape(-1, 2)
+    return pairs
 
 
 # pairing name -> matching(affected, rng), a (k, 2) array of pair indices
 PAIRINGS = {"random": _random_matching, "tree": _tree_matching}
 
 
-def _collide_rows(collide, model: CollisionModel, src: np.ndarray, dst: np.ndarray,
-                  i: np.ndarray, j: np.ndarray) -> None:
-    """dst[i], dst[j] = collide(model, src[i], src[j]) for (n, 2) float arrays.
+def _collide_pieces(model: CollisionModel, src: np.ndarray, dst: np.ndarray,
+                    pairs: np.ndarray, index: np.ndarray, rows: np.ndarray,
+                    wrap: bool) -> None:
+    """dst[i], dst[j] = the collision of src[i] and src[j] for each pair (i, j)
+    of the (k, 2) array pairs, wrapped into [0, 1) when `wrap`.
 
-    Rows are gathered by np.take and scattered as one complex item each
-    (maps.row_items); i and j should be contiguous, since a strided index
-    slows both at 2^20 rows.  dst must be C-ordered.
+    PIECE pairs at a time, in the scratch it is handed: `index`, (2, PIECE)
+    integers, takes the piece's two columns, so each gather and scatter has a
+    contiguous index (a strided one slows both at 2^20 rows), and `rows`,
+    (3, PIECE, 2) floats, takes the gathered rows, which collide in place
+    (maps.collide_linear), and their wrapped images.  Rows are gathered by
+    np.take and scattered as one complex item each (maps.row_items).  The
+    kernel is row-wise, so the pieces give the bits of one whole-array call.
+    dst must be C-ordered.
     """
-    out_i, out_j = collide(model, np.take(src, i, axis=0), np.take(src, j, axis=0))
-    rows = row_items(dst)
-    rows[i], rows[j] = row_items(out_i), row_items(out_j)
+    items = row_items(dst)
+    for start in range(0, len(pairs), PIECE):
+        piece = pairs[start:start + PIECE]
+        n = len(piece)
+        i, j = index[:, :n]
+        np.copyto(index[:, :n], piece.T)
+        # mode="clip" takes straight into out; "raise" buffers a copy
+        x0 = np.take(src, i, axis=0, mode="clip", out=rows[0, :n])
+        x1 = np.take(src, j, axis=0, mode="clip", out=rows[1, :n])
+        collide_linear(model, x0, x1, out=(x0, x1))
+        if wrap:
+            items[i] = row_items(_wrap_unit(x0, out=rows[2, :n]))
+            items[j] = row_items(_wrap_unit(x1, out=rows[2, :n]))
+        else:
+            items[i], items[j] = row_items(x0), row_items(x1)
 
 
 def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
@@ -167,37 +198,48 @@ def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
 
     Every pair PAIRINGS[pairing] lists collides; positions wrap mod 1,
     tangents propagate linearly, and affected flags spread.  Tangents and twin
-    points are collided only on pairs that touch the affected set.
+    points are collided only on pairs that touch the affected set.  Each pair
+    set collides PIECE pairs at a time (`_collide_pieces`), so beside the two
+    states a step holds only its pairs, a few flags per particle and scratch
+    of fixed size.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing mode {pairing!r}")
     pairs = PAIRINGS[pairing](state.affected, rng)
 
-    i, j = pairs.T.copy()  # contiguous columns: a strided index slows every gather
     was = state.affected
-    hit = was[i] | was[j]
-    ih, jh = i[hit], j[hit]
+    touched = was[pairs]
+    hit = touched[:, 0] | touched[:, 1]
+    hit_pairs = pairs if hit.all() else pairs[hit]
+    index = np.empty((2, min(PIECE, len(pairs))), np.intp)
+    rows = np.empty((3, index.shape[1], 2))
 
-    # the pairs overwrite every row unless a particle idles (odd N)
-    points = (np.empty_like(state.points, order="C") if 2 * len(i) == state.n_particles
-              else state.points.copy())
-    _collide_rows(collide_arrays, model, state.points, points, i, j)
+    # the pairs overwrite every row unless a particle idles (odd N), and the
+    # hit pairs do too once every pair is hit
+    every_row = 2 * len(pairs) == state.n_particles
+    every_hit_row = every_row and hit_pairs is pairs
+    points = np.empty_like(state.points, order="C") if every_row else state.points.copy()
+    _collide_pieces(model, state.points, points, pairs, index, rows, wrap=True)
 
     # A pair that touches no affected particle keeps tangents 0 and takes the
     # new reference points as its twin points (see the module docstring); an
     # affected particle that idles (odd N) keeps its tangent and twin point.
-    tangents = state.tangents.copy()
-    _collide_rows(collide_linear, model, state.tangents, tangents, ih, jh)
+    tangents = (np.empty_like(state.tangents, order="C") if every_hit_row
+                else state.tangents.copy())
+    _collide_pieces(model, state.tangents, tangents, hit_pairs, index, rows, wrap=False)
 
     affected = was.copy()
-    affected[ih] = True
-    affected[jh] = True
+    affected[hit_pairs] = True
 
     twin_points = None
     if state.twin_points is not None:
-        twin_points = points.copy()
-        np.copyto(row_items(twin_points), row_items(state.twin_points), where=was)
-        _collide_rows(collide_arrays, model, state.twin_points, twin_points, ih, jh)
+        if every_hit_row:
+            twin_points = np.empty_like(state.twin_points, order="C")
+        else:
+            twin_points = points.copy()
+            np.copyto(row_items(twin_points), row_items(state.twin_points), where=was)
+        _collide_pieces(model, state.twin_points, twin_points, hit_pairs, index, rows,
+                        wrap=True)
 
     new_state = GasState(
         points=points,
@@ -214,18 +256,39 @@ def _diagnostics(state: GasState) -> tuple[int, float, float, float, float]:
 
     Off the affected set every norm and twin difference is 0, so the sums
     and the max run over the affected set, and the median is read from the
-    count of zero norms and the affected norms.
+    count of zero norms and the affected norms.  The affected rows are read
+    PIECE at a time, as slices of a saturated state and gathered into
+    scratch otherwise, into one difference array, whose squares are then
+    formed in place, and one norms array.
     """
     n = state.n_particles
-    affected = state.affected
-    norms = row_norms(np.compress(affected, state.tangents, axis=0))
+    index = None if state.affected.all() else np.flatnonzero(state.affected)
+    count = n if index is None else index.size
+    gathered = np.empty((0 if index is None else 2, min(PIECE, count), 2))
+
+    def pieces(*arrays):
+        """(lo, hi, the affected rows lo..hi of each array), PIECE rows at a time."""
+        for lo in range(0, count, PIECE):
+            hi = min(lo + PIECE, count)
+            if index is None:
+                yield lo, hi, [array[lo:hi] for array in arrays]
+            else:
+                yield lo, hi, [np.take(array, index[lo:hi], axis=0, mode="clip",
+                                       out=rows[:hi - lo])
+                               for array, rows in zip(arrays, gathered)]
+
     twin = math.nan
     if state.twin_points is not None:
-        diff = torus_diff_arrays(np.compress(affected, state.twin_points, axis=0),
-                                 np.compress(affected, state.points, axis=0))
-        twin = root_sum_squares(diff)
+        diff = np.empty((count, 2))
+        for lo, hi, (twin_points, points) in pieces(state.twin_points, state.points):
+            torus_diff_arrays(twin_points, points, out=diff[lo:hi])
+        twin = root_sum_squares(diff, out=diff)
+        del diff
+    norms = np.empty(count)
+    for lo, hi, (tangents,) in pieces(state.tangents):
+        row_norms(tangents, out=norms[lo:hi])
     return (
-        norms.size,
+        count,
         root_sum_squares(norms),
         float(norms.max(initial=0.0)),
         _median_with_zeros(norms, n),
@@ -238,13 +301,16 @@ def _median_with_zeros(norms: np.ndarray, n: int) -> float:
 
     The middle of the sorted n values lies at positions lo and hi; a position
     below the zero count holds 0.  The norms are partitioned only when the
-    zeros do not fill the middle.
+    zeros do not fill the middle, in place when none of them is 0, so the
+    caller must be done with their order.
     """
-    zeros = n - np.count_nonzero(norms)
+    positive = np.count_nonzero(norms)
+    zeros = n - positive
     lo, hi = (n - 1) // 2, n // 2
     if hi < zeros:
         return 0.0
-    nonzero = np.partition(norms[norms > 0], (max(lo - zeros, 0), hi - zeros))
+    nonzero = norms if positive == norms.size else norms[norms > 0]
+    nonzero.partition((max(lo - zeros, 0), hi - zeros))
     low = nonzero[lo - zeros] if lo >= zeros else 0.0
     return float((low + nonzero[hi - zeros]) / 2)
 
@@ -260,7 +326,7 @@ def evolve(config: RunConfig, model: CollisionModel) -> Iterator[GasState]:
     state = init_gas(config, model, rng)
     yield state
     for _ in range(config.steps):
-        state, _pairs = step(state, model, rng, config.pairing)
+        state = step(state, model, rng, config.pairing)[0]  # keeps no pairs between steps
         yield state
 
 
@@ -288,8 +354,7 @@ def with_diagnostics(config: RunConfig, states: Iterable[GasState]
 def run_paired(config: RunConfig, model: CollisionModel) -> Trajectory:
     """Evolve the gas for config.steps steps and return its per-step diagnostics."""
     traj, states = with_diagnostics(config, evolve(config, model))
-    for _ in states:
-        pass
+    deque(states, maxlen=0)  # drops each state before the next is diagnosed
     return traj
 
 

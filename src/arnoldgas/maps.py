@@ -16,7 +16,9 @@ Displacements (tangent vectors) obey the same linear relations without any
 additive constants and without mod-1 reduction: the tangent space is linear,
 so tangent propagation is exact for this piecewise-linear dynamics.
 
-All functions here are pure and never mutate their array arguments.
+All functions here are pure and never mutate their array arguments, apart
+from an `out=` array, which receives the result.  `out=` lets a caller work
+in fixed scratch (see gas.PIECE); each formula is still written once.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ import numpy as np
 DEFAULT_CAT_MATRIX = ((1, 1), (1, 2))
 
 
-def _wrap_unit(values: np.ndarray) -> np.ndarray:
-    """Reduce componentwise into [0, 1) as a - floor(a).
+def _wrap_unit(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Reduce componentwise into [0, 1) as a - floor(a), written to `out`
+    when it is given; `out` must not share memory with `values`.
 
     For a tiny negative a the subtraction rounds to exactly 1.0, which would
     violate the half-open interval; those entries become 0.  The result is
@@ -39,7 +42,7 @@ def _wrap_unit(values: np.ndarray) -> np.ndarray:
     at a fraction of its cost.
     """
     a = np.asarray(values, dtype=float)
-    out = np.floor(a)
+    out = np.floor(a, out=out)
     np.subtract(a, out, out=out)
     np.copyto(out, 0.0, where=out == 1.0)
     return out
@@ -146,9 +149,10 @@ def apply_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     batch (a matrix product through BLAS does not).
     """
     (k00, k01), (k10, k11) = matrix
+    x, p = rows[:, 0], rows[:, 1]
     out = np.empty(rows.shape)
-    out[:, 0] = k00 * rows[:, 0] + k01 * rows[:, 1]
-    out[:, 1] = k10 * rows[:, 0] + k11 * rows[:, 1]
+    np.add(k00 * x, k01 * p, out=out[:, 0])
+    np.add(k10 * x, k11 * p, out=out[:, 1])
     return out
 
 
@@ -162,8 +166,9 @@ def row_items(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.complex128)[:, 0]
 
 
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """|row| of each row of an (n, 2) float array, without underflow.
+def row_norms(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|row| of each row of an (n, 2) float array, without underflow, written
+    to the (n,) array `out` when it is given.
 
     Each row is scaled by the power of two 2^-e that brings its larger
     component into [0.5, 1), so its squares neither underflow nor overflow,
@@ -177,21 +182,24 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     x *= x
     p *= p
     x += p
-    return np.ldexp(np.sqrt(x, out=x), e, out=x)
+    return np.ldexp(np.sqrt(x, out=x), e, out=x if out is None else out)
 
 
-def root_sum_squares(values: np.ndarray, index: np.ndarray | None = None) -> float:
+def root_sum_squares(values: np.ndarray, index: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> float:
     """sqrt of the sum of squares of every entry of `values`, without underflow.
 
     As row_norms, with one power-of-two scale for the whole array, taken from
     its largest magnitude; the sum runs in the order of np.sum(values**2).
     With `index`, `values` is an (n, 2) array and the sum runs over the rows
-    values[index], squared once per row of `values` and then gathered.
-    Raises ValueError, naming --epsilon, when the result overflows a float
-    or is not finite because an entry is not.
+    values[index], squared once per row of `values` and then gathered.  The
+    scaled squares are formed in `out` when it is given, which may be
+    `values` itself.  Raises ValueError, naming --epsilon, when the result
+    overflows a float or is not finite because an entry is not.
     """
-    _, e = np.frexp(np.max(np.abs(values), initial=0.0))
-    squares = np.ldexp(values, -e)
+    # the largest magnitude, without an array of magnitudes
+    _, e = np.frexp(max(np.max(values, initial=0.0), -np.min(values, initial=0.0)))
+    squares = np.ldexp(values, -e, out=out)
     np.square(squares, out=squares)
     if index is not None:
         squares = np.take(squares, index, axis=0)
@@ -206,20 +214,24 @@ def root_sum_squares(values: np.ndarray, index: np.ndarray | None = None) -> flo
 
 
 def collide_linear(
-    model: CollisionModel, x0: np.ndarray, x1: np.ndarray
+    model: CollisionModel, x0: np.ndarray, x1: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pair update without mod-1 reduction, over (n, 2) arrays.
 
     With s = K- (x1 - x0), x0' = x0 + s and x1' = x1 - s, each row on its
     own (see apply_rows).  x1 - x0 is the plain difference of the stored
     values, not a minimal image: K+- have half-integer entries, so the
-    collision depends on the lift.
+    collision depends on the lift.  With out = (out0, out1) the results are
+    written there, and out may be (x0, x1) itself.
 
     This is the whole collision for tangent vectors; phase points wrap its
     result (see collide_arrays).
     """
     s = apply_rows(model.k_minus, x1 - x0)
-    return x0 + s, x1 - s
+    if out is None:
+        return x0 + s, x1 - s
+    return np.add(x0, s, out=out[0]), np.subtract(x1, s, out=out[1])
 
 
 def collide_arrays(
@@ -239,6 +251,11 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
 
 
-def torus_diff_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized minimal-image difference on arrays of torus coordinates, in [-0.5, 0.5)."""
-    return _wrap_unit(np.asarray(a, dtype=float) - np.asarray(b, dtype=float) + 0.5) - 0.5
+def torus_diff_arrays(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized minimal-image difference on arrays of torus coordinates, in
+    [-0.5, 0.5), written to `out` when it is given."""
+    shifted = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    shifted += 0.5
+    diff = _wrap_unit(shifted, out=out)
+    diff -= 0.5
+    return diff

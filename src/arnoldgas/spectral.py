@@ -13,7 +13,7 @@ simulation against the reference, and the tangent-linear estimate
 
 `delta_series` computes every requested mode in one pass over a run's gas
 states, one row per state on its own pool of worker threads.  It draws the
-states as `gas.evolve` yields them and keeps at most 2*threads + 1 of them
+states as `gas.evolve` yields them and keeps at most threads + 1 of them
 alive, not the whole run; perfbench traces it under that name.  k . v is
 written once, in `ModeIndex.k_dot`, as multiply-adds, so no output byte
 depends on BLAS.  Because k = 2*pi*(m1, m2) with integer m, each wave
@@ -153,11 +153,16 @@ class ModeIndex(NamedTuple):
     m1: int
     m2: int
 
-    def k_dot(self, v, out=None, scratch=None) -> np.ndarray:
+    def k_dot(self, v, out=None, scratch=None, scratch_has_m1=False) -> np.ndarray:
         """k . v over the last axis of v, as multiply-adds; written to `out`,
-        with `scratch` for m2 * v[..., 1], when they are given."""
-        total = np.add(np.multiply(self.m1, v[..., 0], out=out),
-                       np.multiply(self.m2, v[..., 1], out=scratch), out=out)
+        with m1 * v[..., 0] formed in `scratch`, when they are given.
+
+        A caller that has just called k_dot on the same v and scratch for a
+        mode with the same m1 passes scratch_has_m1, and m1 * v[..., 0] is
+        not formed again."""
+        m1_term = (scratch if scratch_has_m1
+                   else np.multiply(self.m1, v[..., 0], out=scratch))
+        total = np.add(m1_term, np.multiply(self.m2, v[..., 1], out=out), out=out)
         return np.multiply(TWO_PI, total, out=out)
 
 
@@ -328,9 +333,12 @@ class _RowArrays:
         sums = np.zeros((4, len(self.modes)), dtype=complex)
         values, linear, twin, phase = sums
         for start in range(0, state.n_particles, CHUNK):
+            points = state.points[start:start + CHUNK]
             unaffected = ~state.affected[start:start + CHUNK]
-            self.load(np.compress(unaffected, state.points[start:start + CHUNK], axis=0,
-                                  out=self.points[:np.count_nonzero(unaffected)]))
+            if not unaffected.all():
+                points = np.compress(unaffected, points, axis=0,
+                                     out=self.points[:np.count_nonzero(unaffected)])
+            self.load(points)
             for j, mode in enumerate(self.modes):
                 values[j] += self.wave(mode).sum()
         has_twin = state.twin_points is not None
@@ -349,7 +357,10 @@ class _RowArrays:
             for j, mode in enumerate(self.modes):
                 waves = self.wave(mode)
                 wave = waves[:n]
-                k_dot = mode.k_dot(tangents, out=self.k_dot[0, :n], scratch=self.k_dot[1, :n])
+                # the canonical modes come grouped by m1, so m1 * v_x stays in
+                # the first k_dot row while m1 repeats
+                k_dot = mode.k_dot(tangents, out=self.k_dot[1, :n], scratch=self.k_dot[0, :n],
+                                   scratch_has_m1=j > 0 and self.modes[j - 1].m1 == mode.m1)
                 phase[j] += wave.sum()
                 linear[j] += np.multiply(wave, k_dot, out=temp).sum()
                 if has_twin:
@@ -365,8 +376,9 @@ def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
     `states` are one run's states at t = 0, 1, ..., each read once; each row
     takes the exact route from its own state's twin points, when it has
     them.  The calling thread draws each state and submits its row to a
-    pool of `threads` workers; once more than 2*threads rows are waiting it
-    waits for the oldest, so at most 2*threads + 1 states are alive.  Rows
+    pool of `threads` workers; once more than `threads` rows are waiting it
+    waits for the oldest, so at most threads + 1 states are alive: those of
+    the rows still waiting and the one the gas makes next.  Rows
     are kept in the order drawn, so the result does not depend on the
     worker count.  Each worker sums, under the caller's np.errstate, the
     canonical mode of every +-k pair in arrays it owns for the call; the
@@ -389,7 +401,7 @@ def delta_series(states: Iterable[GasState], modes: Sequence[ModeIndex],
     with ThreadPoolExecutor(threads) as pool:
         for state in states:
             pending.append(pool.submit(row, state))
-            if len(pending) > 2 * threads:
+            if len(pending) > threads:
                 rows.append(pending.popleft().result())
         rows.extend(future.result() for future in pending)
     if state is None:
@@ -532,8 +544,9 @@ def analyse_gas(config: RunConfig, model: CollisionModel, modes: Sequence[ModeIn
     trajectory, states = with_diagnostics(config, evolve(config, model))
     with np.errstate(over="raise", invalid="raise"):
         all_series = delta_series(states, modes, threads) if modes else []
-        for _ in states:  # runs the gas when no mode pass has drawn the states
-            pass
+        # runs the gas when no mode pass has drawn the states, dropping each
+        # state before the next is diagnosed
+        deque(states, maxlen=0)
     window = fit_window(config.n_particles, config.steps)
     results = []
     for series in all_series:

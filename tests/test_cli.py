@@ -134,7 +134,7 @@ class TestDefaults:
                                       ["gas", "--particles", "2", "--steps", "1"]],
                              ids=["tree", "gas"])
     def test_short_matrix_refused_before_writing(self, tmp_path, capsys, argv):
-        for matrix in ["1,2,3", "a,b,c,d", "1.5,1,1,2", "1,1,1,2,"]:
+        for matrix in ["1,2,3", "a,b,c,d", "1.5,1,1,2", "1,1,1,2,", "0_1, +1,1 ,2"]:
             assert run([*argv, "--matrix", matrix, "--out", str(tmp_path / "m.csv")]) == 1
             err = capsys.readouterr().err
             assert err == "error: matrix must be four comma-separated integers a,b,c,d\n"
@@ -484,6 +484,24 @@ class TestGas:
         assert run(["gas", "--particles", "64", "--steps", "4", "--modes", "1",
                     "--threads", "0", "--out", str(tmp_path / "c.csv")]) == 0
         assert threads == [1]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_zero_threads_leaves_one_cpu_to_the_gas(self, tmp_path, monkeypatch, capsys,
+                                                    cpus):
+        threads = []
+
+        def recording(config, model, modes, threads_given=1):
+            threads.append(threads_given)
+            raise ValueError("stopped before the gas ran")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(spectral, "analyse_gas", recording)
+        assert run(["gas", "--particles", "64", "--steps", "4", "--modes", "1",
+                    "--threads", "0", "--out", str(tmp_path / "c.csv")]) == 1
+        assert threads == [max(1, cpus - 1)]
+        assert "stopped before the gas ran" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_exponent_estimate_matches_affected_wave_oracle(self, tmp_path, model):
         out = tmp_path / "x.csv"
@@ -1050,8 +1068,12 @@ def test_pairing_choices_are_the_pairing_table():
     assert pairing.choices == sorted(gas.PAIRINGS)
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     assert cli.build_parser().prog == "arnoldgas"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["gas", "--particles", "not-a-number"])
-    assert exc.value.code == 1
+    # int() reads the last four, but each integer option takes [+-]?[0-9]+ only
+    for option in [["--particles", "not-a-number"], ["--particles", "1_024"],
+                   ["--particles", " 64"], ["--seed", "1_0"], ["--modes", " 1"]]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gas", "--particles", "64", "--steps", "2", *option,
+                      "--out", str(tmp_path / "u.csv")])
+        assert exc.value.code == 1

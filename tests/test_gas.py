@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arnoldgas import gas, maps
+from arnoldgas import gas, maps, spectral
 from arnoldgas.gas import GasState, RunConfig
 
 
@@ -159,24 +161,110 @@ class TestAffectedSetStep:
                 partial += 1
         assert partial >= 5 and saturated >= 5
 
+    @pytest.mark.parametrize("pairing", ["random", "tree"])
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_matches_full_update_in_pieces_of_5(self, model, monkeypatch, pairing, n):
+        # every pair set and every diagnostics pass then spans many pieces,
+        # the last one short
+        monkeypatch.setattr(gas, "PIECE", 5)
+        self.test_matches_full_update(model, pairing, n)
+
     @pytest.mark.parametrize("n", [255, 256])
     @pytest.mark.parametrize("shift", [-1, 0, 1])
     def test_diagnostics_match_full_arrays(self, model, n, shift):
         # affected counts around N/2 put the median's middle positions on
         # either side of the zero norms of the unaffected particles
-        rng = np.random.default_rng(n + shift)
-        count = n // 2 + shift
-        points = rng.random((n, 2))
-        tangents = np.zeros((n, 2))
-        affected = np.zeros(n, dtype=bool)
-        chosen = rng.permutation(n)[:count]
-        affected[chosen] = True
-        tangents[chosen] = rng.normal(size=(count, 2)) * 1e-9
-        tangents[chosen[0]] = 0.0  # an affected particle may carry no displacement
-        twin_points = maps._wrap_unit(points + tangents)
-        state = GasState(points=points, tangents=tangents, affected=affected, t=0,
-                         twin_points=twin_points)
+        assert_diagnostics_match(twin_state(n, n // 2 + shift, seed=n + shift))
+
+    @pytest.mark.parametrize("n", [255, 256])
+    @pytest.mark.parametrize("shift", [-1, 0, 1, "saturated"])
+    def test_diagnostics_in_pieces_of_5(self, model, monkeypatch, n, shift):
+        # a saturated state is read in slices, any other is gathered
+        state = (twin_state(n, n, seed=n) if shift == "saturated"
+                 else twin_state(n, n // 2 + shift, seed=n + shift))
+        whole = gas._diagnostics(state)
+        monkeypatch.setattr(gas, "PIECE", 5)
         assert_diagnostics_match(state)
+        assert np.array(gas._diagnostics(state)).tobytes() == np.array(whole).tobytes()
+
+
+def twin_state(n, count, seed):
+    """A twin state of n particles, count of them affected."""
+    rng = np.random.default_rng(seed)
+    points = rng.random((n, 2))
+    tangents = np.zeros((n, 2))
+    affected = np.zeros(n, dtype=bool)
+    chosen = rng.permutation(n)[:count]
+    affected[chosen] = True
+    tangents[chosen] = rng.normal(size=(count, 2)) * 1e-9
+    tangents[chosen[0]] = 0.0  # an affected particle may carry no displacement
+    twin_points = maps._wrap_unit(points + tangents)
+    return GasState(points=points, tangents=tangents, affected=affected, t=0,
+                    twin_points=twin_points)
+
+
+class TestBoundedMemory:
+    """A run holds its live states plus fixed scratch."""
+
+    def test_step_and_diagnostics_transients_below_the_state(self, model):
+        # the arrays a saturated twin step or its diagnostics allocate beyond
+        # the states they return; scratch of PIECE rows is a third of the
+        # state at this size
+        config = RunConfig(n_particles=2**16, steps=0, seed=1, pairing="tree", twin=True)
+        rng = np.random.default_rng(config.seed)
+        state = gas.init_gas(config, model, rng)
+        while not state.affected.all():
+            state, _ = gas.step(state, model, rng, config.pairing)
+        state_bytes = sum(array.nbytes for array in (state.points, state.tangents,
+                                                     state.affected, state.twin_points))
+        tracemalloc.start()
+        try:
+            new, pairs = gas.step(state, model, rng, config.pairing)
+            current, peak = tracemalloc.get_traced_memory()
+            step_transient = peak - current
+            tracemalloc.reset_peak()
+            gas._diagnostics(new)
+            current, peak = tracemalloc.get_traced_memory()
+            diagnostics_transient = peak - current
+        finally:
+            tracemalloc.stop()
+        assert step_transient < 0.75 * state_bytes
+        assert diagnostics_transient < 0.75 * state_bytes
+
+    @pytest.mark.parametrize("drain", ["run_paired", "analyse_gas"])
+    def test_draining_a_run_keeps_two_states(self, model, monkeypatch, drain):
+        # GasState cannot be hashed, so each state gets a finalizer, which
+        # stays alive as long as its state does
+        finalizers, alive_after_step, alive_in_diagnostics = [], [], []
+        init_gas, step, diagnostics = gas.init_gas, gas.step, gas._diagnostics
+
+        def tracked_init_gas(*args):
+            state = init_gas(*args)
+            finalizers.append(weakref.finalize(state, lambda: None))
+            return state
+
+        def tracked_step(*args):
+            new, pairs = step(*args)
+            finalizers.append(weakref.finalize(new, lambda: None))
+            alive_after_step.append(sum(f.alive for f in finalizers))
+            return new, pairs
+
+        def tracked_diagnostics(state):
+            alive_in_diagnostics.append(sum(f.alive for f in finalizers))
+            return diagnostics(state)
+
+        monkeypatch.setattr(gas, "init_gas", tracked_init_gas)
+        monkeypatch.setattr(gas, "step", tracked_step)
+        monkeypatch.setattr(gas, "_diagnostics", tracked_diagnostics)
+        config = RunConfig(n_particles=256, steps=12, seed=1, pairing="tree", twin=True)
+        if drain == "run_paired":
+            gas.run_paired(config, model)
+        else:
+            spectral.analyse_gas(config, model, [])
+        assert len(finalizers) == 13
+        # the state a step reads and the one it makes; then the new one alone
+        assert max(alive_after_step) == 2
+        assert alive_in_diagnostics == [1] * 13
 
 
 class TestRunPaired:

@@ -183,7 +183,7 @@ class TestModeSeries:
 
         series = spectral.delta_series(counted_states(), spectral.enumerate_modes(4), threads)
         assert len(series[0].values) == 25
-        assert peak <= 2 * threads + 1
+        assert peak <= threads + 1
 
 
 def assert_same_series(expected, got):
