@@ -39,6 +39,10 @@ COMMANDS = [
     "gas --particles 513 --steps 12 --twin on --modes 3",
     "gas --particles 1000 --steps 5 --modes 0",
     "gas --particles 1024 --steps 20 --twin on --modes 1 --matrix 2,-1,-1,1 --seed 4",
+    # More than one gas.PIECE of pairs: random pairing at odd N in 3 pieces,
+    # and tree pairing in 2.
+    "gas --particles 70001 --steps 12 --twin on --modes 0",
+    "gas --particles 65536 --steps 16 --pairing tree --twin on --modes 0",
     "tree --stages 18",
     # The tree runs at unit scale, so these summaries equal the default
     # one's; epsilon scales only the written cells, each rounded once
