@@ -7,12 +7,12 @@ Columns: stage, geometric mean, arithmetic mean, whole-gas dilation, the
 
 import argparse
 
-from arnoldgas import maps, tree, verify
+from arnoldgas import cli, maps, tree, verify
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-stages", type=int, default=12)
+    parser.add_argument("--max-stages", type=cli.integer, default=12)
     args = parser.parse_args()
     if not 0 <= args.max_stages <= tree.DEFAULT_MAX_STAGES:
         parser.error(f"--max-stages must be in 0..{tree.DEFAULT_MAX_STAGES}, "

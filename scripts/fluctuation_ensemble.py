@@ -12,15 +12,15 @@ import sys
 
 import numpy as np
 
-from arnoldgas import gas, maps, spectral
+from arnoldgas import cli, gas, maps, spectral
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--particles", type=int, default=2**16)
-    parser.add_argument("--seeds", type=int, default=100)
-    parser.add_argument("--steps", type=int, default=16)
-    parser.add_argument("--mode", type=int, nargs=2, default=(1, 0), metavar=("M1", "M2"))
+    parser.add_argument("--particles", type=cli.integer, default=2**16)
+    parser.add_argument("--seeds", type=cli.integer, default=100)
+    parser.add_argument("--steps", type=cli.integer, default=16)
+    parser.add_argument("--mode", type=cli.integer, nargs=2, default=(1, 0), metavar=("M1", "M2"))
     parser.add_argument("--pairing", choices=sorted(gas.PAIRINGS), default="tree")
     args = parser.parse_args()
     if args.seeds < 1:

@@ -363,8 +363,8 @@ def _read_spectrum_csv(path: Path) -> tuple[dict, dict[tuple[int, int], np.ndarr
             raise ValueError(f"{path} line {number} has {len(cells)} cells, "
                              f"expected {len(columns)}")
         try:
-            key = (int(cells[idx["m1"]]), int(cells[idx["m2"]]))
-            t = int(cells[idx["t"]])
+            key = (integer(cells[idx["m1"]]), integer(cells[idx["m2"]]))
+            t = integer(cells[idx["t"]])
             pair = (float(cells[idx["delta_twin"]]), float(cells[idx["delta_linear"]]))
         except ValueError as exc:
             raise ValueError(f"{path} line {number}: {exc}") from None

@@ -26,12 +26,13 @@ and a caller keeps what it needs.  `with_diagnostics` fills in the per-step
 diagnostics as states pass, so `spectral.analyse_gas` analyses modes in
 the same pass.  A run's memory is its live states plus fixed scratch: a step
 holds the state it reads and the state it writes, and besides them its pair
-indices and a few flags per particle; it collides PIECE pairs at a time in
-scratch that does not grow with N, and the diagnostics read a state PIECE
-rows at a time into one norms array and one difference array.  A caller
-that only drains the states (`run_paired`, or `spectral.analyse_gas`
-without modes) drops each one before the next is diagnosed, and the mode
-pass keeps at most threads + 1 (see `spectral.delta_series`).
+rows (one C-contiguous (2, N // 2) index array, see PAIRINGS) and a few
+flags per particle; it collides PIECE pairs at a time in scratch that does
+not grow with N, and the diagnostics read a state PIECE rows at a time into
+one norms array and one difference array.  A caller that only drains the
+states (`run_paired`, or `spectral.analyse_gas` without modes) drops each
+one before the next is diagnosed, and the mode pass keeps at most
+threads + 1 (see `spectral.delta_series`).
 """
 
 from __future__ import annotations
@@ -133,9 +134,9 @@ def init_gas(config: RunConfig, model: CollisionModel, rng: np.random.Generator)
 
 
 def _random_matching(affected: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform perfect matching of all particles as a (k, 2) index array; odd leftover idles."""
+    """Uniform perfect matching, pair i = (perm[2i], perm[2i+1]); an odd leftover idles."""
     perm = rng.permutation(affected.size)
-    return perm[: 2 * (perm.size // 2)].reshape(-1, 2)
+    return perm[: 2 * (perm.size // 2)].reshape(-1, 2).T.copy()
 
 
 def _tree_matching(affected: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -149,38 +150,37 @@ def _tree_matching(affected: np.ndarray, rng: np.random.Generator) -> np.ndarray
     rng.shuffle(idx_aff)
     rng.shuffle(idx_un)
     k = min(idx_aff.size, idx_un.size)
-    pairs = np.empty((affected.size // 2, 2), dtype=np.intp)
-    pairs[:k, 0], pairs[:k, 1] = idx_aff[:k], idx_un[:k]
+    pairs = np.empty((2, affected.size // 2), dtype=np.intp)
+    pairs[0, :k], pairs[1, :k] = idx_aff[:k], idx_un[:k]
     leftover = idx_aff[k:] if k < idx_aff.size else idx_un[k:]  # one side is used up
-    pairs[k:] = leftover[:2 * (len(pairs) - k)].reshape(-1, 2)
+    pairs[:, k:] = leftover[:2 * (pairs.shape[1] - k)].reshape(-1, 2).T
     return pairs
 
 
-# pairing name -> matching(affected, rng), a (k, 2) array of pair indices
+# pairing name -> matching(affected, rng), which returns the pair rows: one
+# C-contiguous (2, N // 2) index array whose rows 0 and 1 hold the two sides
+# of each pair, so that every gather and scatter of a step reads a contiguous
+# index from the matching to the scatter
 PAIRINGS = {"random": _random_matching, "tree": _tree_matching}
 
 
 def _collide_pieces(model: CollisionModel, src: np.ndarray, dst: np.ndarray,
-                    pairs: np.ndarray, index: np.ndarray, rows: np.ndarray,
-                    wrap: bool) -> None:
+                    pairs: np.ndarray, rows: np.ndarray, wrap: bool) -> None:
     """dst[i], dst[j] = the collision of src[i] and src[j] for each pair (i, j)
-    of the (k, 2) array pairs, wrapped into [0, 1) when `wrap`.
+    of the pair rows `pairs`, wrapped into [0, 1) when `wrap`.
 
-    PIECE pairs at a time, in the scratch it is handed: `index`, (2, PIECE)
-    integers, takes the piece's two columns, so each gather and scatter has a
-    contiguous index (a strided one slows both at 2^20 rows), and `rows`,
-    (3, PIECE, 2) floats, takes the gathered rows, which collide in place
-    (maps.collide_linear), and their wrapped images.  Rows are gathered by
+    PIECE pairs at a time: a piece's slice of each pair row is the contiguous
+    index of its gathers and scatters (a strided one slows both at 2^20 rows),
+    and `rows`, (3, PIECE, 2) floats, takes the gathered rows, which collide
+    in place (maps.collide_linear), and their wrapped images.  Rows are gathered by
     np.take and scattered as one complex item each (maps.row_items).  The
     kernel is row-wise, so the pieces give the bits of one whole-array call.
     dst must be C-ordered.
     """
     items = row_items(dst)
-    for start in range(0, len(pairs), PIECE):
-        piece = pairs[start:start + PIECE]
-        n = len(piece)
-        i, j = index[:, :n]
-        np.copyto(index[:, :n], piece.T)
+    for start in range(0, pairs.shape[1], PIECE):
+        i, j = pairs[:, start:start + PIECE]
+        n = i.size
         # mode="clip" takes straight into out; "raise" buffers a copy
         x0 = np.take(src, i, axis=0, mode="clip", out=rows[0, :n])
         x1 = np.take(src, j, axis=0, mode="clip", out=rows[1, :n])
@@ -194,10 +194,11 @@ def _collide_pieces(model: CollisionModel, src: np.ndarray, dst: np.ndarray,
 
 def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
          pairing: str) -> tuple[GasState, np.ndarray]:
-    """Advance one mean collision time; returns (new state, pair indices).
+    """Advance one mean collision time; returns (new state, pair rows).
 
-    Every pair PAIRINGS[pairing] lists collides; positions wrap mod 1,
-    tangents propagate linearly, and affected flags spread.  Tangents and twin
+    Every pair of the pair rows that PAIRINGS[pairing] draws collides;
+    positions wrap mod 1, tangents propagate linearly, and affected flags
+    spread.  Tangents and twin
     points are collided only on pairs that touch the affected set.  Each pair
     set collides PIECE pairs at a time (`_collide_pieces`), so beside the two
     states a step holds only its pairs, a few flags per particle and scratch
@@ -208,25 +209,24 @@ def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
     pairs = PAIRINGS[pairing](state.affected, rng)
 
     was = state.affected
-    touched = was[pairs]
-    hit = touched[:, 0] | touched[:, 1]
-    hit_pairs = pairs if hit.all() else pairs[hit]
-    index = np.empty((2, min(PIECE, len(pairs))), np.intp)
-    rows = np.empty((3, index.shape[1], 2))
+    hit = was[pairs[0]] | was[pairs[1]]
+    # np.compress keeps the rows contiguous; pairs[:, hit] would not
+    hit_pairs = pairs if hit.all() else np.compress(hit, pairs, axis=1)
+    rows = np.empty((3, min(PIECE, pairs.shape[1]), 2))
 
     # the pairs overwrite every row unless a particle idles (odd N), and the
     # hit pairs do too once every pair is hit
-    every_row = 2 * len(pairs) == state.n_particles
+    every_row = 2 * pairs.shape[1] == state.n_particles
     every_hit_row = every_row and hit_pairs is pairs
     points = np.empty_like(state.points, order="C") if every_row else state.points.copy()
-    _collide_pieces(model, state.points, points, pairs, index, rows, wrap=True)
+    _collide_pieces(model, state.points, points, pairs, rows, wrap=True)
 
     # A pair that touches no affected particle keeps tangents 0 and takes the
     # new reference points as its twin points (see the module docstring); an
     # affected particle that idles (odd N) keeps its tangent and twin point.
     tangents = (np.empty_like(state.tangents, order="C") if every_hit_row
                 else state.tangents.copy())
-    _collide_pieces(model, state.tangents, tangents, hit_pairs, index, rows, wrap=False)
+    _collide_pieces(model, state.tangents, tangents, hit_pairs, rows, wrap=False)
 
     affected = was.copy()
     affected[hit_pairs] = True
@@ -238,8 +238,7 @@ def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
         else:
             twin_points = points.copy()
             np.copyto(row_items(twin_points), row_items(state.twin_points), where=was)
-        _collide_pieces(model, state.twin_points, twin_points, hit_pairs, index, rows,
-                        wrap=True)
+        _collide_pieces(model, state.twin_points, twin_points, hit_pairs, rows, wrap=True)
 
     new_state = GasState(
         points=points,

@@ -853,12 +853,16 @@ class TestSpectrum:
         ("# {}\nt,m1,m2,delta_twin,delta_linear\n0,1,0,nan,1\n1,1,0,nan,x\n",
          "line 4: could not convert string to float: 'x'"),
         ("# {}\nt,m1,m2,delta_twin,delta_linear\n0,1.5,0,nan,1\n",
-         "line 3: invalid literal for int()"),
+         "line 3: invalid integer: '1.5'"),
+        ("# {}\nt,m1,m2,delta_twin,delta_linear\n 0,1,0,nan,1\n",
+         "line 3: invalid integer: ' 0'"),
+        ("# {}\nt,m1,m2,delta_twin,delta_linear\n0,0_1,0,nan,1\n",
+         "line 3: invalid integer: '0_1'"),
         ("# {not json\nt,m1,m2,delta_twin,delta_linear\n0,1,0,nan,1\n",
          "line 1: Expecting property name"),
         ("# {}\nt,m1,m2,delta_linear\n0,1,0,1\n", "is missing column 'delta_twin'"),
     ], ids=["cut-after-manifest", "cut-after-columns", "short-row", "bad-float", "bad-int",
-            "bad-manifest", "no-twin-column"])
+            "spaced-int", "underscored-int", "bad-manifest", "no-twin-column"])
     def test_truncated_file_is_usage_error(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)

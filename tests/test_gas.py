@@ -54,7 +54,7 @@ class TestStep:
                              np.random.default_rng(3))
         new, pairs = gas.step(state, model, np.random.default_rng(0), "random")
         assert np.all(new.affected)
-        assert pairs.shape == (1, 2)
+        assert pairs.shape == (2, 1)
 
     def test_affected_doubling_bound(self, model):
         config = RunConfig(n_particles=256, steps=0, seed=11)
@@ -68,7 +68,7 @@ class TestStep:
         state = gas.init_gas(RunConfig(n_particles=7, steps=0, seed=2), model,
                              np.random.default_rng(2))
         new, pairs = gas.step(state, model, np.random.default_rng(2), "random")
-        assert pairs.shape == (3, 2)
+        assert pairs.shape == (2, 3)
         idle = set(range(7)) - set(pairs.ravel().tolist())
         assert len(idle) == 1
         i = idle.pop()
@@ -98,10 +98,34 @@ class TestPairings:
         with pytest.raises(ValueError, match="unknown pairing mode 'full'"):
             gas.step(state, model, np.random.default_rng(0), "full")
 
+    @pytest.mark.parametrize("pairing", ["random", "tree"])
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_matching_returns_contiguous_pair_rows(self, model, monkeypatch, pairing, n):
+        state = twin_state(n, n // 2, seed=n)
+        pairs = gas.PAIRINGS[pairing](state.affected, np.random.default_rng(n))
+        assert pairs.shape == (2, n // 2)
+        assert pairs.dtype == np.intp and pairs.flags.c_contiguous
+        assert np.unique(pairs).size == pairs.size
+        assert pairs.min() >= 0 and pairs.max() < n
+        assert n - pairs.size == n % 2  # an odd particle idles
+
+        # the point, tangent and twin pair sets, each in many pieces
+        handed = []
+        collide_pieces = gas._collide_pieces
+
+        def spy(model, src, dst, pairs, rows, wrap):
+            handed.append(pairs.flags.c_contiguous)
+            collide_pieces(model, src, dst, pairs, rows, wrap=wrap)
+
+        monkeypatch.setattr(gas, "PIECE", 5)
+        monkeypatch.setattr(gas, "_collide_pieces", spy)
+        gas.step(state, model, np.random.default_rng(n), pairing)
+        assert handed == [True] * 3
+
 
 def full_update(model, state, pairs):
     """One step that collides points, tangents and twin points on every pair."""
-    i, j = pairs[:, 0], pairs[:, 1]
+    i, j = pairs
     out = []
     for arr, collide in ((state.points, maps.collide_arrays),
                          (state.tangents, maps.collide_linear),
@@ -289,7 +313,7 @@ class TestRunPaired:
         state = gas.init_gas(config, model, rng)
         for _ in range(10):
             new, pairs = gas.step(state, model, rng, "random")
-            i, j = pairs[:, 0], pairs[:, 1]
+            i, j = pairs
             before = (state.points[i] + state.points[j]) % 1.0
             after = (new.points[i] + new.points[j]) % 1.0
             assert np.max(np.abs(maps.torus_diff_arrays(after, before))) < 1e-12

@@ -96,10 +96,25 @@ def test_dilation_table_refuses_stages_out_of_range(stages):
     assert result.stdout == ""
 
 
+def test_dilation_table_refuses_a_non_integer_stage_count():
+    # int() would read 1_0 as 10 stages
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "dilation_table.py"),
+                             "--max-stages", "1_0"],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[-1].endswith(
+        "argument --max-stages: invalid integer value: '1_0'")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("args,message", [
     (["--particles", "1"], "need at least 2 particles"),
     (["--mode", "0", "0"], "--mode 0 0 is the conserved normalization"),
-], ids=["one-particle", "zero-mode"])
+    (["--particles", "1_024"], "invalid integer value: '1_024'"),
+    (["--mode", "1", " 0"], "invalid integer value: ' 0'"),
+], ids=["one-particle", "zero-mode", "underscored-particles", "spaced-mode"])
 def test_fluctuation_ensemble_refuses_bad_run(args, message):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, str(ROOT / "scripts" / "fluctuation_ensemble.py"),
