@@ -26,13 +26,14 @@ and a caller keeps what it needs.  `with_diagnostics` fills in the per-step
 diagnostics as states pass, so `spectral.analyse_gas` analyses modes in
 the same pass.  A run's memory is its live states plus fixed scratch: a step
 holds the state it reads and the state it writes, and besides them its pair
-rows (one C-contiguous (2, N // 2) index array, see PAIRINGS) and a few
-flags per particle; it collides PIECE pairs at a time in scratch that does
-not grow with N, and the diagnostics read a state PIECE rows at a time into
-one norms array and one difference array.  A caller that only drains the
-states (`run_paired`, or `spectral.analyse_gas` without modes) drops each
-one before the next is diagnosed, and the mode pass keeps at most
-threads + 1 (see `spectral.delta_series`).
+rows (one C-contiguous (2, N // 2) index array whose rows 0 and 1 hold the
+two sides of each pair) and a few flags per particle; it collides PIECE
+pairs at a time in scratch that does not grow with N, and the diagnostics
+read a state PIECE rows at a time into one norms array and one difference
+array.  A caller that only drains the states (`run_paired`, or
+`spectral.analyse_gas` without modes) drops each one before the next is
+diagnosed, and the mode pass keeps at most threads + 1 (see
+`spectral.delta_series`).
 """
 
 from __future__ import annotations
@@ -159,23 +160,22 @@ def _tree_matching(affected: np.ndarray, rng: np.random.Generator) -> np.ndarray
 
 # pairing name -> matching(affected, rng), which returns the pair rows: one
 # C-contiguous (2, N // 2) index array whose rows 0 and 1 hold the two sides
-# of each pair, so that every gather and scatter of a step reads a contiguous
-# index from the matching to the scatter
+# of each pair, so every gather and scatter of a step reads a contiguous index
 PAIRINGS = {"random": _random_matching, "tree": _tree_matching}
 
 
 def _collide_pieces(model: CollisionModel, src: np.ndarray, dst: np.ndarray,
                     pairs: np.ndarray, rows: np.ndarray, wrap: bool) -> None:
     """dst[i], dst[j] = the collision of src[i] and src[j] for each pair (i, j)
-    of the pair rows `pairs`, wrapped into [0, 1) when `wrap`.
+    of the pair rows `pairs` (see PAIRINGS), wrapped into [0, 1) when `wrap`.
 
-    PIECE pairs at a time: a piece's slice of each pair row is the contiguous
-    index of its gathers and scatters (a strided one slows both at 2^20 rows),
-    and `rows`, (3, PIECE, 2) floats, takes the gathered rows, which collide
-    in place (maps.collide_linear), and their wrapped images.  Rows are gathered by
-    np.take and scattered as one complex item each (maps.row_items).  The
-    kernel is row-wise, so the pieces give the bits of one whole-array call.
-    dst must be C-ordered.
+    PIECE pairs at a time: a piece's slice of the two pair rows is the
+    contiguous index of its gathers and scatters (a strided one slows both at
+    2^20 rows), and `rows`, (3, PIECE, 2) floats, takes the gathered rows,
+    which collide in place (maps.collide_linear), and their wrapped images.
+    Rows are gathered by np.take and scattered as one complex item each
+    (maps.row_items).  The kernel is row-wise, so the pieces give the bits of
+    one whole-array call.  dst must be C-ordered.
     """
     items = row_items(dst)
     for start in range(0, pairs.shape[1], PIECE):
@@ -198,11 +198,10 @@ def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
 
     Every pair of the pair rows that PAIRINGS[pairing] draws collides;
     positions wrap mod 1, tangents propagate linearly, and affected flags
-    spread.  Tangents and twin
-    points are collided only on pairs that touch the affected set.  Each pair
-    set collides PIECE pairs at a time (`_collide_pieces`), so beside the two
-    states a step holds only its pairs, a few flags per particle and scratch
-    of fixed size.
+    spread.  Tangents and twin points are collided only on the pair rows of
+    the pairs that touch the affected set.  Each pair set collides PIECE
+    pairs at a time (`_collide_pieces`), so beside the two states a step holds
+    only its pair rows, a few flags per particle and scratch of fixed size.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing mode {pairing!r}")
