@@ -226,7 +226,8 @@ def collide_linear(
     written there, and out may be (x0, x1) itself.
 
     This is the whole collision for tangent vectors; phase points wrap its
-    result (see collide_arrays).
+    result.  gas.step collides with it; collide_arrays is the tests'
+    whole-array reference.
     """
     s = apply_rows(model.k_minus, x1 - x0)
     if out is None:
@@ -239,7 +240,8 @@ def collide_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pair collision over (n, 2) arrays of phase points, mod 1.
 
-    x0' = K+ x0 + K- x1 and x1' = K- x0 + K+ x1.
+    x0' = K+ x0 + K- x1 and x1' = K- x0 + K+ x1.  The tests' whole-array
+    reference for the collision that gas.step runs PIECE pairs at a time.
     """
     out0, out1 = collide_linear(model, x0, x1)
     return _wrap_unit(out0), _wrap_unit(out1)

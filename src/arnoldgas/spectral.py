@@ -28,8 +28,7 @@ exp(-2*pi*i*x) from a table of exp(-2*pi*i*j/M), M = 4096, kept in two parts,
 and two short Taylor polynomials in the exact remainder of M x, after Tang,
 ACM TOMS 15:144 (1989).  It uses real multiply, add, rint and a gather only,
 errs by at most 2**-54 + 3e-18 in each component, and gives the same bits
-whichever SIMD loops numpy picks.  `fourier_component` keeps `np.exp`: it is
-the independent oracle of the tests.
+whichever SIMD loops numpy picks.
 
 A row forms each particle's waves once, for all modes at a time.  An
 unaffected particle's waves feed the value sum only: the state is cut into
@@ -174,14 +173,6 @@ def enumerate_modes(max_order: int) -> list[ModeIndex]:
         for m2 in range(-max_order, max_order + 1)
         if (m1, m2) != (0, 0)
     ]
-
-
-def fourier_component(points, mode: ModeIndex) -> complex:
-    """n_k = sum_i exp(-2*pi*i (m1 x_i + m2 p_i)); divide by N for ntilde_k."""
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        raise ValueError("need at least one particle")
-    return complex(np.exp(-1j * mode.k_dot(pts)).sum())
 
 
 @dataclass

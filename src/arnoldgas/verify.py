@@ -3,7 +3,9 @@
 Each check compares a measured quantity against an independent expectation
 (closed form, brute-force enumeration, or a twin simulation) at a fixed
 tolerance.  The CLI `verify` subcommand runs these and exits nonzero on any
-failure.  The oracles are small functions of one model, tree run or seed, so
+failure.  The checks run the code the outputs come from: the mode pass's
+kernel (`spectral.unit_wave`), one `gas.step`, and `spectral.analyse_gas`.
+The oracles are small functions of one model, tree run or seed, so
 the acceptance tests and scripts/dilation_table.py apply the same oracles
 over their own stage ranges, seeds and tolerances.
 """
@@ -122,23 +124,22 @@ def run_checks() -> list[CheckResult]:
     results.append(_check("grid-permutation", float(len(image & grid)), 25.0, 0.0,
                           detail="Q=5 rational grid maps onto itself"))
 
-    # pair-sum conservation mod 1 on random inputs
+    # one gas.step conserves each pair's sum mod 1; with N = 65 one particle idles
     rng = np.random.default_rng(12345)
-    a, b = rng.random((64, 2)), rng.random((64, 2))
-    a2, b2 = maps.collide_arrays(model, a, b)
-    sum_err = float(np.max(np.abs(maps.torus_diff_arrays((a2 + b2) % 1.0, (a + b) % 1.0))))
+    state = gas.init_gas(gas.RunConfig(n_particles=65, steps=1), model, rng)
+    stepped, pairs = gas.step(state, model, rng, "random")
+    sums, stepped_sums = state.points[pairs].sum(axis=0), stepped.points[pairs].sum(axis=0)
+    sum_err = float(np.max(np.abs(maps.torus_diff_arrays(stepped_sums, sums))))
     results.append(_check("pair-sum-conservation", sum_err, 0.0, 1e-12))
 
-    # Fourier conjugate symmetry
-    pts = rng.random((256, 2))
+    # the mode pass's kernel gives conjugate waves at negated turns m . X
+    x, p = rng.random((256, 2)).T
     worst = 0.0
-    for m1, m2 in product(range(-2, 3), repeat=2):
-        if (m1, m2) == (0, 0):
-            continue
-        nk = spectral.fourier_component(pts, spectral.ModeIndex(m1, m2))
-        nmk = spectral.fourier_component(pts, spectral.ModeIndex(-m1, -m2))
-        worst = max(worst, abs(nmk - nk.conjugate()))
-    results.append(_check("fourier-symmetry", worst, 0.0, 1e-9, detail="n_{-k} = conj(n_k)"))
+    for mode in spectral.enumerate_modes(2):
+        turns = mode.m1 * x + mode.m2 * p
+        gap = spectral.unit_wave(-turns) - np.conj(spectral.unit_wave(turns))
+        worst = max(worst, float(np.max(np.abs(gap))))
+    results.append(_check("fourier-symmetry", worst, 0.0, 0.0, detail="n_{-k} = conj(n_k)"))
 
     # collision-tree enumeration against the closed forms
     max_stage = 12
@@ -166,8 +167,8 @@ def run_checks() -> list[CheckResult]:
 
     # tree-faithful pairing saturates the affected set at exactly log2 N
     c = gas.RunConfig(n_particles=1024, steps=12, seed=7, pairing="tree")
-    t3 = gas.run_paired(c, model)
-    results.append(_check("tree-pairing-saturation", float(t3.saturation_step),
+    trajectory = spectral.analyse_gas(c, model, []).trajectory
+    results.append(_check("tree-pairing-saturation", float(trajectory.saturation_step),
                           10.0, 0.0, detail="N=1024 saturates at step 10"))
 
     return results

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import errno
 import hashlib
 import json
@@ -1062,6 +1063,34 @@ class TestVerify:
         assert out.count("FAIL") == 2  # the failing line plus the summary
         assert "all 17 checks passed" not in out
         assert out.count("PASS ") == 16  # every other check still runs
+
+    @pytest.mark.parametrize("path", ["kernel", "step", "saturation"])
+    def test_broken_product_path_fails_its_check(self, path, capsys, monkeypatch):
+        # each check runs the code that the outputs come from, so breaking
+        # that code fails the check
+        def unit_wave(x):  # one ulp off at negative turns
+            wave = exact(x)
+            negative = np.asarray(x) < 0
+            wave.real[negative] = np.nextafter(wave.real[negative], 2.0)
+            return wave
+
+        def collide_linear(model, x0, x1, out=None):  # nudges its first output
+            y0, y1 = exact(model, x0, x1, out=out)
+            y0 += 1e-9
+            return y0, y1
+
+        def analyse_gas(config, *args):  # runs random pairing
+            return exact(dataclasses.replace(config, pairing="random"), *args)
+
+        module, broken, check = {
+            "kernel": (spectral, unit_wave, "fourier-symmetry"),
+            "step": (gas, collide_linear, "pair-sum-conservation"),
+            "saturation": (spectral, analyse_gas, "tree-pairing-saturation"),
+        }[path]
+        exact = getattr(module, broken.__name__)
+        monkeypatch.setattr(module, broken.__name__, broken)
+        assert run(["verify"]) == 3
+        assert f"FAIL {check}:" in capsys.readouterr().out
 
 
 def test_pairing_choices_are_the_pairing_table():

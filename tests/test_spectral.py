@@ -19,43 +19,6 @@ from arnoldgas.gas import RunConfig
 from arnoldgas.spectral import ModeIndex
 
 
-class TestFourierComponent:
-    def test_single_particle_quarter_turn(self):
-        value = spectral.fourier_component(np.array([[0.25, 0.0]]), ModeIndex(1, 0))
-        assert value == pytest.approx(-1j, abs=1e-12)
-
-    def test_no_points_refused(self):
-        with pytest.raises(ValueError, match="at least one particle"):
-            spectral.fourier_component(np.empty((0, 2)), ModeIndex(1, 0))
-
-    def test_zero_mode_counts_particles(self):
-        pts = np.random.default_rng(0).random((37, 2))
-        value = spectral.fourier_component(pts, ModeIndex(0, 0))
-        assert value == pytest.approx(37.0, abs=1e-9)
-
-    def test_uniform_gas_modes_are_small(self):
-        # random-phase sum: |ntilde_k| < 5/sqrt(N) essentially always
-        n = 10_000
-        hits = 0
-        for seed in range(100):
-            pts = np.random.default_rng(seed).random((n, 2))
-            value = spectral.fourier_component(pts, ModeIndex(1, 0)) / n
-            hits += abs(value) < 5 / math.sqrt(n)
-        assert hits >= 99
-
-    def test_conjugate_symmetry(self):
-        pts = np.random.default_rng(3).random((128, 2))
-        for m1, m2 in [(1, 0), (0, 1), (2, -3), (-4, 4)]:
-            nk = spectral.fourier_component(pts, ModeIndex(m1, m2))
-            nmk = spectral.fourier_component(pts, ModeIndex(-m1, -m2))
-            assert nmk == pytest.approx(nk.conjugate(), abs=1e-9)
-
-    def test_magnitude_bounded_by_n(self):
-        pts = np.random.default_rng(4).random((64, 2))
-        for mode in spectral.enumerate_modes(2):
-            assert abs(spectral.fourier_component(pts, mode)) <= 64 + 1e-9
-
-
 class TestDeltaSeries:
     def test_zero_tangents_give_zero_linear_estimate(self, model):
         states = list(gas.evolve(RunConfig(n_particles=16, steps=4, seed=0), model))
@@ -119,7 +82,7 @@ class TestModeSeries:
             kvec = 2 * math.pi * np.array([mode.m1, mode.m2], dtype=float)
             for t, state in enumerate(states):
                 pts, tangents = state.points, state.tangents
-                value = spectral.fourier_component(pts, mode) / n
+                value = np.exp(-1j * (pts @ kvec)).sum() / n
                 assert abs(series.values[t] - value) <= 8 * order * eps
                 k_dot_d = tangents @ kvec
                 linear = (-1j / n) * (np.exp(-1j * (pts @ kvec)) * k_dot_d).sum()
@@ -554,6 +517,24 @@ class TestUnitWave:
             # bit for bit, so that every zero is +0
             assert hi.tobytes() == rounded.tobytes()
             assert lo.tobytes() == rest.tobytes()
+
+    def test_negated_turns_give_the_conjugate(self):
+        # numpy's == counts -0 and +0 as equal: the signs of zero differ at
+        # turns that are multiples of 1/2
+        x, p = np.random.default_rng(3).random((128, 2)).T
+        turns = np.concatenate([m1 * x + m2 * p for m1, m2 in [(1, 0), (0, 1), (2, -3), (-4, 4)]]
+                               + [[0.0, 0.25, -0.25, 0.5, -0.5, 1 / 4096, 2.0**49]])
+        assert np.all(spectral.unit_wave(-turns) == np.conj(spectral.unit_wave(turns)))
+
+    def test_uniform_gas_modes_are_small(self):
+        # random-phase sum: |ntilde_k| < 5/sqrt(N) essentially always
+        n = 10_000
+        hits = 0
+        for seed in range(100):
+            pts = np.random.default_rng(seed).random((n, 2))
+            value = spectral.unit_wave(pts[:, 0]).sum() / n
+            hits += abs(value) < 5 / math.sqrt(n)
+        assert hits >= 99
 
     def test_complex_table_rows_are_the_turn_table(self):
         # bit for bit, so that the kernel's gathers give the tested entries:
