@@ -7,7 +7,8 @@ of the CSV body it writes to `--out` (the file without its manifest line): a
 gas trajectory or the tree leaves.  `summaries` holds, for each command in
 SUMMARY_COMMANDS, the digest of its whole `.summary.json`.  None of these
 bytes depend on numpy's CPU dispatch.  The spectrum CSV and the gas summary
-still do, until the complex-free mode row in ROADMAP.md, so they are left out.
+still do, until ROADMAP item 3 (the same spectrum on every x86-64 host)
+lands, so they are left out.
 
 A change that alters any of these bytes bumps `__version__` and reruns this
 script with --write.  Under the recorded version --write refuses, writing

@@ -75,17 +75,33 @@ def unit_keyed(record: KineticParams | KineticDerived) -> dict[str, float]:
             getattr(record, f.name) for f in fields(record)}
 
 
+def _positive(name: str, formula) -> float:
+    """formula(), refused with a ValueError naming `name` unless it is finite
+    and > 0; float arithmetic that overflows or divides by an underflowed
+    zero is refused the same way."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"derived {name} is not a positive finite number: "
+                         "the inputs are out of range")
+    return value
+
+
 def derive(params: KineticParams) -> KineticDerived:
-    """Derive particle count, mean free path/speed/time and collision rate."""
+    """Derive particle count, mean free path/speed/time and collision rate,
+    each refused (ValueError) unless it is a positive finite number."""
     kt = BOLTZMANN * params.temperature
-    n_particles = params.pressure * params.length**3 / kt
-    mean_free_path = kt / (math.sqrt(2.0) * math.pi * params.diameter**2 * params.pressure)
-    mean_speed = math.sqrt(8.0 * kt / (math.pi * params.mass))
-    mean_free_time = mean_free_path / mean_speed
+    n_particles = _positive("n_particles", lambda: params.pressure * params.length**3 / kt)
+    mean_free_path = _positive("mean_free_path", lambda: kt / (
+        math.sqrt(2.0) * math.pi * params.diameter**2 * params.pressure))
+    mean_speed = _positive("mean_speed", lambda: math.sqrt(8.0 * kt / (math.pi * params.mass)))
+    mean_free_time = _positive("mean_free_time", lambda: mean_free_path / mean_speed)
     return KineticDerived(
         n_particles=n_particles,
         mean_free_path=mean_free_path,
         mean_speed=mean_speed,
         mean_free_time=mean_free_time,
-        collision_rate=1.0 / mean_free_time,
+        collision_rate=_positive("collision_rate", lambda: 1.0 / mean_free_time),
     )

@@ -92,13 +92,16 @@ def spectral_decompose(m) -> CollisionModel:
     forces lambda^2 - tr*lambda + 1 = 0), not an iterative solver, so the
     default matrix reproduces (3 +- sqrt(5))/2 to full precision.
 
-    Raises ValueError naming the violated condition for non-integer,
-    non-unimodular, or non-hyperbolic input.
+    Raises ValueError naming the violated condition for an entry outside
+    int64, or non-integer, non-unimodular, or non-hyperbolic input.
     """
-    m = np.asarray(m)
+    m = np.asarray(m, dtype=object)  # the entries as given, before any cast can wrap them
     if m.shape != (2, 2):
         raise ValueError(f"collision matrix must be 2x2, got shape {m.shape}")
-    if not np.all(m == np.round(m)):
+    for entry in m.flat:
+        if not -2**63 <= entry < 2**63:
+            raise ValueError(f"collision matrix entries must lie in [-2**63, 2**63), got {entry}")
+    if not all(entry == int(entry) for entry in m.flat):
         raise ValueError("collision matrix must have integer entries")
     m = m.astype(np.int64)
     det = int(m[0, 0]) * int(m[1, 1]) - int(m[0, 1]) * int(m[1, 0])

@@ -152,17 +152,9 @@ class ModeIndex(NamedTuple):
     m1: int
     m2: int
 
-    def k_dot(self, v, out=None, scratch=None, scratch_has_m1=False) -> np.ndarray:
-        """k . v over the last axis of v, as multiply-adds; written to `out`,
-        with m1 * v[..., 0] formed in `scratch`, when they are given.
-
-        A caller that has just called k_dot on the same v and scratch for a
-        mode with the same m1 passes scratch_has_m1, and m1 * v[..., 0] is
-        not formed again."""
-        m1_term = (scratch if scratch_has_m1
-                   else np.multiply(self.m1, v[..., 0], out=scratch))
-        total = np.add(m1_term, np.multiply(self.m2, v[..., 1], out=out), out=out)
-        return np.multiply(TWO_PI, total, out=out)
+    def k_dot(self, v) -> np.ndarray:
+        """k . v over the last axis of v, as multiply-adds."""
+        return TWO_PI * (self.m1 * v[..., 0] + self.m2 * v[..., 1])
 
 
 def enumerate_modes(max_order: int) -> list[ModeIndex]:
@@ -268,11 +260,11 @@ class _RowArrays:
     - `tangents`, BLOCK tangents of the affected points.
 
     Every one is written with `out=` and sliced to the points loaded.
-    Nothing but the kernel runs during a load, so `conjugate` and `product`
-    (2 CHUNK complex values each), `temp` (BLOCK complex values) and the
-    two `k_dot` rows (BLOCK floats each) are carved out of `scratch`.  The
-    kernel's complex `rest` row is powers[1]: z**2 is formed there only
-    after the kernel returns, and at order 1 the row serves `rest` alone.
+    Nothing but the kernel runs during a load, so three views are carved out
+    of `scratch`: `conjugate` and `product`, 2 CHUNK complex values each, and
+    `temp`, BLOCK complex values.  The kernel's complex `rest` row is
+    powers[1]: z**2 is formed there only after the kernel returns, and at
+    order 1 the row serves `rest` alone.
     """
 
     def __init__(self, modes: Sequence[ModeIndex]):
@@ -287,7 +279,6 @@ class _RowArrays:
         self.conjugate = idle[:2 * CHUNK].view(complex)
         self.product = idle[2 * CHUNK:4 * CHUNK].view(complex)
         self.temp = idle[4 * CHUNK:5 * CHUNK].view(complex)
-        self.k_dot = idle[5 * CHUNK:].reshape(2, BLOCK)
         self.n, self.z = 0, self.powers[:self.top, :0]
 
     def load(self, points: np.ndarray) -> None:
@@ -324,12 +315,9 @@ class _RowArrays:
         sums = np.zeros((4, len(self.modes)), dtype=complex)
         values, linear, twin, phase = sums
         for start in range(0, state.n_particles, CHUNK):
-            points = state.points[start:start + CHUNK]
             unaffected = ~state.affected[start:start + CHUNK]
-            if not unaffected.all():
-                points = np.compress(unaffected, points, axis=0,
-                                     out=self.points[:np.count_nonzero(unaffected)])
-            self.load(points)
+            self.load(np.compress(unaffected, state.points[start:start + CHUNK], axis=0,
+                                  out=self.points[:np.count_nonzero(unaffected)]))
             for j, mode in enumerate(self.modes):
                 values[j] += self.wave(mode).sum()
         has_twin = state.twin_points is not None
@@ -348,12 +336,8 @@ class _RowArrays:
             for j, mode in enumerate(self.modes):
                 waves = self.wave(mode)
                 wave = waves[:n]
-                # the canonical modes come grouped by m1, so m1 * v_x stays in
-                # the first k_dot row while m1 repeats
-                k_dot = mode.k_dot(tangents, out=self.k_dot[1, :n], scratch=self.k_dot[0, :n],
-                                   scratch_has_m1=j > 0 and self.modes[j - 1].m1 == mode.m1)
                 phase[j] += wave.sum()
-                linear[j] += np.multiply(wave, k_dot, out=temp).sum()
+                linear[j] += np.multiply(wave, mode.k_dot(tangents), out=temp).sum()
                 if has_twin:
                     twin[j] += np.subtract(waves[n:], wave, out=temp).sum()
         values += phase

@@ -119,6 +119,22 @@ class TestParams:
     def test_zero_temperature_usage_error(self, capsys):
         assert run(["params", "--temperature", "0"]) == 1
 
+    @pytest.mark.parametrize("argv,name", [
+        (["--length", "1e200"], "n_particles"),
+        (["--length", "1e100"], "n_particles"),
+        (["--diameter", "1e-200"], "mean_free_path"),
+        (["--temperature", "1e-320"], "n_particles"),
+        (["--pressure", "1e-320"], "n_particles"),
+        (["--temperature", "1e300", "--pressure", "1e-300"], "n_particles"),
+    ], ids=["length-cubed-overflows", "count-overflows", "diameter-squared-underflows",
+            "kt-underflows", "pressure-underflows", "count-underflows"])
+    def test_derived_value_out_of_range_usage_error(self, capsys, argv, name):
+        assert run(["params", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"derived {name} " in captured.err
+
 
 class TestDefaults:
     """Each default of the command line is the library's."""
@@ -139,6 +155,24 @@ class TestDefaults:
             assert run([*argv, "--matrix", matrix, "--out", str(tmp_path / "m.csv")]) == 1
             err = capsys.readouterr().err
             assert err == "error: matrix must be four comma-separated integers a,b,c,d\n"
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["tree", "--stages", "1"],
+                                      ["gas", "--particles", "2", "--steps", "1"]],
+                             ids=["tree", "gas"])
+    def test_matrix_entry_outside_int64_refused_before_writing(self, tmp_path, capsys, argv):
+        # the last one has det 1 and would wrap to det 0 in an int64 cast
+        for matrix, entry in [("100000000000000000000,1,99999999999999999999,1",
+                               "100000000000000000000"),
+                              ("-9223372036854775808,1,-9223372036854775809,1",
+                               "-9223372036854775809"),
+                              ("9223372036854775808,1,9223372036854775807,1",
+                               "9223372036854775808")]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run([*argv, f"--matrix={matrix}", "--out", str(tmp_path / "m.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: collision matrix entries must lie in [-2**63, 2**63), got {entry}\n"
             assert list(tmp_path.iterdir()) == []
 
     def test_gas_run_defaults(self):
@@ -254,7 +288,8 @@ class TestTree:
         assert default[name] == no_avx2[name]
 
     @pytest.mark.xfail(strict=False, reason=(
-        "ROADMAP's complex-free mode row: numpy picks the SIMD loop of complex multiply "
+        "ROADMAP item 3, the same spectrum on every x86-64 host: numpy picks the SIMD loop "
+        "of complex multiply "
         "at import, and the spectrum and the fits of its columns use it"))
     @pytest.mark.parametrize("name", ["o.spectrum.csv", "o.summary.json"])
     def test_gas_spectrum_and_fits_independent_of_cpu_dispatch(self, dispatch_outputs,

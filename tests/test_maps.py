@@ -82,6 +82,13 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError, match="integer"):
             maps.spectral_decompose([[1.5, 1], [1, 2]])
 
+    def test_rejects_entries_outside_int64(self):
+        for entry in (2**63, -2**63 - 1, 10**20):
+            with pytest.raises(ValueError, match=r"must lie in \[-2\*\*63, 2\*\*63\), got "):
+                maps.spectral_decompose([[entry, 1], [entry - 1, 1]])
+        model = maps.spectral_decompose([[2**63 - 1, 1], [2**63 - 2, 1]])
+        assert model.m.dtype == np.int64 and model.m[0, 0] == 2**63 - 1
+
     def test_generalized_matrix(self):
         # another hyperbolic unimodular matrix: [[2,1],[1,1]], trace 3
         m = maps.spectral_decompose([[2, 1], [1, 1]])

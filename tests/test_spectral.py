@@ -370,13 +370,13 @@ class TestBlockedRow:
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_borrowed_scratch_does_not_leak_between_loads(self, order):
         # The kernel's rows are lent out between loads (the conjugate,
-        # product, temp and k_dot arrays) and its complex row is the z**2
-        # row.  Loads of falling size, over scratch filled with NaN each
-        # time, must each give the waves formed afresh from unit_wave.
+        # product and temp arrays) and its complex row is the z**2 row.
+        # Loads of falling size, over scratch filled with NaN each time,
+        # must each give the waves formed afresh from unit_wave.
         modes = _canonical_modes(order)
         arrays = spectral._RowArrays(modes)
         rest = arrays.powers[1]
-        borrowed = [arrays.conjugate, arrays.product, arrays.temp, arrays.k_dot]
+        borrowed = [arrays.conjugate, arrays.product, arrays.temp]
         for i, a in enumerate(borrowed):
             assert np.shares_memory(a, arrays.scratch)
             assert not any(np.shares_memory(a, b) for b in borrowed[i + 1:])
@@ -587,6 +587,27 @@ class TestUnitWave:
                                     capture_output=True, text=True, timeout=120)
             assert result.returncode == 0, result.stderr
             assert result.stdout == here, disabled
+
+
+class TestModeIndex:
+    def test_k_dot_is_two_pi_times_the_multiply_add(self):
+        # one Python float operation at a time, in the documented order, so
+        # the reference goes through no numpy loop and signed zeros count
+        rng = np.random.default_rng(7)
+        signed_zeros = [[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]
+        rows = np.concatenate([rng.random((64, 2)) * 4 - 2, signed_zeros,
+                               rng.random((16, 2)) * 2e300 - 1e300])
+        for mode in spectral.enumerate_modes(4):
+            want = np.array([2.0 * math.pi * (mode.m1 * vx + mode.m2 * vy)
+                             for vx, vy in rows.tolist()])
+            assert mode.k_dot(rows).tobytes() == want.tobytes(), mode
+            assert float(mode.k_dot(rows[-1])) == want[-1], mode
+
+    def test_k_dot_overflow_raises(self):
+        rows = np.array([[0.5, 0.25], [1.7e308, 1.7e308]])
+        for mode in (ModeIndex(4, 4), ModeIndex(1, 0), ModeIndex(0, -3)):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                mode.k_dot(rows)
 
 
 class TestExponentEstimate:
