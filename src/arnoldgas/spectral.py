@@ -33,10 +33,10 @@ whichever SIMD loops numpy picks.
 A row forms each particle's waves once, for all modes at a time.  An
 unaffected particle's waves feed the value sum only: the state is cut into
 slices of CHUNK = 2 * BLOCK particles, BLOCK = 8192, and each slice's
-unaffected points are compressed into one buffer and add one partial sum.
-An affected particle's waves feed the other three sums: the affected
-particles are gathered BLOCK at a time, each block's points beside its
-twin's points in the same buffer, and the value sum ends with their phase
+unaffected points are gathered into the kernel's first row and add one
+partial sum.  An affected particle's waves feed the other three sums: the
+affected particles are gathered BLOCK at a time, each block's points beside
+its twin's points in the same row, and the value sum ends with their phase
 sum.  A saturated row, where every particle is affected, takes the same path
 with an empty first pass.  Partial sums are added in order and BLOCK and
 CHUNK are constants, so no sum depends on the worker count.  Each load of
@@ -183,11 +183,11 @@ def _canonical(mode: ModeIndex) -> ModeIndex:
     return mode if (mode.m1, mode.m2) > (0, 0) else ModeIndex(-mode.m1, -mode.m2)
 
 
-def _turn_wave(x: np.ndarray, out: np.ndarray, rest: np.ndarray, rows: np.ndarray,
-               index: np.ndarray) -> np.ndarray:
+def _turn_wave(x: np.ndarray, out: np.ndarray, rest: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Write exp(-2*pi*i*x) to out, a complex array of x's shape, using the
-    scratch it is handed: `rest` complex, `rows` three float rows and `index`
-    integers, each of at least x.size values.
+    scratch it is handed: `rest` complex and `rows` three contiguous float
+    rows, each of at least x.size values.  x may be rows[0] itself, sliced
+    and shaped as out: the kernel scales it in place.
 
     With M = TABLE_SIZE, j = rint(M x) and u = M x - j in [-1/2, 1/2] are exact,
     so exp(-2*pi*i*x) = T[j mod M] * exp(-i theta) with theta = 2*pi*u/M.  The
@@ -200,18 +200,24 @@ def _turn_wave(x: np.ndarray, out: np.ndarray, rest: np.ndarray, rows: np.ndarra
     rounded once after its table value and errs by at most 2**-54 + 3e-18.
     Only real multiply, add, rint and a gather are used, so the bits do not
     depend on numpy's choice of SIMD loop.  x must be finite with
-    |x| < 2**50, so that j fits the index array.  The high parts Tr + i Ti
-    are gathered straight into `out` and the low parts tr + i ti into `rest`.
+    |x| < 2**50, so that j fits an index.  Row 0 holds M x, then u, then c;
+    row 1 holds j, then u**2, then a temporary; row 2 holds the table index
+    j mod M, viewed as integers, until the high parts Tr + i Ti are gathered
+    straight into `out` and the low parts tr + i ti into `rest`, and then s.
     """
     shape, size = out.shape, out.size
     turns, j, sin = (row[:size].reshape(shape) for row in rows)
-    index = index[:size].reshape(shape)
+    index = rows[2].view(np.intp)[:size].reshape(shape)
     rest = rest[:size].reshape(shape)
     np.multiply(x, TABLE_SIZE, out=turns)
     np.rint(turns, out=j)
     u = np.subtract(turns, j, out=turns)
     np.copyto(index, j, casting="unsafe")
     np.bitwise_and(index, TABLE_SIZE - 1, out=index)
+    high, low = _turn_table()
+    # mode="clip" takes straight into out; "raise" buffers a copy
+    np.take(high, index, mode="clip", out=out)
+    np.take(low, index, mode="clip", out=rest)
     u2 = np.multiply(u, u, out=j)
     np.multiply(u2, _SIN3, out=sin)
     np.add(sin, _SIN1, out=sin)
@@ -220,10 +226,6 @@ def _turn_wave(x: np.ndarray, out: np.ndarray, rest: np.ndarray, rows: np.ndarra
     np.add(one_minus_cos, _COS2, out=one_minus_cos)
     np.multiply(one_minus_cos, u2, out=one_minus_cos)
     temp = j
-    high, low = _turn_table()
-    # mode="clip" takes straight into out; "raise" buffers a copy
-    np.take(high, index, mode="clip", out=out)
-    np.take(low, index, mode="clip", out=rest)
     t_re, t_im, rest_re, rest_im = out.real, out.imag, rest.real, rest.imag
     np.add(rest_re, np.multiply(t_im, sin, out=temp), out=rest_re)
     np.subtract(rest_re, np.multiply(t_re, one_minus_cos, out=temp), out=rest_re)
@@ -238,33 +240,38 @@ def unit_wave(x) -> np.ndarray:
     """exp(-2*pi*i*x) of a float array, by the table kernel of the mode pass."""
     x = np.asarray(x, dtype=float)
     return _turn_wave(x, np.empty(x.shape, complex), np.empty(x.size, complex),
-                      np.empty((3, x.size)), np.empty(x.size, np.intp))
+                      np.empty((3, x.size)))
 
 
 class _RowArrays:
-    """The CHUNK-sized arrays that one worker thread reuses for every row.
+    """The two CHUNK-sized arrays that one worker thread reuses for every row:
 
-    A load of n points makes z = exp(-2*pi*i coord) by one `_turn_wave` call
-    on their 2n values, x then p, into the first row of `powers`; z**m with
-    m > 0 comes by repeated multiplication into row m - 1, and the negative
-    m2 that a canonical mode can have takes conj(z_p**|m2|), written to
-    `conjugate` just before its product.  The product goes to `product`:
-    written over one of its inputs, numpy may pick another loop, and the
-    bits would change.  The worker allocates five arrays, once:
+    - `powers`, (max(top, 2), 2 CHUNK) complex, top = max |m|, holds z**m of
+      the points loaded, x then p, in row m - 1;
+    - `scratch`, the kernel's three float rows of 2 CHUNK values.
 
-    - `powers`, (max(top, 2), 2 CHUNK) complex, top = max |m|;
-    - `scratch`, the kernel's three float rows of 2 CHUNK values, and
-      `index`, its integer row;
-    - `points`, CHUNK points: a slice's unaffected points, or a block's
-      affected points then its twin points;
-    - `tangents`, BLOCK tangents of the affected points.
+    A load of n points makes z = exp(-2*pi*i coord) of their 2n coordinates
+    by one `_turn_wave` call into the first row of `powers`; z**m with m > 0
+    comes by repeated multiplication into row m - 1.  The kernel's complex
+    `rest` row is powers[1]: z**2 is formed there only after the kernel
+    returns, and at order 1 the row serves `rest` alone.  `scratch` lends
+    out these views, each written with `out=` and sliced to the points
+    loaded:
 
-    Every one is written with `out=` and sliced to the points loaded.
-    Nothing but the kernel runs during a load, so three views are carved out
-    of `scratch`: `conjugate` and `product`, 2 CHUNK complex values each, and
-    `temp`, BLOCK complex values.  The kernel's complex `rest` row is
-    powers[1]: z**2 is formed there only after the kernel returns, and at
-    order 1 the row serves `rest` alone.
+    - during a load, its first row, which takes the coordinates and where
+      the kernel scales them in place, and its third row, which holds the
+      flat indices they are gathered by until the kernel runs;
+    - between loads, `conjugate`, CHUNK complex values, conj(z_p**|m2|) for
+      the negative m2 that a canonical mode can have, written just before
+      its product;
+    - between loads, `product`, CHUNK complex values, a mode's product
+      z_x**m1 z_p**m2: written over one of its inputs, numpy may pick
+      another loop, and the bits would change;
+    - between loads, `temp`, BLOCK complex values, a block's terms of one
+      mode;
+    - from an affected block's load to the next load, `tangents`, the last
+      CHUNK floats, which no other view covers: the block's BLOCK tangents,
+      gathered once the kernel has returned.
     """
 
     def __init__(self, modes: Sequence[ModeIndex]):
@@ -272,21 +279,35 @@ class _RowArrays:
         self.top = max((max(mode.m1, abs(mode.m2)) for mode in modes), default=1)
         self.powers = np.empty((max(self.top, 2), 2 * CHUNK), complex)  # z**m at [m - 1]
         self.scratch = np.empty((3, 2 * CHUNK))
-        self.index = np.empty(2 * CHUNK, np.intp)
-        self.points = np.empty((CHUNK, 2))
-        self.tangents = np.empty((BLOCK, 2))
         idle = self.scratch.reshape(-1)  # 6 CHUNK floats, idle between loads
         self.conjugate = idle[:2 * CHUNK].view(complex)
         self.product = idle[2 * CHUNK:4 * CHUNK].view(complex)
         self.temp = idle[4 * CHUNK:5 * CHUNK].view(complex)
+        self.tangents = idle[5 * CHUNK:].reshape(BLOCK, 2)
         self.n, self.z = 0, self.powers[:self.top, :0]
 
-    def load(self, points: np.ndarray) -> None:
-        """Waves of the (n, 2) array points."""
-        n = self.n = len(points)
+    def load(self, point_sets: Sequence[np.ndarray], index: np.ndarray) -> None:
+        """Waves of the points at index of each C-contiguous (N, 2) array of
+        point_sets, one set after another.
+
+        Point i's x is value 2i of the array's flat view and its p value
+        2i + 1.  Those flat indices go to the kernel's third row, which is
+        free until the kernel runs, and gather the x values of every set,
+        then their p values, into its first row, where the kernel scales
+        them.
+        """
+        sets, size = len(point_sets), len(index)
+        n = self.n = sets * size
         z = self.z = self.powers[:self.top, :2 * n]
+        coords = self.scratch[0, :2 * n]
+        flat = np.add(index, index, out=self.scratch[2].view(np.intp)[:size])
+        for axis in coords.reshape(2, sets, size):
+            # mode="clip" takes straight into out; "raise" buffers a copy
+            for points, out in zip(point_sets, axis):
+                np.take(points.reshape(-1), flat, mode="clip", out=out)
+            flat += 1
         if n:
-            _turn_wave(points.T, z[0].reshape(2, n), self.powers[1], self.scratch, self.index)
+            _turn_wave(coords, z[0], self.powers[1], self.scratch)
         for m in range(1, len(z)):
             np.multiply(z[m - 1], z[0], out=z[m])
 
@@ -315,9 +336,8 @@ class _RowArrays:
         sums = np.zeros((4, len(self.modes)), dtype=complex)
         values, linear, twin, phase = sums
         for start in range(0, state.n_particles, CHUNK):
-            unaffected = ~state.affected[start:start + CHUNK]
-            self.load(np.compress(unaffected, state.points[start:start + CHUNK], axis=0,
-                                  out=self.points[:np.count_nonzero(unaffected)]))
+            unaffected = np.flatnonzero(~state.affected[start:start + CHUNK])
+            self.load([state.points[start:start + CHUNK]], unaffected)
             for j, mode in enumerate(self.modes):
                 values[j] += self.wave(mode).sum()
         has_twin = state.twin_points is not None
@@ -326,12 +346,10 @@ class _RowArrays:
         for start in range(0, len(affected), BLOCK):
             index = affected[start:start + BLOCK]
             n = len(index)
+            self.load(point_sets, index)
             # mode="clip" takes straight into out; "raise" buffers a copy
-            for k, points in enumerate(point_sets):
-                np.take(points, index, axis=0, mode="clip", out=self.points[k * n:(k + 1) * n])
             tangents = np.take(state.tangents, index, axis=0, mode="clip",
                                out=self.tangents[:n])
-            self.load(self.points[:len(point_sets) * n])
             temp = self.temp[:n]
             for j, mode in enumerate(self.modes):
                 waves = self.wave(mode)
