@@ -44,6 +44,9 @@ COMMANDS = [
     # and tree pairing in 2.
     "gas --particles 70001 --steps 12 --twin on --modes 0",
     "gas --particles 65536 --steps 16 --pairing tree --twin on --modes 0",
+    # Odd N with tree pairing: from step 11 on the idle particle is affected,
+    # in row 2h of the layout that gas.step writes.
+    "gas --particles 1025 --steps 12 --pairing tree --twin on --modes 2",
     "tree --stages 18",
     # The tree runs at unit scale, so these summaries equal the default
     # one's; epsilon scales only the written cells, each rounded once

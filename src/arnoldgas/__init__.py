@@ -10,4 +10,4 @@ Modules:
   cli       -- command-line front end with reproducible file output
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

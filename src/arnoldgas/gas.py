@@ -15,25 +15,37 @@ A twin mode evolves a second, fully nonlinear copy of the gas whose particle
 exactness of the tangent instrument can be checked against minimal-image
 trajectory differences.
 
-Off the affected set (the particles the perturbation has reached) tangents
-are exactly 0 and twin points equal the reference points bitwise.  Because
-the pair kernel is row-wise, step collides tangents and twin points only on
-pairs that touch the affected set; every other pair's result is known, and
-the per-step diagnostics sum over the affected set alone.
+A state stores its rows in the pair order of the step that made it, with the
+affected particles (those the perturbation has reached) first: they are rows
+[0, n_affected).  From row n_affected on, tangents are exactly 0 and twin
+points equal the points bitwise.  With h pairs that touch the affected set,
+a step writes
+
+  rows [0, h), [h, 2h)   side 0 and side 1 of those pairs
+  row 2h                 the idle particle (odd N), if it is affected
+  then                   the other pairs, side 0 then side 1
+  last                   an unaffected idle particle
+
+so n_affected = 2h + (1 if the idle particle is affected), and the pairs
+follow from N and n_affected (`pair_blocks`).  A step gathers each array
+once into its new row order, the tangents and twin points only on the new
+affected rows, and collides contiguous halves in place: it never scatters.
+Because the pair kernel is row-wise, tangents and twin points collide only
+on the pairs that touch the affected set; every other pair's result is
+known, and the per-step diagnostics read the affected rows alone.
 
 The gas keeps O(N) memory, not its history: `evolve` yields each step's state
 and a caller keeps what it needs.  `with_diagnostics` fills in the per-step
 diagnostics as states pass, so `spectral.analyse_gas` analyses modes in
 the same pass.  A run's memory is its live states plus fixed scratch: a step
-holds the state it reads and the state it writes, and besides them its pair
-rows (one C-contiguous (2, N // 2) index array whose rows 0 and 1 hold the
-two sides of each pair) and a few flags per particle; it collides PIECE
-pairs at a time in scratch that does not grow with N, and the diagnostics
-read a state PIECE rows at a time into one norms array and one difference
-array.  A caller that only drains the states (`run_paired`, or
-`spectral.analyse_gas` without modes) drops each one before the next is
-diagnosed, and the mode pass keeps at most threads + 1 (see
-`spectral.delta_series`).
+holds the state it reads and the state it writes, and besides them its
+gather order (N indices) and, while it draws that, the shuffled rows it is
+made from; it collides PIECE pairs at a time in scratch that does not grow
+with N, and the diagnostics read a state PIECE rows at a time into one
+norms array and one difference array.  A caller that only drains the states
+(`run_paired`, or `spectral.analyse_gas` without modes) drops each one
+before the next is diagnosed, and the mode pass keeps at most threads + 1
+(see `spectral.delta_series`).
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .maps import (CollisionModel, check_epsilon, collide_linear, root_sum_squares,
-                   row_items, row_norms, torus_diff_arrays, _wrap_unit)
+                   row_norms, torus_diff_arrays, _wrap_unit)
 
 RNG_NAME = "numpy.random.PCG64"
 # pairs a step collides at once, and rows the diagnostics read at once: a
@@ -84,13 +96,14 @@ class RunConfig:
 
 @dataclass
 class GasState:
-    """Parallel per-particle arrays at one time step."""
+    """Per-particle arrays at one time step, the affected rows first (see
+    the module docstring)."""
 
     points: np.ndarray  # (N, 2) in [0, 1)^2
-    tangents: np.ndarray  # (N, 2), unbounded
-    affected: np.ndarray  # (N,) bool, monotone in t
+    tangents: np.ndarray  # (N, 2), unbounded; 0 from row n_affected on
+    n_affected: int  # monotone in t
     t: int
-    twin_points: np.ndarray | None = None
+    twin_points: np.ndarray | None = None  # equal to points from row n_affected on
 
     @property
     def n_particles(self) -> int:
@@ -115,181 +128,160 @@ class Trajectory:
 
 
 def init_gas(config: RunConfig, model: CollisionModel, rng: np.random.Generator) -> GasState:
-    """i.i.d. uniform points drawn from rng; particle 0 carries the whole perturbation."""
+    """i.i.d. uniform points drawn from rng; particle 0, in row 0, carries the
+    whole perturbation.
+
+    Raises ValueError, naming --epsilon and --twin, when the twin cannot
+    resolve the perturbation: when particle 0's twin point rounds to its point.
+    """
     n = config.n_particles
     points = rng.random((n, 2))
     tangents = np.zeros((n, 2))
     tangents[0] = config.epsilon * model.xi_plus
-    affected = np.zeros(n, dtype=bool)
-    affected[0] = True
     twin_points = None
     if config.twin:
         twin_points = _wrap_unit(points + tangents)
-    return GasState(
-        points=points,
-        tangents=tangents,
-        affected=affected,
-        t=0,
-        twin_points=twin_points,
-    )
+        if np.array_equal(twin_points[0], points[0]):
+            raise ValueError(f"--epsilon {config.epsilon!r} is below what --twin on resolves: "
+                             "particle 0's twin point rounds to its point; raise --epsilon "
+                             "or use --twin off")
+    return GasState(points=points, tangents=tangents, n_affected=1, t=0,
+                    twin_points=twin_points)
 
 
-def _random_matching(affected: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform perfect matching, pair i = (perm[2i], perm[2i+1]); an odd leftover idles."""
-    perm = rng.permutation(affected.size)
-    return perm[: 2 * (perm.size // 2)].reshape(-1, 2).T.copy()
+def _random_matching(n: int, affected: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Uniform perfect matching: pair k = (perm[k], perm[N // 2 + k]) of a
+    random permutation of the rows; an odd leftover idles."""
+    perm = rng.permutation(n)
+    half = n // 2
+    sides = perm[:2 * half].reshape(2, half)
+    hit = np.logical_or(sides[0] < affected, sides[1] < affected)
+    h = int(np.count_nonzero(hit))
+    spread = 2 * h + int(n % 2 == 1 and perm[-1] < affected)
+    order = np.empty(n, dtype=np.intp)
+    np.compress(hit, sides, axis=1, out=order[:2 * h].reshape(2, h))
+    np.compress(~hit, sides, axis=1, out=order[spread:spread + 2 * (half - h)].reshape(2, -1))
+    if n % 2:
+        order[2 * h if spread % 2 else -1] = perm[-1]
+    return order, spread
 
 
-def _tree_matching(affected: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Pair every affected particle with a fresh unaffected one if possible.
+def _tree_matching(n: int, affected: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Pair every affected row with a fresh unaffected one while supplies last.
 
-    Leftovers on either side are paired among themselves; one particle idles
-    when the leftover count is odd.
+    The shuffled affected rows fill side 0, up to N // 2 of them, and the
+    shuffled unaffected rows follow, so that leftovers on either side pair
+    among themselves and an odd one idles last.
     """
-    idx_aff = np.nonzero(affected)[0]
-    idx_un = np.nonzero(~affected)[0]
-    rng.shuffle(idx_aff)
-    rng.shuffle(idx_un)
-    k = min(idx_aff.size, idx_un.size)
-    pairs = np.empty((2, affected.size // 2), dtype=np.intp)
-    pairs[0, :k], pairs[1, :k] = idx_aff[:k], idx_un[:k]
-    leftover = idx_aff[k:] if k < idx_aff.size else idx_un[k:]  # one side is used up
-    pairs[:, k:] = leftover[:2 * (pairs.shape[1] - k)].reshape(-1, 2).T
-    return pairs
+    aff, unaff = np.arange(affected), np.arange(affected, n)
+    rng.shuffle(aff)
+    rng.shuffle(unaff)
+    half = n // 2
+    return np.concatenate([aff[:half], unaff, aff[half:]]), min(2 * affected, n)
 
 
-# pairing name -> matching(affected, rng), which returns the pair rows: one
-# C-contiguous (2, N // 2) index array whose rows 0 and 1 hold the two sides
-# of each pair, so every gather and scatter of a step reads a contiguous index
+# pairing name -> matching(N, n_affected, rng), which returns a step's gather
+# order, whose row r is the row that new row r is gathered from, laid out as
+# the module docstring describes, and the new n_affected
 PAIRINGS = {"random": _random_matching, "tree": _tree_matching}
 
 
-def _collide_pieces(model: CollisionModel, src: np.ndarray, dst: np.ndarray,
-                    pairs: np.ndarray, rows: np.ndarray, wrap: bool) -> None:
-    """dst[i], dst[j] = the collision of src[i] and src[j] for each pair (i, j)
-    of the pair rows `pairs` (see PAIRINGS), wrapped into [0, 1) when `wrap`.
+def pair_blocks(n_particles: int, n_affected: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(start, count) of each block of a stepped state's pairs: pair k of a
+    block is rows start + k and start + count + k.  The first block holds
+    the pairs that touch the affected set."""
+    h = n_affected // 2
+    return (0, h), (n_affected, n_particles // 2 - h)
 
-    PIECE pairs at a time: a piece's slice of the two pair rows is the
-    contiguous index of its gathers and scatters (a strided one slows both at
-    2^20 rows), and `rows`, (3, PIECE, 2) floats, takes the gathered rows,
-    which collide in place (maps.collide_linear), and their wrapped images.
-    Rows are gathered by np.take and scattered as one complex item each
-    (maps.row_items).  The kernel is row-wise, so the pieces give the bits of
-    one whole-array call.  dst must be C-ordered.
+
+def _collide_halves(model: CollisionModel, rows: np.ndarray,
+                    blocks: Iterable[tuple[int, int]], scratch: np.ndarray, wrap: bool) -> None:
+    """Collide the pairs of each (start, count) of `blocks` (see pair_blocks)
+    in place in `rows`, wrapped into [0, 1) when `wrap`.
+
+    PIECE pairs at a time: an unwrapped piece collides in place
+    (maps.collide_linear), and a wrapped one into `scratch`, (2, PIECE, 2)
+    floats, from which _wrap_unit, which cannot work in place, writes it
+    back.  The kernel is row-wise, so the pieces give the bits of one
+    whole-array call.
     """
-    items = row_items(dst)
-    for start in range(0, pairs.shape[1], PIECE):
-        i, j = pairs[:, start:start + PIECE]
-        n = i.size
-        # mode="clip" takes straight into out; "raise" buffers a copy
-        x0 = np.take(src, i, axis=0, mode="clip", out=rows[0, :n])
-        x1 = np.take(src, j, axis=0, mode="clip", out=rows[1, :n])
-        collide_linear(model, x0, x1, out=(x0, x1))
-        if wrap:
-            items[i] = row_items(_wrap_unit(x0, out=rows[2, :n]))
-            items[j] = row_items(_wrap_unit(x1, out=rows[2, :n]))
-        else:
-            items[i], items[j] = row_items(x0), row_items(x1)
+    for start, count in blocks:
+        for lo in range(start, start + count, PIECE):
+            hi = min(lo + PIECE, start + count)
+            x0, x1 = rows[lo:hi], rows[lo + count:hi + count]
+            if wrap:
+                y0, y1 = collide_linear(model, x0, x1, out=tuple(scratch[:, :hi - lo]))
+                _wrap_unit(y0, out=x0)
+                _wrap_unit(y1, out=x1)
+            else:
+                collide_linear(model, x0, x1, out=(x0, x1))
 
 
 def step(state: GasState, model: CollisionModel, rng: np.random.Generator,
          pairing: str) -> tuple[GasState, np.ndarray]:
-    """Advance one mean collision time; returns (new state, pair rows).
+    """Advance one mean collision time; returns (new state, order), where the
+    new state's row r is the old state's row order[r].
 
-    Every pair of the pair rows that PAIRINGS[pairing] draws collides;
-    positions wrap mod 1, tangents propagate linearly, and affected flags
-    spread.  Tangents and twin points are collided only on the pair rows of
-    the pairs that touch the affected set.  Each pair set collides PIECE
-    pairs at a time (`_collide_pieces`), so beside the two states a step holds
-    only its pair rows, a few flags per particle and scratch of fixed size.
+    PAIRINGS[pairing] draws the order, and every pair collides: positions
+    wrap mod 1, tangents propagate linearly, and the affected set spreads.
+    One np.take per array gathers all N points, and only the new affected
+    rows of the tangents and twin points, which collide only on the pairs
+    that touch the affected set; each block of pairs collides in place
+    (`_collide_halves`).  So beside the two states a step holds only its
+    order and scratch of fixed size.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing mode {pairing!r}")
-    pairs = PAIRINGS[pairing](state.affected, rng)
+    order, affected = PAIRINGS[pairing](state.n_particles, state.n_affected, rng)
+    blocks = pair_blocks(state.n_particles, affected)
+    scratch = np.empty((2, min(PIECE, state.n_particles // 2), 2))
+    sources = order[:affected]  # the old rows of the new affected rows
 
-    was = state.affected
-    hit = was[pairs[0]] | was[pairs[1]]
-    # np.compress keeps the rows contiguous; pairs[:, hit] would not
-    hit_pairs = pairs if hit.all() else np.compress(hit, pairs, axis=1)
-    rows = np.empty((3, min(PIECE, pairs.shape[1]), 2))
-
-    # the pairs overwrite every row unless a particle idles (odd N), and the
-    # hit pairs do too once every pair is hit
-    every_row = 2 * pairs.shape[1] == state.n_particles
-    every_hit_row = every_row and hit_pairs is pairs
-    points = np.empty_like(state.points, order="C") if every_row else state.points.copy()
-    _collide_pieces(model, state.points, points, pairs, rows, wrap=True)
-
-    # A pair that touches no affected particle keeps tangents 0 and takes the
-    # new reference points as its twin points (see the module docstring); an
-    # affected particle that idles (odd N) keeps its tangent and twin point.
-    tangents = (np.empty_like(state.tangents, order="C") if every_hit_row
-                else state.tangents.copy())
-    _collide_pieces(model, state.tangents, tangents, hit_pairs, rows, wrap=False)
-
-    affected = was.copy()
-    affected[hit_pairs] = True
-
+    points = np.take(state.points, order, axis=0)
+    _collide_halves(model, points, blocks, scratch, wrap=True)
+    # calloc'd, so rows that stay 0 may never be touched
+    tangents = np.zeros(points.shape)
+    # mode="clip" takes straight into out; "raise" buffers a copy
+    np.take(state.tangents, sources, axis=0, mode="clip", out=tangents[:affected])
+    _collide_halves(model, tangents, blocks[:1], scratch, wrap=False)
     twin_points = None
     if state.twin_points is not None:
-        if every_hit_row:
-            twin_points = np.empty_like(state.twin_points, order="C")
-        else:
-            twin_points = points.copy()
-            np.copyto(row_items(twin_points), row_items(state.twin_points), where=was)
-        _collide_pieces(model, state.twin_points, twin_points, hit_pairs, rows, wrap=True)
+        twin_points = np.empty_like(points)
+        np.take(state.twin_points, sources, axis=0, mode="clip", out=twin_points[:affected])
+        _collide_halves(model, twin_points, blocks[:1], scratch, wrap=True)
+        twin_points[affected:] = points[affected:]
 
-    new_state = GasState(
-        points=points,
-        tangents=tangents,
-        affected=affected,
-        t=state.t + 1,
-        twin_points=twin_points,
-    )
-    return new_state, pairs
+    new_state = GasState(points=points, tangents=tangents, n_affected=affected,
+                         t=state.t + 1, twin_points=twin_points)
+    return new_state, order
 
 
 def _diagnostics(state: GasState) -> tuple[int, float, float, float, float]:
     """(affected count, norm, max, median of |dX_i|, twin distance).
 
-    Off the affected set every norm and twin difference is 0, so the sums
-    and the max run over the affected set, and the median is read from the
+    From row n_affected on every norm and twin difference is 0, so the sums
+    and the max run over the affected rows, and the median is read from the
     count of zero norms and the affected norms.  The affected rows are read
-    PIECE at a time, as slices of a saturated state and gathered into
-    scratch otherwise, into one difference array, whose squares are then
+    PIECE at a time into one difference array, whose squares are then
     formed in place, and one norms array.
     """
-    n = state.n_particles
-    index = None if state.affected.all() else np.flatnonzero(state.affected)
-    count = n if index is None else index.size
-    gathered = np.empty((0 if index is None else 2, min(PIECE, count), 2))
-
-    def pieces(*arrays):
-        """(lo, hi, the affected rows lo..hi of each array), PIECE rows at a time."""
-        for lo in range(0, count, PIECE):
-            hi = min(lo + PIECE, count)
-            if index is None:
-                yield lo, hi, [array[lo:hi] for array in arrays]
-            else:
-                yield lo, hi, [np.take(array, index[lo:hi], axis=0, mode="clip",
-                                       out=rows[:hi - lo])
-                               for array, rows in zip(arrays, gathered)]
-
+    count = state.n_affected
+    pieces = [slice(lo, min(lo + PIECE, count)) for lo in range(0, count, PIECE)]
     twin = math.nan
     if state.twin_points is not None:
         diff = np.empty((count, 2))
-        for lo, hi, (twin_points, points) in pieces(state.twin_points, state.points):
-            torus_diff_arrays(twin_points, points, out=diff[lo:hi])
+        for rows in pieces:
+            torus_diff_arrays(state.twin_points[rows], state.points[rows], out=diff[rows])
         twin = root_sum_squares(diff, out=diff)
         del diff
     norms = np.empty(count)
-    for lo, hi, (tangents,) in pieces(state.tangents):
-        row_norms(tangents, out=norms[lo:hi])
+    for rows in pieces:
+        row_norms(state.tangents[rows], out=norms[rows])
     return (
         count,
         root_sum_squares(norms),
         float(norms.max(initial=0.0)),
-        _median_with_zeros(norms, n),
+        _median_with_zeros(norms, state.n_particles),
         twin,
     )
 
@@ -324,7 +316,7 @@ def evolve(config: RunConfig, model: CollisionModel) -> Iterator[GasState]:
     state = init_gas(config, model, rng)
     yield state
     for _ in range(config.steps):
-        state = step(state, model, rng, config.pairing)[0]  # keeps no pairs between steps
+        state = step(state, model, rng, config.pairing)[0]  # keeps no order between steps
         yield state
 
 

@@ -159,16 +159,6 @@ def apply_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def row_items(rows: np.ndarray) -> np.ndarray:
-    """An (n, 2) C-ordered float array as n complex items, one per row.
-
-    A view, not a copy, for scatters and masked copies: numpy assigns 1-D
-    items on a fast path, several times faster than (n, 2) rows.  Gathers
-    need no view: np.take(rows, index, axis=0) on a contiguous index is as fast.
-    """
-    return rows.view(np.complex128)[:, 0]
-
-
 def row_norms(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """|row| of each row of an (n, 2) float array, without underflow, written
     to the (n,) array `out` when it is given.

@@ -30,23 +30,23 @@ ACM TOMS 15:144 (1989).  It uses real multiply, add, rint and a gather only,
 errs by at most 2**-54 + 3e-18 in each component, and gives the same bits
 whichever SIMD loops numpy picks.
 
-A row forms each particle's waves once, for all modes at a time.  An
-unaffected particle's waves feed the value sum only: the state is cut into
-slices of CHUNK = 2 * BLOCK particles, BLOCK = 8192, and each slice's
-unaffected points are gathered into the kernel's first row and add one
-partial sum.  An affected particle's waves feed the other three sums: the
-affected particles are gathered BLOCK at a time, each block's points beside
-its twin's points in the same row, and the value sum ends with their phase
-sum.  A saturated row, where every particle is affected, takes the same path
-with an empty first pass.  Partial sums are added in order and BLOCK and
-CHUNK are constants, so no sum depends on the worker count.  Each load of
-up to CHUNK points makes one kernel call on both axes of all of them, and
-every other numpy call spans up to CHUNK particles: with two or more
-workers, more and shorter calls spend more time handing over the
-interpreter lock than working.  Each pool worker owns the arrays that
-`_RowArrays` describes for the whole pass, so its memory is
-O(CHUNK * max |m|) whatever N is, and a row allocates no array that grows
-with N but the index of its affected particles.
+A row forms each particle's waves once, for all modes at a time.  A state
+stores its affected particles first, in rows [0, a) (see `gas`), so every
+set a row reads is a slice.  An unaffected particle's waves feed the value
+sum only: the rows [a, N) are loaded CHUNK = 2 * BLOCK at a time,
+BLOCK = 8192, and each slice adds one partial sum.  An affected particle's
+waves feed the other three sums: the rows [0, a) are loaded BLOCK at a
+time, each block's points beside its twin's points in the same row, and
+the value sum ends with their phase sum.  A saturated row, where every
+particle is affected, takes the same path with an empty first pass.
+Partial sums are added in order and BLOCK and CHUNK are constants, so no
+sum depends on the worker count.  Each load of up to CHUNK points makes one
+kernel call on both axes of all of them, and every other numpy call spans
+up to CHUNK particles: with two or more workers, more and shorter calls
+spend more time handing over the interpreter lock than working.  Each pool
+worker owns the arrays that `_RowArrays` describes for the whole pass, so
+its memory is O(CHUNK * max |m|) whatever N is, and a row allocates no
+array that grows with N.
 
 Only one mode of each +-k pair is summed: the canonical one, with m1 > 0, or
 m1 = 0 and m2 > 0.  The other follows bit for bit, because its wave is the
@@ -55,9 +55,9 @@ are (re, 0.0 - im) of the canonical mode's and its linear sum is
 (0.0 - re, im).  The fill writes 0.0 - x, never -x, so that an exact zero
 stays +0, as the direct sum gives it.
 
-Off the affected set of a row the tangents are exactly zero and the embedded
-twin's points are bitwise equal to the reference points, so the tangent-linear
-sum and the twin difference run over affected particles only.  The twin delta
+From row a on the tangents are exactly zero and the embedded twin's points
+are bitwise equal to the reference points, so the tangent-linear sum and
+the twin difference run over the affected rows only.  The twin delta
 is sum_{i affected} (w_twin,i - w_ref,i) / N rather than the difference of two
 full N-particle sums, which avoids cancelling two O(1) sums to get an O(eps)
 result.
@@ -254,24 +254,17 @@ class _RowArrays:
     by one `_turn_wave` call into the first row of `powers`; z**m with m > 0
     comes by repeated multiplication into row m - 1.  The kernel's complex
     `rest` row is powers[1]: z**2 is formed there only after the kernel
-    returns, and at order 1 the row serves `rest` alone.  `scratch` lends
-    out these views, each written with `out=` and sliced to the points
-    loaded:
+    returns, and at order 1 the row serves `rest` alone.  During a load the
+    first row of `scratch` takes the coordinates, which the kernel scales in
+    place; between loads `scratch` lends out these views, each written with
+    `out=` and sliced to the points loaded:
 
-    - during a load, its first row, which takes the coordinates and where
-      the kernel scales them in place, and its third row, which holds the
-      flat indices they are gathered by until the kernel runs;
-    - between loads, `conjugate`, CHUNK complex values, conj(z_p**|m2|) for
-      the negative m2 that a canonical mode can have, written just before
-      its product;
-    - between loads, `product`, CHUNK complex values, a mode's product
-      z_x**m1 z_p**m2: written over one of its inputs, numpy may pick
-      another loop, and the bits would change;
-    - between loads, `temp`, BLOCK complex values, a block's terms of one
-      mode;
-    - from an affected block's load to the next load, `tangents`, the last
-      CHUNK floats, which no other view covers: the block's BLOCK tangents,
-      gathered once the kernel has returned.
+    - `conjugate`, CHUNK complex values, conj(z_p**|m2|) for the negative m2
+      that a canonical mode can have, written just before its product;
+    - `product`, CHUNK complex values, a mode's product z_x**m1 z_p**m2:
+      written over one of its inputs, numpy may pick another loop, and the
+      bits would change;
+    - `temp`, BLOCK complex values, a block's terms of one mode.
     """
 
     def __init__(self, modes: Sequence[ModeIndex]):
@@ -283,29 +276,19 @@ class _RowArrays:
         self.conjugate = idle[:2 * CHUNK].view(complex)
         self.product = idle[2 * CHUNK:4 * CHUNK].view(complex)
         self.temp = idle[4 * CHUNK:5 * CHUNK].view(complex)
-        self.tangents = idle[5 * CHUNK:].reshape(BLOCK, 2)
         self.n, self.z = 0, self.powers[:self.top, :0]
 
-    def load(self, point_sets: Sequence[np.ndarray], index: np.ndarray) -> None:
-        """Waves of the points at index of each C-contiguous (N, 2) array of
-        point_sets, one set after another.
-
-        Point i's x is value 2i of the array's flat view and its p value
-        2i + 1.  Those flat indices go to the kernel's third row, which is
-        free until the kernel runs, and gather the x values of every set,
-        then their p values, into its first row, where the kernel scales
-        them.
-        """
-        sets, size = len(point_sets), len(index)
+    def load(self, point_sets: Sequence[np.ndarray]) -> None:
+        """Waves of every point of each (n, 2) array of point_sets, one set
+        after another: the x values of every set, then their p values, are
+        copied into the kernel's first row, where it scales them."""
+        sets, size = len(point_sets), len(point_sets[0])
         n = self.n = sets * size
         z = self.z = self.powers[:self.top, :2 * n]
         coords = self.scratch[0, :2 * n]
-        flat = np.add(index, index, out=self.scratch[2].view(np.intp)[:size])
-        for axis in coords.reshape(2, sets, size):
-            # mode="clip" takes straight into out; "raise" buffers a copy
-            for points, out in zip(point_sets, axis):
-                np.take(points.reshape(-1), flat, mode="clip", out=out)
-            flat += 1
+        for axis, row in enumerate(coords.reshape(2, sets, size)):
+            for points, out in zip(point_sets, row):
+                np.copyto(out, points[:, axis])
         if n:
             _turn_wave(coords, z[0], self.powers[1], self.scratch)
         for m in range(1, len(z)):
@@ -326,31 +309,27 @@ class _RowArrays:
     def sums(self, state: GasState) -> np.ndarray:
         """Unnormalised (values, linear, twin, phase) sums of one state, one column per mode.
 
-        Each particle's waves are formed once.  An unaffected particle's feed
-        the value sum only, one partial sum per CHUNK slice of the state; an
-        affected particle's, gathered BLOCK at a time beside its twin's, feed
-        the other three, and the value sum ends with the phase sum.  Each sum
-        adds its partial sums in order to 0; the twin sum stays 0 when the
-        state has no twin.
+        Each particle's waves are formed once.  The unaffected rows, [a, N)
+        with a = state.n_affected, feed the value sum only, one partial sum
+        per CHUNK rows; the affected rows [0, a), loaded BLOCK at a time
+        beside their twin points, feed the other three, and the value sum
+        ends with the phase sum.  Each sum adds its partial sums in order to
+        0; the twin sum stays 0 when the state has no twin.
         """
         sums = np.zeros((4, len(self.modes)), dtype=complex)
         values, linear, twin, phase = sums
-        for start in range(0, state.n_particles, CHUNK):
-            unaffected = np.flatnonzero(~state.affected[start:start + CHUNK])
-            self.load([state.points[start:start + CHUNK]], unaffected)
+        affected = state.n_affected
+        for start in range(affected, state.n_particles, CHUNK):
+            self.load([state.points[start:start + CHUNK]])
             for j, mode in enumerate(self.modes):
                 values[j] += self.wave(mode).sum()
         has_twin = state.twin_points is not None
         point_sets = [state.points, state.twin_points] if has_twin else [state.points]
-        affected = np.flatnonzero(state.affected)
-        for start in range(0, len(affected), BLOCK):
-            index = affected[start:start + BLOCK]
-            n = len(index)
-            self.load(point_sets, index)
-            # mode="clip" takes straight into out; "raise" buffers a copy
-            tangents = np.take(state.tangents, index, axis=0, mode="clip",
-                               out=self.tangents[:n])
-            temp = self.temp[:n]
+        for start in range(0, affected, BLOCK):
+            stop = min(start + BLOCK, affected)
+            n = stop - start
+            self.load([points[start:stop] for points in point_sets])
+            tangents, temp = state.tangents[start:stop], self.temp[:n]
             for j, mode in enumerate(self.modes):
                 waves = self.wave(mode)
                 wave = waves[:n]

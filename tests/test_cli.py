@@ -457,6 +457,16 @@ class TestGas:
                                        "--epsilon", "1e305"],
                                       "a displacement overflows a float")
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_twin_below_its_resolution_refused_before_writing(self, tmp_path, capsys,
+                                                              threads):
+        # particle 0's twin point rounds to its point: twin_dist would read 0
+        # at every step and no mode could be fitted
+        argv = ["gas", "--particles", "256", "--steps", "8", "--pairing", "tree", "--twin",
+                "on", "--epsilon", "1e-17", "--modes", "1", "--threads", threads]
+        assert_refused_before_writing(tmp_path, capsys, argv, "--twin on resolves")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_negative_seed_refused_before_writing(self, tmp_path, capsys):
         assert run(["gas", "--particles", "64", "--steps", "3", "--seed", "-1", "--modes", "1",
                     "--out", str(tmp_path / "s.csv")]) == 1
@@ -547,8 +557,8 @@ class TestGas:
         summary = read_summary(tmp_path / "x.summary.json")["summary"]
         states = list(gas.evolve(gas.RunConfig(n_particles=256, steps=10, seed=3), model))
         t = summary["fit_window"][1]
-        assert np.count_nonzero(states[t].affected) < 256
-        pts = states[t].points[states[t].affected]
+        assert states[t].n_affected < 256
+        pts = states[t].points[:states[t].n_affected]
         term2 = spectral.exponent_term2(model)
         for report in summary["modes"]:
             kvec = 2 * math.pi * np.array([report["m1"], report["m2"]], dtype=float)

@@ -21,8 +21,8 @@ class TestInitGas:
     def test_single_affected_particle(self, model):
         state = gas.init_gas(RunConfig(n_particles=100, steps=0, seed=1), model,
                              np.random.default_rng(1))
-        assert np.count_nonzero(state.affected) == 1
-        assert state.affected[0]
+        assert state.n_affected == 1
+        assert np.any(state.tangents[0]) and not np.any(state.tangents[1:])
 
     def test_tangent_norm_sum_is_epsilon(self, model):
         eps = 3e-7
@@ -30,6 +30,16 @@ class TestInitGas:
                              np.random.default_rng(5))
         norms = np.linalg.norm(state.tangents, axis=1)
         assert norms.sum() == pytest.approx(eps, rel=1e-12)
+
+    def test_refuses_a_twin_that_cannot_resolve_epsilon(self, model):
+        # at this seed particle 0's coordinates are too large for 1e-17 * xi+
+        # to move them, so the twin would read 0 at every step
+        config = RunConfig(n_particles=256, steps=8, epsilon=1e-17, pairing="tree", twin=True)
+        with pytest.raises(ValueError, match="--epsilon 1e-17 .*--twin"):
+            gas.init_gas(config, model, np.random.default_rng(config.seed))
+        # without the twin the tangents carry any epsilon
+        config = RunConfig(n_particles=256, steps=8, epsilon=1e-17, pairing="tree")
+        assert gas.run_paired(config, model).norm[0] == pytest.approx(1e-17, rel=1e-12)
 
     def test_rejects_tiny_gas(self, model):
         with pytest.raises(ValueError):
@@ -52,9 +62,9 @@ class TestStep:
     def test_two_particles_both_affected_after_one_step(self, model):
         state = gas.init_gas(RunConfig(n_particles=2, steps=0, seed=3), model,
                              np.random.default_rng(3))
-        new, pairs = gas.step(state, model, np.random.default_rng(0), "random")
-        assert np.all(new.affected)
-        assert pairs.shape == (2, 1)
+        new, order = gas.step(state, model, np.random.default_rng(0), "random")
+        assert new.n_affected == 2
+        assert sorted(order.tolist()) == [0, 1]
 
     def test_affected_doubling_bound(self, model):
         config = RunConfig(n_particles=256, steps=0, seed=11)
@@ -62,17 +72,18 @@ class TestStep:
         rng = np.random.default_rng(11)
         for t in range(1, 12):
             state, _ = gas.step(state, model, rng, "random")
-            assert np.count_nonzero(state.affected) <= min(2**t, 256)
+            assert state.n_affected <= min(2**t, 256)
 
     def test_odd_particle_idles(self, model):
         state = gas.init_gas(RunConfig(n_particles=7, steps=0, seed=2), model,
                              np.random.default_rng(2))
-        new, pairs = gas.step(state, model, np.random.default_rng(2), "random")
-        assert pairs.shape == (2, 3)
-        idle = set(range(7)) - set(pairs.ravel().tolist())
-        assert len(idle) == 1
+        new, order = gas.step(state, model, np.random.default_rng(2), "random")
+        i, j = pair_rows(7, new.n_affected)
+        assert i.size == 3
+        idle = set(range(7)) - set(i.tolist()) - set(j.tolist())
+        assert idle == {6 - 4 * (new.n_affected % 2)}  # row 2h if affected, else last
         i = idle.pop()
-        assert np.array_equal(new.points[i], state.points[i])
+        assert np.array_equal(new.points[i], state.points[order[i]])
 
     def test_points_stay_in_unit_square(self, model):
         state = gas.init_gas(RunConfig(n_particles=64, steps=0, seed=9), model,
@@ -100,42 +111,50 @@ class TestPairings:
 
     @pytest.mark.parametrize("pairing", ["random", "tree"])
     @pytest.mark.parametrize("n", [255, 256])
-    def test_matching_returns_contiguous_pair_rows(self, model, monkeypatch, pairing, n):
-        state = twin_state(n, n // 2, seed=n)
-        pairs = gas.PAIRINGS[pairing](state.affected, np.random.default_rng(n))
-        assert pairs.shape == (2, n // 2)
-        assert pairs.dtype == np.intp and pairs.flags.c_contiguous
-        assert np.unique(pairs).size == pairs.size
-        assert pairs.min() >= 0 and pairs.max() < n
-        assert n - pairs.size == n % 2  # an odd particle idles
-
-        # the point, tangent and twin pair sets, each in many pieces
-        handed = []
-        collide_pieces = gas._collide_pieces
-
-        def spy(model, src, dst, pairs, rows, wrap):
-            handed.append(pairs.flags.c_contiguous)
-            collide_pieces(model, src, dst, pairs, rows, wrap=wrap)
-
-        monkeypatch.setattr(gas, "PIECE", 5)
-        monkeypatch.setattr(gas, "_collide_pieces", spy)
-        gas.step(state, model, np.random.default_rng(n), pairing)
-        assert handed == [True] * 3
+    def test_matching_returns_contiguous_pair_rows(self, pairing, n):
+        # a gather order whose pairs are contiguous halves of the rows, the
+        # ones that touch the affected set first; fewer and more affected
+        # rows than unaffected ones
+        for count in (n // 3, 2 * n // 3):
+            rng = np.random.default_rng(n + count)
+            order, affected = gas.PAIRINGS[pairing](n, count, rng)
+            assert order.dtype == np.intp and order.shape == (n,)
+            assert np.array_equal(np.sort(order), np.arange(n))
+            was = order < count
+            i, j = pair_rows(n, affected)
+            assert i.size == n // 2
+            assert (np.arange(i.size) < affected // 2).tolist() == (was[i] | was[j]).tolist()
+            assert np.count_nonzero(was[:affected]) == count
+            assert affected % 2 == 0 or was[affected - 1]  # an affected idle row
+            if pairing == "tree":
+                # every affected row meets an unaffected one while supplies last
+                assert np.count_nonzero(was[i] != was[j]) == min(count, n - count)
 
 
-def full_update(model, state, pairs):
-    """One step that collides points, tangents and twin points on every pair."""
-    i, j = pairs
+def pair_rows(n, affected):
+    """(i, j): the rows of each pair of a stepped state, read back from N
+    and its n_affected."""
+    return np.array([(start + k, start + count + k) for start, count in
+                     gas.pair_blocks(n, affected) for k in range(count)],
+                    dtype=np.intp).reshape(-1, 2).T
+
+
+def full_update(model, state, new, order):
+    """One step that collides points, tangents and twin points on every pair
+    read back from the new state, gathered from the old rows by `order`;
+    and the affected flags it spreads, in the new row order."""
+    i, j = pair_rows(new.n_particles, new.n_affected)
     out = []
     for arr, collide in ((state.points, maps.collide_arrays),
                          (state.tangents, maps.collide_linear),
                          (state.twin_points, maps.collide_arrays)):
-        arr = arr.copy()
+        arr = arr[order]
         arr[i], arr[j] = collide(model, arr[i], arr[j])
         out.append(arr)
-    affected = state.affected.copy()
-    affected[i] |= state.affected[j]
-    affected[j] |= state.affected[i]
+    was = order < state.n_affected
+    affected = was.copy()
+    affected[i] |= was[j]
+    affected[j] |= was[i]
     return (*out, affected)
 
 
@@ -143,7 +162,7 @@ def full_diagnostics(state):
     """The per-step diagnostics over all N particles."""
     norms = np.linalg.norm(state.tangents, axis=1)
     diff = maps.torus_diff_arrays(state.twin_points, state.points)
-    return (np.count_nonzero(state.affected), np.sqrt(np.sum(norms**2)), norms.max(),
+    return (state.n_affected, np.sqrt(np.sum(norms**2)), norms.max(),
             np.median(norms), np.sqrt(np.sum(diff**2)))
 
 
@@ -162,7 +181,8 @@ def bits(a):
 
 class TestAffectedSetStep:
     """step collides tangents and twin points only on pairs that touch the
-    affected set; the result must equal a full update bit for bit."""
+    affected set, in the layout of the module docstring; the result must
+    equal a full update bit for bit."""
 
     @pytest.mark.parametrize("pairing", ["random", "tree"])
     @pytest.mark.parametrize("n", [255, 256])
@@ -172,14 +192,19 @@ class TestAffectedSetStep:
         state = gas.init_gas(config, model, rng)
         partial = saturated = 0
         for _ in range(24):
-            new, pairs = gas.step(state, model, rng, pairing)
-            expected = full_update(model, state, pairs)
-            got = (new.points, new.tangents, new.twin_points, new.affected)
+            new, order = gas.step(state, model, rng, pairing)
+            assert np.array_equal(np.sort(order), np.arange(n))
+            expected = full_update(model, state, new, order)
+            got = (new.points, new.tangents, new.twin_points, np.arange(n) < new.n_affected)
             for g, e in zip(got, expected):
                 assert np.array_equal(bits(g), bits(e))
+            # the layout: nothing from row n_affected on carries a perturbation
+            assert not np.any(new.tangents[new.n_affected:])
+            assert np.array_equal(bits(new.twin_points[new.n_affected:]),
+                                  bits(new.points[new.n_affected:]))
             assert_diagnostics_match(new)
             state = new
-            if state.affected.all():
+            if state.n_affected == n:
                 saturated += 1
             else:
                 partial += 1
@@ -203,7 +228,7 @@ class TestAffectedSetStep:
     @pytest.mark.parametrize("n", [255, 256])
     @pytest.mark.parametrize("shift", [-1, 0, 1, "saturated"])
     def test_diagnostics_in_pieces_of_5(self, model, monkeypatch, n, shift):
-        # a saturated state is read in slices, any other is gathered
+        # a partial and a saturated state are read in slices of 5
         state = (twin_state(n, n, seed=n) if shift == "saturated"
                  else twin_state(n, n // 2 + shift, seed=n + shift))
         whole = gas._diagnostics(state)
@@ -213,17 +238,14 @@ class TestAffectedSetStep:
 
 
 def twin_state(n, count, seed):
-    """A twin state of n particles, count of them affected."""
+    """A twin state of n particles, the first count of them affected."""
     rng = np.random.default_rng(seed)
     points = rng.random((n, 2))
     tangents = np.zeros((n, 2))
-    affected = np.zeros(n, dtype=bool)
-    chosen = rng.permutation(n)[:count]
-    affected[chosen] = True
-    tangents[chosen] = rng.normal(size=(count, 2)) * 1e-9
-    tangents[chosen[0]] = 0.0  # an affected particle may carry no displacement
+    tangents[:count] = rng.normal(size=(count, 2)) * 1e-9
+    tangents[count // 2] = 0.0  # an affected particle may carry no displacement
     twin_points = maps._wrap_unit(points + tangents)
-    return GasState(points=points, tangents=tangents, affected=affected, t=0,
+    return GasState(points=points, tangents=tangents, n_affected=count, t=0,
                     twin_points=twin_points)
 
 
@@ -237,13 +259,13 @@ class TestBoundedMemory:
         config = RunConfig(n_particles=2**16, steps=0, seed=1, pairing="tree", twin=True)
         rng = np.random.default_rng(config.seed)
         state = gas.init_gas(config, model, rng)
-        while not state.affected.all():
+        while state.n_affected < config.n_particles:
             state, _ = gas.step(state, model, rng, config.pairing)
         state_bytes = sum(array.nbytes for array in (state.points, state.tangents,
-                                                     state.affected, state.twin_points))
+                                                     state.twin_points))
         tracemalloc.start()
         try:
-            new, pairs = gas.step(state, model, rng, config.pairing)
+            new, order = gas.step(state, model, rng, config.pairing)
             current, peak = tracemalloc.get_traced_memory()
             step_transient = peak - current
             tracemalloc.reset_peak()
@@ -268,10 +290,10 @@ class TestBoundedMemory:
             return state
 
         def tracked_step(*args):
-            new, pairs = step(*args)
+            new, order = step(*args)
             finalizers.append(weakref.finalize(new, lambda: None))
             alive_after_step.append(sum(f.alive for f in finalizers))
-            return new, pairs
+            return new, order
 
         def tracked_diagnostics(state):
             alive_in_diagnostics.append(sum(f.alive for f in finalizers))
@@ -312,9 +334,9 @@ class TestRunPaired:
         rng = np.random.default_rng(config.seed)
         state = gas.init_gas(config, model, rng)
         for _ in range(10):
-            new, pairs = gas.step(state, model, rng, "random")
-            i, j = pairs
-            before = (state.points[i] + state.points[j]) % 1.0
+            new, order = gas.step(state, model, rng, "random")
+            i, j = pair_rows(64, new.n_affected)
+            before = (state.points[order[i]] + state.points[order[j]]) % 1.0
             after = (new.points[i] + new.points[j]) % 1.0
             assert np.max(np.abs(maps.torus_diff_arrays(after, before))) < 1e-12
             state = new
@@ -323,9 +345,13 @@ class TestRunPaired:
         config = RunConfig(n_particles=64, steps=15, seed=8)
         traj = gas.run_paired(config, model)
         assert np.all(np.diff(traj.affected_count) >= 0)
-        states = list(gas.evolve(config, model))
-        for before, after in zip(states, states[1:]):
-            assert np.all(after.affected | ~before.affected)
+        rng = np.random.default_rng(config.seed)
+        before = gas.init_gas(config, model, rng)
+        for _ in range(config.steps):
+            after, order = gas.step(before, model, rng, config.pairing)
+            # every affected row is gathered into the new affected rows
+            assert np.all(order[after.n_affected:] >= before.n_affected)
+            before = after
 
     @pytest.mark.parametrize("n", [255, 256])
     def test_yielded_states_are_never_written(self, model, n):
@@ -335,9 +361,9 @@ class TestRunPaired:
         for state in gas.evolve(config, model):
             kept.append(state)
             copies.append([state.points.copy(), state.tangents.copy(),
-                           state.affected.copy(), state.twin_points.copy()])
+                           state.twin_points.copy()])
         for state, copy in zip(kept, copies):
-            got = [state.points, state.tangents, state.affected, state.twin_points]
+            got = [state.points, state.tangents, state.twin_points]
             for g, c in zip(got, copy):
                 assert np.array_equal(bits(g), bits(c))
 
@@ -347,7 +373,7 @@ class TestRunPaired:
         traj, passing = gas.with_diagnostics(config, states)
         for t, state in enumerate(passing):
             assert state is states[t]
-            assert traj.affected_count[t] == np.count_nonzero(state.affected)
+            assert traj.affected_count[t] == state.n_affected
         expected = gas.run_paired(config, model)
         for name in ("affected_count", "norm", "max_disp", "median_disp", "twin_dist"):
             assert np.array_equal(getattr(traj, name), getattr(expected, name))
@@ -385,9 +411,9 @@ class TestRunPaired:
         # affected set only, which is exact because of these two facts
         config = RunConfig(n_particles=n, steps=7, seed=4, pairing=pairing, twin=True)
         states = list(gas.evolve(config, model))
-        assert not states[-1].affected.all()
+        assert states[-1].n_affected < n
         for state in states:
-            off = ~state.affected
+            off = slice(state.n_affected, None)
             twin = state.twin_points[off]
             ref = state.points[off]
             assert np.array_equal(twin.view(np.uint64), ref.view(np.uint64))

@@ -89,8 +89,7 @@ class TestModeSeries:
                 linear = (-1j / n) * (np.exp(-1j * (pts @ kvec)) * k_dot_d).sum()
                 scale = np.abs(k_dot_d).mean()
                 assert abs(series.deltas_linear[t] - linear) <= 8 * order * eps * scale
-                affected = state.affected
-                phase = np.exp(-1j * (pts[affected] @ kvec)).sum() / n
+                phase = np.exp(-1j * (pts[:state.n_affected] @ kvec)).sum() / n
                 assert abs(series.phase_sums[t] - phase) <= 8 * order * eps
 
     def test_twin_delta_no_farther_from_extended_precision_than_full_sums(self, model):
@@ -161,7 +160,7 @@ class TestModeSeries:
         config = RunConfig(n_particles=2**14, steps=15, seed=1, pairing="tree", twin=True)
         state = gas.init_gas(config, model, np.random.default_rng(config.seed))
         state_bytes = sum(array.nbytes for array in (state.points, state.tangents,
-                                                     state.affected, state.twin_points))
+                                                     state.twin_points))
         worker_bytes = sum(array.nbytes for array in
                            _distinct_arrays(spectral._RowArrays(_canonical_modes(2))))
         del state
@@ -209,49 +208,38 @@ def _reference_waves(points, modes):
             yield zx[mode.m1] * zp[mode.m2]
 
 
-def _block_sum(values):
-    """0 + s_0 + s_1 + ... over consecutive blocks of BLOCK values, in order."""
+def _block_sum(values, size=spectral.BLOCK):
+    """0 + s_0 + s_1 + ... over consecutive blocks of `size` values, in order."""
     total = 0j
-    for start in range(0, len(values), spectral.BLOCK):
-        total += values[start:start + spectral.BLOCK].sum()
-    return total
-
-
-def _chunk_sum(waves, unaffected):
-    """0 + s_0 + s_1 + ... where s_c sums the unaffected waves of the c-th
-    CHUNK slice of the particles."""
-    total = 0j
-    for start in range(0, len(waves), spectral.CHUNK):
-        chunk = slice(start, start + spectral.CHUNK)
-        total += waves[chunk][unaffected[chunk]].sum()
+    for start in range(0, len(values), size):
+        total += values[start:start + size].sum()
     return total
 
 
 def reference_series(states, modes):
-    """Every mode summed on its own, over fresh whole-row arrays and full
-    gathers cut into slices only for the sums: the reference that the +-k
-    fill and the reused block arrays must match bit for bit.  The value sum
-    is the unaffected waves' partial sums per CHUNK slice, then the affected
-    waves' block sums.  Its waves come from the same kernel, so that the
-    bits can agree at all; the kernel has its own tests against decimal
-    arithmetic."""
+    """Every mode summed on its own, over fresh whole-row arrays cut into
+    slices only for the sums: the reference that the +-k fill and the
+    reused block arrays must match bit for bit.  The value sum is the
+    unaffected waves' partial sums per CHUNK rows, then the affected waves'
+    block sums.  Its waves come from the same kernel, so that the bits can
+    agree at all; the kernel has its own tests against decimal arithmetic."""
     rows = []
     for state in states:
-        affected = np.flatnonzero(state.affected)
-        tangents = np.take(state.tangents, affected, axis=0)
+        a = state.n_affected
+        tangents = state.tangents[:a]
         has_twin = state.twin_points is not None
-        twin_waves = (list(_reference_waves(np.take(state.twin_points, affected, axis=0), modes))
+        twin_waves = (list(_reference_waves(state.twin_points[:a], modes))
                       if has_twin else [None] * len(modes))
         sums = np.zeros((4, len(modes)), dtype=complex)
         for j, (mode, wave, twin_wave) in enumerate(
                 zip(modes, _reference_waves(state.points, modes), twin_waves)):
-            affected_wave = wave[affected]
+            affected_wave = wave[:a]
             k_dot = 2.0 * math.pi * (mode.m1 * tangents[..., 0] + mode.m2 * tangents[..., 1])
             sums[1, j] = _block_sum(affected_wave * k_dot)
             if twin_wave is not None:
                 sums[2, j] = _block_sum(twin_wave - affected_wave)
             sums[3, j] = _block_sum(affected_wave)
-            sums[0, j] = _chunk_sum(wave, ~state.affected) + sums[3, j]
+            sums[0, j] = _block_sum(wave[a:], spectral.CHUNK) + sums[3, j]
         rows.append(sums)
     n = states[-1].n_particles
     values, linear, twin, phase = np.stack(rows, axis=2)
@@ -294,12 +282,13 @@ class TestConjugateFill:
             n = int(rng.integers(1, 12))
             states = []
             for t in range(15):
-                affected = rng.random(n) < rng.choice([0.0, 0.5, 1.0])
+                count = np.count_nonzero(rng.random(n) < rng.choice([0.0, 0.5, 1.0]))
+                affected = np.arange(n) < count
                 points = rng.integers(0, 4, (n, 2)) / 4
                 tangents = np.where(affected[:, None], rng.integers(-4, 5, (n, 2)) / 4, 0.0)
                 twin = np.where(affected[:, None], rng.integers(0, 4, (n, 2)) / 4, points)
                 states.append(gas.GasState(points=points, tangents=tangents,
-                                           affected=affected, t=t, twin_points=twin))
+                                           n_affected=int(count), t=t, twin_points=twin))
             assert_same_series(reference_series(states, modes),
                               spectral.delta_series(states, modes))
 
@@ -317,8 +306,8 @@ C = spectral.CHUNK
 
 
 class TestBlockedRow:
-    """Rows longer than one block: unaffected particles in CHUNK slices and
-    affected ones gathered BLOCK at a time, each particle's waves formed once."""
+    """Rows longer than one block: unaffected rows in CHUNK slices and
+    affected ones in BLOCK slices, each particle's waves formed once."""
 
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 3],
                              ids=["B-1", "B", "B+1", "2B+3"])
@@ -326,9 +315,8 @@ class TestBlockedRow:
     @pytest.mark.parametrize("twin", [True, False], ids=["twin", "no-twin"])
     def test_bitwise_equal_to_per_mode_sums(self, model, n, pairing, twin):
         # Tree pairing saturates by step floor(log2 n) + 1.  At 2B+3 the row
-        # before that has 2**14 = 2B affected particles, two gathered blocks,
-        # and every unsaturated row's unaffected particles fall in one CHUNK slice
-        # and a 3-particle tail.
+        # before that has 2**14 = 2B affected particles, two blocks, and the
+        # first rows' unaffected rows span a full CHUNK slice and a short one.
         config = RunConfig(n_particles=n, steps=16, seed=n, pairing=pairing, twin=twin)
         states = list(gas.evolve(config, model))
         modes = MODE_LISTS["order 2 reversed"]
@@ -336,13 +324,12 @@ class TestBlockedRow:
                           spectral.delta_series(states, modes, threads=2))
 
     def test_value_blocks_added_in_order(self, model):
-        # The unaffected particles span two full CHUNK slices and a tail, so
+        # The unaffected rows span two full CHUNK slices and a tail, so
         # the order of the per-slice partial sums shows; the rows stay
         # unsaturated.
-        config = RunConfig(n_particles=2 * C + 3, steps=4, seed=9, pairing="tree", twin=True)
+        config = RunConfig(n_particles=2 * C + 19, steps=4, seed=9, pairing="tree", twin=True)
         states = list(gas.evolve(config, model))
-        assert all((~state.affected[:2 * C]).any() and (~state.affected[2 * C:]).any()
-                   for state in states)
+        assert all(config.n_particles - state.n_affected > 2 * C for state in states)
         modes = spectral.enumerate_modes(1)
         assert_same_series(reference_series(states, modes), spectral.delta_series(states, modes))
 
@@ -351,7 +338,7 @@ class TestBlockedRow:
     def test_each_wave_formed_once_per_row(self, model, monkeypatch, pairing, twin):
         # every particle's point, and an affected particle's twin point,
         # passes through the kernel once, on both axes, in one call per load:
-        # one per CHUNK slice with unaffected points, then one per block
+        # one per CHUNK slice of the unaffected rows, then one per block
         counted = []
         turn_wave = spectral._turn_wave
 
@@ -366,11 +353,11 @@ class TestBlockedRow:
         for state in gas.evolve(config, model):
             counted.clear()
             spectral.delta_series([state], modes)
-            affected = int(state.affected.sum())
+            affected = state.n_affected
             assert sum(counted) == 2 * ((n - affected) + affected * (1 + twin))
-            slices = [int((~state.affected[start:start + C]).sum()) for start in range(0, n, C)]
+            slices = [min(C, n - start) for start in range(affected, n, C)]
             blocks = [min(B, affected - start) for start in range(0, affected, B)]
-            assert counted == ([2 * size for size in slices if size]
+            assert counted == ([2 * size for size in slices]
                                + [2 * (1 + twin) * size for size in blocks])
 
     def test_threads_give_identical_series(self, model):
@@ -394,24 +381,23 @@ class TestBlockedRow:
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_borrowed_scratch_does_not_leak_between_loads(self, order):
         # The kernel's rows are lent out between loads (the conjugate,
-        # product, temp and tangents arrays), its first row takes the
+        # product and temp arrays), its first row takes the
         # coordinates and its complex row is the z**2 row.  Loads of falling
         # size, over scratch filled with NaN each time, must each give the
         # waves formed afresh from unit_wave.
         modes = _canonical_modes(order)
         arrays = spectral._RowArrays(modes)
         rest = arrays.powers[1]
-        borrowed = [arrays.conjugate, arrays.product, arrays.temp, arrays.tangents]
+        borrowed = [arrays.conjugate, arrays.product, arrays.temp]
         for i, a in enumerate(borrowed):
             assert np.shares_memory(a, arrays.scratch)
             assert not any(np.shares_memory(a, b) for b in borrowed[i + 1:])
-        assert arrays.tangents.shape == (B, 2)
         rng = np.random.default_rng(order)
         for n in (C, B + 3, 1):
             for scratch in (arrays.scratch, arrays.powers):
                 scratch.fill(np.nan)
             points = rng.random((n, 2)) * 4 - 2
-            arrays.load([points], np.arange(n))
+            arrays.load([points])
             for row in (arrays.scratch, rest):
                 assert not np.shares_memory(row, arrays.z[0])
             assert not np.shares_memory(arrays.scratch, arrays.powers)
@@ -659,7 +645,7 @@ class TestExponentEstimate:
         config = RunConfig(n_particles=8, steps=2, seed=0)
         states = list(gas.evolve(config, model))
         states[2].points[:] = 0.0
-        states[2].affected[:] = True
+        states[2].n_affected = 8
         series = spectral.delta_series(states, [ModeIndex(1, 0)])[0]
         est = spectral.exponent_estimate(series, model, 2)
         k_dot_xi = 2 * math.pi * model.xi_plus[0]
@@ -669,7 +655,8 @@ class TestExponentEstimate:
 
     def test_degenerate_zero_sum_flagged(self, model):
         states = list(gas.evolve(RunConfig(n_particles=8, steps=2, seed=0), model))
-        states[2].affected[:] = False  # empty sum is exactly zero
+        states[2].n_affected = 0  # empty sum is exactly zero
+        states[2].tangents[:] = 0.0
         series = spectral.delta_series(states, [ModeIndex(1, 0)])[0]
         est = spectral.exponent_estimate(series, model, 2)
         assert est.degenerate
