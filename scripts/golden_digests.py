@@ -56,6 +56,8 @@ COMMANDS = [
     "tree --stages 12 --epsilon 1e-320",
     # cells a few subnormal ulps wide, three of them rounded to zero:
     "tree --stages 12 --epsilon 3e-323",
+    # a second matrix, whose leaves and dilations differ from the default's
+    "tree --stages 12 --matrix 2,1,1,1",
 ]
 # Tree summaries hold the enumerated and closed-form dilations; the last
 # command writes a summary only.
