@@ -231,6 +231,17 @@ class TestTree:
         assert run(["tree", "--stages", "0", "--out", str(out)]) == 0
         assert len(csv_body(out).splitlines()) == 2
 
+    def test_leaves_with_the_same_n1_are_one_line(self, tmp_path):
+        # K+ and K- commute, so a leaf's displacement depends on its n1 alone
+        out = tmp_path / "t.csv"
+        assert run(["tree", "--stages", "10", "--out", str(out)]) == 0
+        lines = {}
+        for line in csv_body(out).splitlines()[1:]:
+            lines.setdefault(int(line.split(",")[1]), []).append(line)
+        assert sorted(lines) == list(range(11))
+        for n1, same in lines.items():
+            assert same == [same[0]] * math.comb(10, n1)
+
     @pytest.mark.parametrize("stages,message", [
         ("-1", "--stages must be >= 0, got -1"),
         ("5000", "--stages 5000 is too large"),
@@ -321,9 +332,9 @@ class TestTree:
                 assert norm == pytest.approx(math.hypot(dx, dp), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("epsilon,overflows", [
-        # the written norms of that many distinct leaf rows overflow, with no warning
-        pytest.param("1e306", 11, marks=pytest.mark.filterwarnings("error")),
-        pytest.param("1e308", 44, marks=pytest.mark.filterwarnings("error"))])
+        # the written norms of that many leaves overflow, with no warning
+        pytest.param("1e306", 79, marks=pytest.mark.filterwarnings("error")),
+        pytest.param("1e308", 3797, marks=pytest.mark.filterwarnings("error"))])
     def test_written_norm_overflow_refused_before_writing(self, tmp_path, capsys, epsilon,
                                                           overflows):
         out = tmp_path / "t.csv"
@@ -333,7 +344,7 @@ class TestTree:
         assert run(["tree", "--stages", "12", "--epsilon", epsilon, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert f"{overflows} distinct leaf rows" in captured.err
+        assert f"{overflows} leaves have a norm" in captured.err
         assert "--epsilon" in captured.err and "--stages" in captured.err
         assert captured.out == ""
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
@@ -1053,11 +1064,11 @@ class TestCellFormat:
         assert run(["tree", "--stages", "3", "--out", str(out)]) == 0
         # leaf_records writes epsilon times each unit row and its norm
         leaves = tree.run_tree(model, 3)
-        unit = leaves.distinct[leaves.leaf]
+        unit = leaves.distinct[leaves.n1]
         displacements = 1e-9 * unit
         norms = 1e-9 * np.linalg.norm(unit, axis=1)
         rows = [(3, leaves.n1[i], 3 - leaves.n1[i], *displacements[i], norms[i])
-                for i in range(leaves.leaf.size)]
+                for i in range(leaves.n1.size)]
         assert out.read_text().endswith("\n")
         assert csv_body(out) == expected_body(cli.TREE_CSV_COLUMNS, 3, rows)
 

@@ -11,12 +11,12 @@ from arnoldgas import gas, maps, tree
 class TestRunTree:
     def test_zero_stages_single_leaf(self, model):
         run = tree.run_tree(model, 0)
-        assert run.leaf.size == 1
-        assert run.distinct[run.leaf][0] == pytest.approx(model.xi_plus, rel=1e-12)
+        assert run.n1.size == 1
+        assert run.distinct[run.n1][0] == pytest.approx(model.xi_plus, rel=1e-12)
 
     def test_two_stage_multipliers(self, model):
         run = tree.run_tree(model, 2)
-        mults = sorted(run.distinct[run.leaf] @ model.xi_plus)
+        mults = sorted(run.distinct[run.n1] @ model.xi_plus)
         expected = sorted([model.kp**2, model.kp * model.km,
                            model.km * model.kp, model.km**2])
         assert mults == pytest.approx(expected, rel=1e-12)
@@ -38,7 +38,7 @@ class TestRunTree:
     def test_leaf_displacement_closed_form_with_sign(self, model, n):
         # each leaf equals kp^n1 * km^n2 along xi_plus, sign (-1)^n2
         run = tree.run_tree(model, n)
-        along = run.distinct[run.leaf] @ model.xi_plus
+        along = run.distinct[run.n1] @ model.xi_plus
         n2 = run.stages - run.n1
         expected = (model.kp ** run.n1.astype(float)) * (model.km ** n2.astype(float))
         assert along == pytest.approx(expected, rel=1e-12)
@@ -76,15 +76,31 @@ def full_expansion(model, stages):
     return d, n1
 
 
+def n1_rows(model, stages):
+    """Row k: K- applied stages - k times, then K+ applied k times, to xi_plus,
+    as explicit multiply-adds."""
+    def times(k, d):
+        return np.array([k[0, 0] * d[0] + k[0, 1] * d[1], k[1, 0] * d[0] + k[1, 1] * d[1]])
+
+    rows = []
+    for n1 in range(stages + 1):
+        d = model.xi_plus
+        for k in [model.k_minus] * (stages - n1) + [model.k_plus] * n1:
+            d = times(k, d)
+        rows.append(d)
+    return np.array(rows)
+
+
 def written_leaves(run, eps):
     """(2^n, 2) leaf displacements as leaf_records writes them at eps."""
-    records, leaf = tree.leaf_records(run, eps)
-    return np.array([record[3:5] for record in records])[leaf]
+    records, n1 = tree.leaf_records(run, eps)
+    return np.array([record[3:5] for record in records])[n1]
 
 
 class TestDistinctLeaves:
-    """The distinct-leaf tree expands to the bits of a full per-leaf expansion,
-    and leaf_records writes eps times those bits, rounded once."""
+    """The tree keeps one row per n1, each the multiply-adds of K- then K+;
+    it expands to a full per-leaf expansion within rounding, with the same n1
+    for every leaf, and leaf_records writes eps times those rows, rounded once."""
 
     @pytest.mark.parametrize("matrix", [[[1, 1], [1, 2]], [[2, 1], [1, 1]]],
                              ids=["default", "2,1,1,1"])
@@ -93,28 +109,15 @@ class TestDistinctLeaves:
         model = maps.spectral_decompose(matrix)
         for stages in range(15):
             run = tree.run_tree(model, stages)
+            rows = n1_rows(model, stages)
+            assert np.array_equal(run.distinct.view(np.uint64), rows.view(np.uint64)), stages
             d, n1 = full_expansion(model, stages)
-            assert run.leaf.size == 2**stages
-            leaves = run.distinct[run.leaf]
-            assert np.array_equal(leaves.view(np.uint64), d.view(np.uint64)), stages
-            written = written_leaves(run, eps)
-            assert np.array_equal(written.view(np.uint64), (eps * d).view(np.uint64)), stages
             assert np.array_equal(run.n1, n1), stages
-            assert len(run.distinct) <= 2 * stages**2 + 1, stages
-
-    def test_rows_keyed_on_bits_and_label(self):
-        nan_a = np.float64(math.nan)
-        nan_b = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
-        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [nan_a, 1.0], [nan_b, 1.0],
-                         [0.0, 1.0], [nan_a, 1.0], [0.0, 1.0]])
-        labels = np.array([0, 0, 0, 0, 0, 0, 1])
-        first, inverse = tree._distinct_rows(rows, labels)
-        assert len(first) == 5
-        groups = inverse.tolist()
-        assert groups[0] == groups[4]  # identical bits merge
-        assert groups[2] == groups[5]
-        assert len({groups[0], groups[1], groups[2], groups[3], groups[6]}) == 5
-        assert np.array_equal(rows[first][inverse].view(np.uint64), rows.view(np.uint64))
+            leaves = run.distinct[run.n1]
+            assert np.all(np.abs(leaves - d) <= 2e-15 * np.abs(d)), stages
+            written = written_leaves(run, eps)
+            assert np.array_equal(written.view(np.uint64),
+                                  (eps * rows)[n1].view(np.uint64)), stages
 
 
 class TestPathDilation:
@@ -123,7 +126,7 @@ class TestPathDilation:
     @staticmethod
     def leaf_dilations(model, stages, n1):
         run = tree.run_tree(model, stages)
-        return np.linalg.norm(run.distinct[run.leaf][run.n1 == n1], axis=1)
+        return np.linalg.norm(run.distinct[run.n1][run.n1 == n1], axis=1)
 
     def test_two_direct(self, model):
         assert self.leaf_dilations(model, 2, 2) == pytest.approx([3.2725424859], abs=1e-9)
@@ -133,7 +136,7 @@ class TestPathDilation:
 
     def test_empty_product(self, model):
         run = tree.run_tree(model, 0)
-        assert np.linalg.norm(run.distinct[run.leaf][0]) == pytest.approx(1.0)
+        assert np.linalg.norm(run.distinct[run.n1][0]) == pytest.approx(1.0)
 
 
 class TestMeanDilations:
@@ -187,7 +190,7 @@ class TestGasDilation:
     @pytest.mark.parametrize("n", [12, 16, 18])
     def test_bits_of_the_plain_formula(self, model, n):
         run = tree.run_tree(model, n)
-        plain = float(np.sqrt(np.sum((run.distinct**2)[run.leaf])))
+        plain = float(np.sqrt(np.sum((run.distinct**2)[run.n1])))
         assert tree.gas_dilation(run) == plain
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -250,9 +253,9 @@ def test_tree_matches_full_twin_simulation(seed):
 def test_power_of_two_epsilon_scales_the_unit_cells_exactly(stages, k):
     """leaf_records at eps = 2^k writes the eps = 1 cells times 2^k, bit for bit."""
     run = tree.run_tree(maps.default_model(), stages)
-    unit, leaf = tree.leaf_records(run, 1.0)
-    records, scaled_leaf = tree.leaf_records(run, 2.0**k)
-    assert scaled_leaf is leaf
+    unit, n1 = tree.leaf_records(run, 1.0)
+    records, scaled_n1 = tree.leaf_records(run, 2.0**k)
+    assert scaled_n1 is n1
     assert [record[:3] for record in records] == [record[:3] for record in unit]
     cells = np.array([record[3:] for record in records])
     expected = np.array([[math.ldexp(cell, k) for cell in record[3:]] for record in unit])
