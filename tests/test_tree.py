@@ -62,12 +62,14 @@ class TestRunTree:
             tree.run_tree(model, -1)
 
 
+def times(k, d):
+    """k @ row for every row of the (m, 2) array d, as explicit multiply-adds."""
+    return np.column_stack([k[0, 0] * d[:, 0] + k[0, 1] * d[:, 1],
+                            k[1, 0] * d[:, 0] + k[1, 1] * d[:, 1]])
+
+
 def full_expansion(model, stages):
     """Every unit leaf of the tree, one row per leaf, as explicit multiply-adds."""
-    def times(k, d):
-        return np.column_stack([k[0, 0] * d[:, 0] + k[0, 1] * d[:, 1],
-                                k[1, 0] * d[:, 0] + k[1, 1] * d[:, 1]])
-
     d = model.xi_plus.reshape(1, 2)
     n1 = np.zeros(1, dtype=np.int64)
     for _ in range(stages):
@@ -77,18 +79,14 @@ def full_expansion(model, stages):
 
 
 def n1_rows(model, stages):
-    """Row k: K- applied stages - k times, then K+ applied k times, to xi_plus,
-    as explicit multiply-adds."""
-    def times(k, d):
-        return np.array([k[0, 0] * d[0] + k[0, 1] * d[1], k[1, 0] * d[0] + k[1, 1] * d[1]])
-
+    """Row k: K- applied stages - k times, then K+ applied k times, to xi_plus."""
     rows = []
     for n1 in range(stages + 1):
-        d = model.xi_plus
+        d = model.xi_plus.reshape(1, 2)
         for k in [model.k_minus] * (stages - n1) + [model.k_plus] * n1:
             d = times(k, d)
         rows.append(d)
-    return np.array(rows)
+    return np.concatenate(rows)
 
 
 def written_leaves(run, eps):
